@@ -15,8 +15,8 @@ from .evaluate import (ConfusionSummary, ExperimentConfig, OperatingPoint,
                        RunReport, THRESHOLD_GRID, TuneSpec, aggregate_metrics,
                        closed_accuracy, config_digest,
                        confusion_from_predictions, fit_spaces_to_length,
-                       open_world_eval, report_json, report_table,
-                       run_experiment, sweep_operating_points,
+                       open_world_eval, open_world_metrics, report_json,
+                       report_table, run_experiment, sweep_operating_points,
                        tune_augmentation, write_report)
 from .manifest import KNOWN_KEYS, Manifest, ManifestError
 from .nn import (Adam, CheckpointError, Conv1D, ConvBlock, Dense,
@@ -51,11 +51,11 @@ __all__ = [
     "decide", "default_budget", "default_model_config", "default_spaces",
     "derive_rng", "fit_spaces_to_length", "hda_batch", "load_checkpoint",
     "load_dataset", "make_optimizer", "make_splits", "mask", "mix",
-    "one_hot_labels", "open_world_eval", "optimize_independent",
-    "optimize_one", "optimize_sequential", "predict", "report_json",
-    "report_table", "rotate", "run_experiment", "sample_lambda",
-    "sample_mask", "sample_rotation", "save_checkpoint", "save_dataset",
-    "softmax", "spawn_seeds", "sweep_operating_points", "synth_dataset",
-    "synth_templates", "tpe_suggest", "train", "tune_augmentation",
-    "write_history", "write_report", "write_trial_log",
+    "one_hot_labels", "open_world_eval", "open_world_metrics",
+    "optimize_independent", "optimize_one", "optimize_sequential", "predict",
+    "report_json", "report_table", "rotate", "run_experiment",
+    "sample_lambda", "sample_mask", "sample_rotation", "save_checkpoint",
+    "save_dataset", "softmax", "spawn_seeds", "sweep_operating_points",
+    "synth_dataset", "synth_templates", "tpe_suggest", "train",
+    "tune_augmentation", "write_history", "write_report", "write_trial_log",
 ]

@@ -19,14 +19,13 @@ import numpy as np
 
 from .augment import OPERATORS, hda_batch
 from .evaluate import (RunReport, aggregate_metrics, closed_accuracy,
-                       open_world_eval, sweep_operating_points,
-                       tune_augmentation, write_report)
+                       open_world_metrics, tune_augmentation, write_report)
 from .manifest import (Manifest, ManifestError, aug_config_from_manifest,
                        format_manifest, model_config_from_manifest,
                        parse_operator_order, split_spec_from_manifest,
                        train_config_from_manifest, tune_spec_from_manifest)
-from .nn import (CheckpointError, dataset_accuracy, load_checkpoint,
-                 save_checkpoint, train, write_history)
+from .nn import (CheckpointError, TrainingDiverged, dataset_accuracy,
+                 load_checkpoint, save_checkpoint, train, write_history)
 from .seeding import derive_rng
 from .tpe import ObjectiveError, write_trial_log
 from .traces import (TraceFormatError, load_dataset, make_splits,
@@ -139,8 +138,8 @@ def cmd_tune(args, m: Manifest) -> int:
     order = _operator_order(m, seed)
     spec = tune_spec_from_manifest(m, order, mode=args.mode,
                                    budget=args.budget)
-    width = dataset.num_classes + (1 if dataset.has_background() else 0)
-    model_cfg = model_config_from_manifest(m, dataset.trace_len, width)
+    model_cfg = model_config_from_manifest(m, dataset.trace_len,
+                                           dataset.output_width)
     train_cfg = train_config_from_manifest(m, seed)
     params, log = tune_augmentation(train_set, val_set, model_cfg, train_cfg,
                                     spec, seed)
@@ -163,8 +162,8 @@ def cmd_train(args, m: Manifest) -> int:
     dataset, (train_set, val_set, _) = _load_splits(m, seed)
     aug_cfg = aug_config_from_manifest(m, dataset.trace_len,
                                        default_order=_operator_order(m, seed))
-    width = dataset.num_classes + (1 if dataset.has_background() else 0)
-    model_cfg = model_config_from_manifest(m, dataset.trace_len, width)
+    model_cfg = model_config_from_manifest(m, dataset.trace_len,
+                                           dataset.output_width)
     train_cfg = train_config_from_manifest(m, seed)
     model, history = train(model_cfg, train_cfg, train_set, val_set, aug_cfg)
     out = _out_dir(args, m)
@@ -180,24 +179,13 @@ def cmd_eval(args, m: Manifest) -> int:
     seed = _root_seed(args, m)
     dataset, (_, val_set, test_set) = _load_splits(m, seed)
     model = load_checkpoint(args.checkpoint)
-    width = dataset.num_classes + (1 if dataset.has_background() else 0)
-    if model.cfg.num_classes != width:
+    if model.cfg.num_classes != dataset.output_width:
         raise ManifestError(
             f"checkpoint {args.checkpoint} outputs {model.cfg.num_classes} "
-            f"classes but the dataset encodes {width}")
+            f"classes but the dataset encodes {dataset.output_width}")
     if args.open_world:
-        best_p, best_r, _ = sweep_operating_points(model, val_set)
-        at_p = open_world_eval(model, test_set, best_p.threshold)
-        at_r = open_world_eval(model, test_set, best_r.threshold)
         world = "open"
-        metrics = {
-            "precision_tuned_threshold": best_p.threshold,
-            "precision_tuned_precision": at_p.precision,
-            "precision_tuned_recall": at_p.recall,
-            "recall_tuned_threshold": best_r.threshold,
-            "recall_tuned_precision": at_r.precision,
-            "recall_tuned_recall": at_r.recall,
-        }
+        metrics = open_world_metrics(model, val_set, test_set)
     else:
         if test_set.has_background():
             raise ManifestError(
@@ -303,7 +291,7 @@ def main(argv=None) -> int:
         manifest = Manifest.from_files(args.manifest)
         return args.func(args, manifest)
     except (ManifestError, TraceFormatError, CheckpointError, ObjectiveError,
-            ValueError, OSError) as exc:
+            TrainingDiverged, FloatingPointError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -140,6 +140,25 @@ def sweep_operating_points(model: Model, val: Dataset,
     return best_precision, best_recall, curve
 
 
+def open_world_metrics(model: Model, val: Dataset, test: Dataset) -> dict:
+    """Pick thresholds on ``val``, score ``test`` at both operating points.
+
+    Sweeps validation once and predicts the test split once; returns the
+    threshold, precision and recall of the precision-best and recall-best
+    points, keyed ``{precision,recall}_tuned_{threshold,precision,recall}``.
+    """
+    best_p, best_r, _ = sweep_operating_points(model, val)
+    pred, conf = predict(model, test.traces)
+    metrics = {}
+    for tag, point in (("precision", best_p), ("recall", best_r)):
+        c = confusion_from_predictions(test.labels, pred, conf,
+                                       point.threshold, test.num_classes)
+        metrics.update({f"{tag}_tuned_threshold": point.threshold,
+                        f"{tag}_tuned_precision": c.precision,
+                        f"{tag}_tuned_recall": c.recall})
+    return metrics
+
+
 @dataclass(frozen=True)
 class TuneSpec:
     """How to search augmentation hyperparameters before training."""
@@ -279,17 +298,7 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
         model, history = train(cfg.model, train_cfg, train_set, val_set, aug)
         metrics["val_accuracy"] = max(h.val_acc for h in history)
         if open_world:
-            best_p, best_r, _ = sweep_operating_points(model, val_set)
-            at_p = open_world_eval(model, test_set, best_p.threshold)
-            at_r = open_world_eval(model, test_set, best_r.threshold)
-            metrics.update({
-                "precision_tuned_threshold": best_p.threshold,
-                "precision_tuned_precision": at_p.precision,
-                "precision_tuned_recall": at_p.recall,
-                "recall_tuned_threshold": best_r.threshold,
-                "recall_tuned_precision": at_r.precision,
-                "recall_tuned_recall": at_r.recall,
-            })
+            metrics.update(open_world_metrics(model, val_set, test_set))
         else:
             metrics["test_accuracy"] = closed_accuracy(model, test_set)
         per_seed.append(metrics)

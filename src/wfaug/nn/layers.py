@@ -107,25 +107,33 @@ class ReLU(Layer):
 
 
 class MaxPool2(Layer):
-    """Non-overlapping width-2 max pooling; an odd trailing element is dropped."""
+    """Non-overlapping width-2 max pooling; an odd trailing element is dropped.
+
+    Each output picks the element ``argmax`` over its pair would pick: the
+    left one on ties (signed zeros included) and the first NaN, so output
+    and gradient bits do not depend on how the pairs are compared.
+    """
 
     name = "maxpool2"
 
     def forward(self, x, train=False):
-        b, c, length = x.shape
-        keep = 2 * (length // 2)
-        pairs = x[:, :, :keep].reshape(b, c, length // 2, 2)
-        idx = pairs.argmax(axis=3)
+        keep = 2 * (x.shape[2] // 2)
+        left, right = x[..., 0:keep:2], x[..., 1:keep:2]
+        # np.maximum returns its second operand on a +0.0/-0.0 tie (the
+        # oracle tests pin this) but its first of two NaNs, so a left NaN is
+        # copied in explicitly
+        y = np.maximum(right, left)
+        np.copyto(y, left, where=np.isnan(left))
         if train:
-            self._idx, self._len = idx, length
-        return np.take_along_axis(pairs, idx[..., None], axis=3)[..., 0]
+            self._left_wins = (left >= right) | np.isnan(left)
+            self._len = x.shape[2]
+        return y
 
     def backward(self, dy):
-        b, c, half = dy.shape
-        pairs = np.zeros((b, c, half, 2))
-        np.put_along_axis(pairs, self._idx[..., None], dy[..., None], axis=3)
-        dx = np.zeros((b, c, self._len))
-        dx[:, :, :2 * half] = pairs.reshape(b, c, 2 * half)
+        keep = 2 * dy.shape[2]
+        dx = np.zeros(dy.shape[:2] + (self._len,))
+        dx[..., 0:keep:2] = np.where(self._left_wins, dy, 0.0)
+        dx[..., 1:keep:2] = np.where(self._left_wins, 0.0, dy)
         return dx
 
 

@@ -75,8 +75,12 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: Dataset,
     """Train a fresh model; returns (best-validation model, epoch history)."""
     if len(train_set) == 0 or len(val_set) == 0:
         raise ValueError("train and validation sets must be non-empty")
-    background = train_set.has_background() or val_set.has_background()
-    width = train_set.num_classes + (1 if background else 0)
+    if train_set.num_classes != val_set.num_classes:
+        raise ValueError(f"train set has {train_set.num_classes} classes, "
+                         f"validation set {val_set.num_classes}")
+    # background in either split gets the extra output
+    width = max(train_set.output_width, val_set.output_width)
+    background = width > train_set.num_classes
     if width != model_cfg.num_classes:
         raise ValueError(f"model outputs {model_cfg.num_classes} classes but "
                          f"the data encodes {width}")

@@ -53,6 +53,12 @@ class Dataset:
     def has_background(self) -> bool:
         return bool(np.any(self.labels == BACKGROUND))
 
+    @property
+    def output_width(self) -> int:
+        """Classifier outputs the data needs: one per monitored class, plus
+        one for background when any trace is unmonitored."""
+        return self.num_classes + (1 if self.has_background() else 0)
+
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.traces[idx], self.labels[idx], self.num_classes,
                        dict(self.provenance))

@@ -89,3 +89,22 @@ def conv1d_backward_loops(x, w, dy, dilation=1, stride=1, pad_l=0, pad_r=0):
                         dxp[n, i, src] += dy[n, o, p] * w[o, i, t]
     dx = dxp[:, :, pad_l: xp.shape[2] - pad_r if pad_r else None]
     return dw, dy.sum(axis=(0, 2)), dx
+
+
+def maxpool2_forward_argmax(x):
+    """Width-2 max pooling through argmax over explicit pairs; returns the
+    pooled array and the per-pair winner index (0 = left, 1 = right)."""
+    b, c, length = x.shape
+    pairs = x[:, :, :2 * (length // 2)].reshape(b, c, length // 2, 2)
+    idx = pairs.argmax(axis=3)
+    return np.take_along_axis(pairs, idx[..., None], axis=3)[..., 0], idx
+
+
+def maxpool2_backward_argmax(dy, idx, length):
+    """Route each output gradient to its pair's argmax slot; zeros elsewhere."""
+    b, c, half = dy.shape
+    pairs = np.zeros((b, c, half, 2))
+    np.put_along_axis(pairs, idx[..., None], dy[..., None], axis=3)
+    dx = np.zeros((b, c, length))
+    dx[:, :, :2 * half] = pairs.reshape(b, c, 2 * half)
+    return dx

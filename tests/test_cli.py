@@ -5,6 +5,7 @@ same way the determinism guarantees are meant to be used.
 """
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ import pytest
 from wfaug.cli import main
 from wfaug.manifest import format_manifest, parse_manifest_text
 from wfaug.tpe import TRIAL_LOG_HEADER
-from wfaug.traces import BACKGROUND, Dataset, load_dataset, save_dataset, synth_dataset
+from wfaug.traces import (BACKGROUND, Dataset, SplitSpec, load_dataset,
+                          make_splits, save_dataset, synth_dataset)
 
 BASE = {
     "data.path": "data.txt",
@@ -46,6 +48,14 @@ def run(*argv):
 def synth_here():
     assert run("synth", "--manifest", "exp.cfg", "--seed", "7",
                "--out", "data.txt") == 0
+
+
+def open_world_here(workdir):
+    """Three monitored classes plus one relabelled as background."""
+    base = synth_dataset(4, 10, 48, 0.05, seed=7)
+    labels = base.labels.copy()
+    labels[labels == 3] = BACKGROUND
+    save_dataset(Dataset(base.traces, labels, 3), workdir / "data.txt")
 
 
 class TestSynth:
@@ -195,10 +205,7 @@ class TestTrainEvalReport:
         assert "ghost" in capsys.readouterr().err
 
     def test_open_world_eval(self, workdir):
-        base = synth_dataset(4, 10, 48, 0.05, seed=7)
-        labels = base.labels.copy()
-        labels[labels == 3] = BACKGROUND
-        save_dataset(Dataset(base.traces, labels, 3), workdir / "data.txt")
+        open_world_here(workdir)
         assert run("train", "--manifest", "exp.cfg", "--seed", "0",
                    "--out", "ow") == 0
         assert run("eval", "--manifest", "exp.cfg", "--seed", "0",
@@ -210,11 +217,21 @@ class TestTrainEvalReport:
         assert {"precision_tuned_precision", "precision_tuned_recall",
                 "recall_tuned_precision", "recall_tuned_recall"} <= set(metrics)
 
+    def test_open_world_eval_predicts_each_split_once(self, workdir,
+                                                      eval_predicts):
+        open_world_here(workdir)
+        assert run("train", "--manifest", "exp.cfg", "--seed", "0",
+                   "--out", "ow") == 0
+        assert run("eval", "--manifest", "exp.cfg", "--seed", "0",
+                   "--checkpoint", "ow/model.ckpt", "--open-world",
+                   "--out", "ow") == 0
+        data = load_dataset(workdir / "data.txt", 48)
+        _, val, test = make_splits(data, SplitSpec(5, 3, 2, seed=0))
+        assert [t.tobytes() for t in eval_predicts] == [
+            val.traces.tobytes(), test.traces.tobytes()]
+
     def test_closed_eval_on_background_data_fails(self, workdir, capsys):
-        base = synth_dataset(4, 10, 48, 0.05, seed=7)
-        labels = base.labels.copy()
-        labels[labels == 3] = BACKGROUND
-        save_dataset(Dataset(base.traces, labels, 3), workdir / "data.txt")
+        open_world_here(workdir)
         assert run("train", "--manifest", "exp.cfg", "--seed", "0",
                    "--out", "ow") == 0
         assert run("eval", "--manifest", "exp.cfg", "--seed", "0",
@@ -230,6 +247,33 @@ class TestTrainEvalReport:
                    "--checkpoint", "run0/model.ckpt", "--out", "bad") == 1
         err = capsys.readouterr().err
         assert "3" in err and "4" in err
+
+
+    def test_diverged_training_is_an_error(self, workdir, capsys):
+        synth_here()
+        (workdir / "wild.cfg").write_text(
+            "train.lr = 1e300\ntrain.optimizer = sgd-momentum\n",
+            encoding="utf-8")
+        with np.errstate(all="ignore"):
+            assert run("train", "--manifest", "exp.cfg", "--manifest",
+                       "wild.cfg", "--seed", "0", "--out", "wild") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_checkpoint_header_without_fc_is_an_error(self, workdir, capsys):
+        synth_here()
+        self.pipeline(0)
+        ckpt = workdir / "run0" / "model.ckpt"
+        raw = ckpt.read_bytes()
+        n = struct.unpack("<I", raw[8:12])[0]
+        text = b"\n".join(line for line in raw[12:12 + n].split(b"\n")
+                          if not line.startswith(b"fc="))
+        ckpt.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text
+                         + raw[12 + n:])
+        assert run("eval", "--manifest", "exp.cfg", "--seed", "0",
+                   "--checkpoint", "run0/model.ckpt", "--out", "bad") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "fc" in err
 
 
 class TestDeterminism:

@@ -16,8 +16,9 @@ from wfaug.evaluate import (ConfusionSummary, ExperimentConfig, OperatingPoint,
                             THRESHOLD_GRID, TuneSpec, aggregate_metrics,
                             closed_accuracy, config_digest,
                             confusion_from_predictions, fit_spaces_to_length,
-                            open_world_eval, report_json, report_table,
-                            run_experiment, sweep_operating_points,
+                            open_world_eval, open_world_metrics, report_json,
+                            report_table, run_experiment,
+                            sweep_operating_points,
                             tune_augmentation, write_report)
 from wfaug.nn import ConvBlock, ModelConfig, TrainConfig
 from wfaug.tpe import SearchSpace, default_spaces
@@ -180,6 +181,24 @@ class TestOpenWorldEval:
         conf = probs.max(axis=1)
         expect = confusion_from_predictions(labels, pred, conf, 0.4, 4)
         assert c == expect
+
+
+class TestOpenWorldMetrics:
+    def test_matches_sweep_and_open_world_eval(self):
+        rng = np.random.default_rng(4)
+        val_labels, _, _ = random_predictions(rng, n=30)
+        test_labels, _, _ = random_predictions(rng, n=20)
+        val, test = flat_dataset(val_labels, 4), flat_dataset(test_labels, 4)
+        logits = rng.normal(size=(50, 5)) * 2
+        probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        got = open_world_metrics(TableModel(probs), val, test)
+        best_p, best_r, _ = sweep_operating_points(TableModel(probs[:30]), val)
+        for tag, point in (("precision", best_p), ("recall", best_r)):
+            c = open_world_eval(TableModel(probs[30:]), test, point.threshold)
+            assert got[f"{tag}_tuned_threshold"] == point.threshold
+            assert got[f"{tag}_tuned_precision"] == c.precision
+            assert got[f"{tag}_tuned_recall"] == c.recall
+        assert len(got) == 6
 
 
 class TestSweep:
@@ -346,6 +365,18 @@ class TestRunExperiment:
         ds, cfg, report = closed_report
         again = run_experiment(ds, cfg, seeds=(0, 1))
         assert report_json(again) == report_json(report)
+
+    def test_open_world_predicts_each_split_once(self, eval_predicts):
+        base = synth_dataset(4, 12, 64, 0.05, seed=7)
+        labels = np.where(base.labels == 3, BACKGROUND, base.labels)
+        ds = Dataset(base.traces, labels, 3)
+        cfg = ExperimentConfig(model=ModelConfig(64, 4, TINY.blocks, fc=(4,)),
+                               train=replace(FAST, epochs=1),
+                               split=SplitSpec(6, 3, 3))
+        run_experiment(ds, cfg, seeds=(2,))
+        _, val, test = make_splits(ds, SplitSpec(6, 3, 3, seed=2))
+        assert [t.tobytes() for t in eval_predicts] == [
+            val.traces.tobytes(), test.traces.tobytes()]
 
     def test_open_world_metrics_and_single_seed_std(self):
         base = synth_dataset(4, 12, 64, 0.05, seed=7)

@@ -1,9 +1,12 @@
 import math
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import conv1d_backward_loops, conv1d_forward_loops
+from oracles import (conv1d_backward_loops, conv1d_forward_loops,
+                     maxpool2_backward_argmax, maxpool2_forward_argmax)
 from wfaug.nn import (
     CheckpointError,
     Conv1D,
@@ -28,6 +31,7 @@ from wfaug.nn import (
     write_history,
 )
 from wfaug.augment import AugConfig
+from wfaug.nn.model import TILE_ROWS
 from wfaug.traces import SplitSpec, make_splits, synth_dataset
 
 TINY = ModelConfig(64, 3, (ConvBlock(8, dilation=1, pool="max2"),
@@ -146,6 +150,23 @@ class TestPoolingLayers:
         assert y.tolist() == [[[3.0]]]
         assert pool.backward(np.array([[[7.0]]])).tolist() == [[[0.0, 7.0, 0.0]]]
 
+    @pytest.mark.parametrize("length", [1, 2, 7, 64, 301])
+    @pytest.mark.parametrize("values", [
+        (-2.0, -1.0, 0.0, 1.0, 2.0),            # integer ties
+        (0.0, -0.0, 1.0),                       # signed-zero ties
+        (np.nan, -np.nan, 0.0, -0.0, 1.0),      # NaNs of both signs
+    ], ids=["ints", "signed-zeros", "nans"])
+    def test_maxpool_matches_argmax_oracle_bitwise(self, length, values):
+        rng = np.random.default_rng(length)
+        x = rng.choice(np.array(values), size=(3, 4, length))
+        dy = rng.normal(size=(3, 4, length // 2))
+        want_y, idx = maxpool2_forward_argmax(x)
+        want_dx = maxpool2_backward_argmax(dy, idx, length)
+        pool = MaxPool2()
+        assert pool.forward(x).tobytes() == want_y.tobytes()
+        assert pool.forward(x, train=True).tobytes() == want_y.tobytes()
+        assert pool.backward(dy).tobytes() == want_dx.tobytes()
+
     def test_gap_mean_and_backward(self):
         gap = GlobalAvgPool()
         x = np.arange(12.0).reshape(1, 3, 4)
@@ -217,6 +238,24 @@ class TestForward:
         model = Model(TINY, seed=0)
         with pytest.raises(ValueError, match="expected"):
             model.forward(np.zeros((2, 65)))
+
+    def test_inference_tiling_keeps_bits(self):
+        batch = 37
+        assert batch > TILE_ROWS and batch % TILE_ROWS
+        model = Model(default_model_config(200, 5), seed=3)
+        x = np.random.default_rng(5).choice([-1.0, 0.0, 1.0], size=(batch, 200))
+        h = x[:, None, :]
+        for i, layer in enumerate(model.layers):
+            h = layer.forward(h)
+            if isinstance(layer, GlobalAvgPool):
+                want_feats = h
+        probs, feats = model.forward(x)
+        assert feats.tobytes() == want_feats.tobytes()
+        assert probs.tobytes() == softmax(h).tobytes()
+
+    def test_empty_batch(self):
+        probs, feats = Model(TINY, seed=0).forward(np.zeros((0, 64)))
+        assert probs.shape == (0, 3) and feats.shape == (0, 16)
 
 
 class TestLossFunction:
@@ -446,6 +485,12 @@ class TestTraining:
         with pytest.raises(ValueError, match="classes"):
             train(bad, TrainConfig(epochs=1), train_set, val_set)
 
+    def test_rejects_train_val_class_count_mismatch(self):
+        train_set, val_set, _ = tiny_task()
+        wider = replace(val_set, num_classes=4)
+        with pytest.raises(ValueError, match="validation set"):
+            train(TINY, TrainConfig(epochs=1), train_set, wider)
+
     def test_rejects_length_mismatch(self):
         train_set, val_set, _ = tiny_task()
         bad = ModelConfig(128, 3, (ConvBlock(8),), fc=(3,))
@@ -515,3 +560,48 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(path)
+
+    def rewrite_header(self, tmp_path, edit):
+        """Save TINY, pass its header text through ``edit``, return the path."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(Model(TINY, seed=0), path)
+        raw = path.read_bytes()
+        text_len = struct.unpack("<I", raw[8:12])[0]
+        text = edit(raw[12:12 + text_len])
+        path.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text
+                         + raw[12 + text_len:])
+        return path
+
+    @pytest.mark.parametrize("key", ["input_len", "num_classes", "seed", "fc",
+                                     "block.0", "block.1"])
+    def test_header_missing_field_rejected(self, tmp_path, key):
+        def drop(text):
+            lines = text.split(b"\n")
+            kept = [l for l in lines if not l.startswith(key.encode() + b"=")]
+            assert len(kept) == len(lines) - 1
+            return b"\n".join(kept)
+
+        with pytest.raises(CheckpointError):
+            load_checkpoint(self.rewrite_header(tmp_path, drop))
+
+    @pytest.mark.parametrize("old,new", [
+        (b"input_len=64", b"input_len=sixty-four"),
+        (b"num_classes=3", b"num_classes="),
+        (b"fc=3", b"fc=3,x"),
+        (b"seed=0", b"seed=0.5"),
+        (b"pool:max2", b"pool:max3"),
+        (b"kernel:3", b"kernel:4"),
+        (b"dilation:1,", b""),
+        (b"causal:1", b"causal:yes"),
+        (b"seed=0", b"seed=0\nseed=0"),
+        (b"seed=0", b"seed=0\ncolor=red"),
+        (b"seed=0", b"seed=0\nno equals sign"),
+        (b"seed=0", b"seed=\xff"),
+    ])
+    def test_header_malformed_value_rejected(self, tmp_path, old, new):
+        def corrupt(text):
+            assert old in text
+            return text.replace(old, new, 1)
+
+        with pytest.raises(CheckpointError):
+            load_checkpoint(self.rewrite_header(tmp_path, corrupt))

@@ -180,6 +180,17 @@ class TestSynth:
             synth_dataset(3, 10, 100, 0.5, seed=0)
 
 
+class TestOutputWidth:
+    def test_monitored_only(self):
+        ds = Dataset(np.ones((2, 3)), np.array([0, 2]), 4)
+        assert ds.output_width == 4
+
+    def test_background_adds_one(self):
+        ds = Dataset(np.ones((2, 3)), np.array([0, BACKGROUND]), 4)
+        assert ds.output_width == 5
+        assert ds.subset(np.array([0])).output_width == 4
+
+
 class TestOneHot:
     def test_one_hot_from_labels(self):
         y = one_hot_labels(np.array([0, 2]), 3)
