@@ -7,6 +7,8 @@ hyperparameter optimizer (tpe), a from-scratch 1D CNN with training loop
 command line (manifest, cli).
 """
 
+import types
+
 from .augment import (AugConfig, BACKWARD, FORWARD, MASKING, MIXING,
                       MaskParams, MixParams, OPERATORS, ROTATION,
                       RotationParams, hda_batch, mask, mix, rotate,
@@ -36,26 +38,7 @@ from .traces import (BACKGROUND, Dataset, SplitSpec, TraceFormatError,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AugConfig", "BACKGROUND", "BACKWARD", "CheckpointError",
-    "ConfusionSummary", "Conv1D", "ConvBlock", "Dataset", "Dense",
-    "ExperimentConfig", "FORWARD", "GlobalAvgPool", "HistoryRow",
-    "KNOWN_KEYS", "MASKING", "MIXING", "Manifest", "ManifestError",
-    "MaskParams", "MaxPool2", "MixParams", "Model", "ModelConfig",
-    "OPERATORS", "ObjectiveError", "OperatingPoint", "ROTATION", "ReLU",
-    "RotationParams", "RunReport", "SearchSpace", "SgdMomentum", "SplitSpec",
-    "StageTrial", "THRESHOLD_GRID", "TpeTrial", "TraceFormatError",
-    "TrainConfig", "TrainingDiverged", "TuneSpec", "Adam",
-    "aggregate_metrics", "closed_accuracy", "config_digest",
-    "confusion_from_predictions", "cross_entropy", "dataset_accuracy",
-    "decide", "default_budget", "default_model_config", "default_spaces",
-    "derive_rng", "fit_spaces_to_length", "hda_batch", "load_checkpoint",
-    "load_dataset", "make_optimizer", "make_splits", "mask", "mix",
-    "one_hot_labels", "open_world_eval", "open_world_metrics",
-    "optimize_independent", "optimize_one", "optimize_sequential", "predict",
-    "report_json", "report_table", "rotate", "run_experiment",
-    "sample_lambda", "sample_mask", "sample_rotation", "save_checkpoint",
-    "save_dataset", "softmax", "spawn_seeds", "sweep_operating_points",
-    "synth_dataset", "synth_templates", "tpe_suggest", "train",
-    "tune_augmentation", "write_history", "write_report", "write_trial_log",
-]
+# every public name imported above, and nothing else
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, types.ModuleType))

@@ -3,8 +3,9 @@
 Three operators: random rotation (circular shift), random masking (zero out a
 contiguous window) and random mixing (convex combination of two samples and
 their labels, mixup-style). Rotation and masking keep the label; mixing
-interpolates it. The batch pipeline applies the enabled operators in a
-configurable order with fresh per-sample randomness.
+interpolates it. Each operator is one batched kernel (rotate_batch,
+mask_batch, mix_batch): rotate, mask and mix run it on one sample, hda_batch
+on a minibatch, in a configurable order with fresh per-sample randomness.
 """
 
 from __future__ import annotations
@@ -87,6 +88,11 @@ class RotationParams:
         if self.direction not in (FORWARD, BACKWARD):
             raise ValueError(f"direction must be {FORWARD!r} or {BACKWARD!r}")
 
+    @property
+    def shift(self) -> int:
+        """Signed circular shift: +n_step forward, -n_step backward."""
+        return self.n_step if self.direction == FORWARD else -self.n_step
+
 
 @dataclass(frozen=True)
 class MaskParams:
@@ -107,20 +113,42 @@ class MixParams:
             raise ValueError("lambda must be in [0, 1]")
 
 
+def rotate_batch(x: np.ndarray, shifts) -> np.ndarray:
+    """Shift row b of (B, L) ``x`` circularly by shifts[b]; keeps the dtype."""
+    pos = np.arange(x.shape[1])[None, :]
+    cols = (pos - np.asarray(shifts)[:, None]) % x.shape[1]
+    return x[np.arange(len(x))[:, None], cols]
+
+
+def mask_batch(x: np.ndarray, starts, length: int) -> np.ndarray:
+    """Zero positions [starts[b], starts[b] + length) of row b; keeps dtype."""
+    pos = np.arange(x.shape[1])[None, :]
+    starts = np.asarray(starts)[:, None]
+    return np.where((pos >= starts) & (pos < starts + length), 0, x)
+
+
+def mix_batch(x: np.ndarray, y: np.ndarray, partners,
+              lams) -> tuple[np.ndarray, np.ndarray]:
+    """Row b becomes lams[b] * row b + (1 - lams[b]) * row partners[b], for
+    traces ``x`` and soft labels ``y`` alike, in float64."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    # a + t*(b - a) keeps the self-mix case exact
+    t = (1.0 - np.asarray(lams, dtype=np.float64))[:, None]
+    return x + t * (x[partners] - x), y + t * (y[partners] - y)
+
+
 def rotate(x: np.ndarray, params: RotationParams) -> np.ndarray:
     """Circular shift: forward by s moves the element at position i to
     (i + s) mod L; backward is the inverse."""
-    shift = params.n_step if params.direction == FORWARD else -params.n_step
-    return np.roll(x, shift)
+    return rotate_batch(np.asarray(x)[None], [params.shift])[0]
 
 
 def mask(x: np.ndarray, params: MaskParams) -> np.ndarray:
     """Zero out positions [start, start + length); everything else unchanged."""
     if params.start + params.length > len(x):
         raise ValueError("mask window exceeds trace length")
-    out = np.array(x, copy=True)
-    out[params.start: params.start + params.length] = 0
-    return out
+    return mask_batch(np.asarray(x)[None], [params.start], params.length)[0]
 
 
 def mix(xi: np.ndarray, yi: np.ndarray, xj: np.ndarray, yj: np.ndarray,
@@ -130,11 +158,8 @@ def mix(xi: np.ndarray, yi: np.ndarray, xj: np.ndarray, yj: np.ndarray,
         raise ValueError("traces must have equal length")
     if len(yi) != len(yj):
         raise ValueError("labels must have equal dimension")
-    xi = np.asarray(xi, dtype=np.float64)
-    yi = np.asarray(yi, dtype=np.float64)
-    # a + t*(b - a) keeps the self-mix case exact
-    t = 1.0 - params.lam
-    return xi + t * (np.asarray(xj, np.float64) - xi), yi + t * (np.asarray(yj, np.float64) - yi)
+    x, y = mix_batch([xi, xj], [yi, yj], [1, 0], [params.lam, params.lam])
+    return x[0], y[0]
 
 
 def sample_rotation(r_max: int, rng: np.random.Generator) -> RotationParams:
@@ -180,32 +205,21 @@ def hda_batch(traces: np.ndarray, labels: np.ndarray, cfg: AugConfig,
     streams = [np.random.Generator(np.random.PCG64(s))
                for s in spawn_seeds(rng, batch)]
     if cfg.enabled[ROTATION]:
-        rot = [sample_rotation(cfg.r_max, g) for g in streams]
-        shifts = np.array([p.n_step if p.direction == FORWARD else -p.n_step
-                           for p in rot])
+        shifts = [sample_rotation(cfg.r_max, g).shift for g in streams]
     if cfg.enabled[MASKING]:
-        starts = np.array([sample_mask(cfg.m_len, trace_len, g).start
-                           for g in streams])
+        starts = [sample_mask(cfg.m_len, trace_len, g).start for g in streams]
     if cfg.enabled[MIXING]:
-        lams = np.array([sample_lambda(cfg.alpha, g).lam for g in streams])
-        partners = np.array([int(g.integers(0, batch)) for g in streams])
+        lams = [sample_lambda(cfg.alpha, g).lam for g in streams]
+        partners = [int(g.integers(0, batch)) for g in streams]
 
-    x = traces
-    y = labels
-    pos = np.arange(trace_len)[None, :]
+    x, y = traces, labels
     for op in cfg.order:
         if not cfg.enabled[op]:
             continue
         if op == ROTATION:
-            cols = (pos - shifts[:, None]) % trace_len
-            x = x[np.arange(batch)[:, None], cols]
+            x = rotate_batch(x, shifts)
         elif op == MASKING:
-            hit = (pos >= starts[:, None]) & (pos < starts[:, None] + cfg.m_len)
-            x = np.where(hit, 0, x)
+            x = mask_batch(x, starts, cfg.m_len)
         else:
-            x = np.asarray(x, dtype=np.float64)
-            y = np.asarray(y, dtype=np.float64)
-            t = (1.0 - lams)[:, None]
-            x = x + t * (x[partners] - x)
-            y = y + t * (y[partners] - y)
+            x, y = mix_batch(x, y, partners, lams)
     return x, y

@@ -107,8 +107,7 @@ def closed_accuracy(model: Model, test: Dataset) -> float:
     """Fraction of traces whose argmax matches the label. Monitored only."""
     if test.has_background():
         raise ValueError("closed-world evaluation rejects background traces")
-    pred, _ = predict(model, test.traces)
-    return float(np.mean(pred == test.labels))
+    return dataset_accuracy(model, test)
 
 
 def open_world_eval(model: Model, test: Dataset,
@@ -214,8 +213,8 @@ def tune_augmentation(train_set: Dataset, val_set: Dataset,
         key = tuple(sorted(params.items()))
         if key not in cache:
             aug = AugConfig.from_params(params, order=spec.order)
-            model, _ = train(model_cfg, proxy_cfg, train_set, val_set, aug)
-            cache[key] = dataset_accuracy(model, val_set)
+            _, history = train(model_cfg, proxy_cfg, train_set, val_set, aug)
+            cache[key] = max(h.val_acc for h in history)
         return cache[key]
 
     optimize = (optimize_sequential if spec.mode == "sequential"

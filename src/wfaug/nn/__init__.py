@@ -1,3 +1,5 @@
+import types
+
 from .layers import Conv1D, Dense, GlobalAvgPool, MaxPool2, ReLU
 from .model import (
     CheckpointError,
@@ -22,11 +24,7 @@ from .training import (
     write_history,
 )
 
-__all__ = [
-    "Adam", "CheckpointError", "Conv1D", "ConvBlock", "Dense",
-    "GlobalAvgPool", "HistoryRow", "MaxPool2", "Model", "ModelConfig",
-    "ReLU", "SgdMomentum", "TrainConfig", "TrainingDiverged",
-    "cross_entropy", "dataset_accuracy", "decide", "default_model_config",
-    "load_checkpoint", "make_optimizer", "predict", "save_checkpoint",
-    "softmax", "train", "write_history",
-]
+# every public name imported above, and nothing else
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, types.ModuleType))

@@ -8,6 +8,7 @@ tensor.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -270,6 +271,16 @@ def _parse_config_text(raw: bytes):
     return cfg, seed
 
 
+def _param_count(cfg: ModelConfig) -> int:
+    """Number of float64 parameters a Model of ``cfg`` holds, found without
+    building it."""
+    chans = (1,) + tuple(b.out_channels for b in cfg.blocks)
+    dims = chans[-1:] + cfg.fc
+    return (sum((i * b.kernel + 1) * b.out_channels
+                for i, b in zip(chans, cfg.blocks))
+            + sum((i + 1) * o for i, o in zip(dims, dims[1:])))
+
+
 def save_checkpoint(model: Model, path) -> None:
     text = _config_text(model)
     with open(path, "wb") as fh:
@@ -302,6 +313,12 @@ def load_checkpoint(path) -> Model:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         text_len = struct.unpack("<I", _read_exact(fh, 4))[0]
         cfg, seed = _parse_config_text(_read_exact(fh, text_len))
+        # refuse a header whose sizes the file cannot hold before allocating
+        need = 8 * _param_count(cfg)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if need > left:
+            raise CheckpointError(f"header implies {need} parameter bytes, "
+                                  f"but only {left} bytes follow it")
         model = Model(cfg, seed)
         for name, arr in model.param_items():
             name_len = struct.unpack("<I", _read_exact(fh, 4))[0]

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..augment import AugConfig, hda_batch
 from ..seeding import derive_rng
-from ..traces import BACKGROUND, Dataset, one_hot_labels
+from ..traces import Dataset, class_indices, one_hot_labels
 from .model import Model, ModelConfig, cross_entropy, predict
 from .optim import OPTIMIZERS, make_optimizer
 
@@ -55,13 +55,6 @@ class TrainingDiverged(RuntimeError):
         super().__init__(f"training diverged (non-finite loss) in epoch {epoch}")
         self.epoch = epoch
         self.history = list(history)
-
-
-def class_indices(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Label array with the BACKGROUND sentinel mapped to index num_classes."""
-    idx = np.asarray(labels, dtype=np.int64).copy()
-    idx[idx == BACKGROUND] = num_classes
-    return idx
 
 
 def dataset_accuracy(model: Model, ds: Dataset, batch_size: int = 256) -> float:

@@ -165,19 +165,23 @@ def make_splits(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Da
             dataset.subset(np.array(test_idx, dtype=np.int64)))
 
 
+def class_indices(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Label array with the BACKGROUND sentinel mapped to index num_classes."""
+    idx = np.asarray(labels, dtype=np.int64).copy()
+    idx[idx == BACKGROUND] = num_classes
+    return idx
+
+
 def one_hot_labels(labels: np.ndarray, num_classes: int,
                    background_class: bool = False) -> np.ndarray:
     """One-hot encode labels; BACKGROUND maps to the extra last index when
     ``background_class`` is enabled."""
-    labels = np.asarray(labels, dtype=np.int64)
-    width = num_classes + (1 if background_class else 0)
-    idx = labels.copy()
-    if background_class:
-        idx[labels == BACKGROUND] = num_classes
-    elif np.any(labels == BACKGROUND):
+    if not background_class and np.any(np.asarray(labels) == BACKGROUND):
         raise ValueError("background labels need background_class=True")
-    out = np.zeros((len(labels), width), dtype=np.float64)
-    out[np.arange(len(labels)), idx] = 1.0
+    idx = class_indices(labels, num_classes)
+    width = num_classes + (1 if background_class else 0)
+    out = np.zeros((len(idx), width), dtype=np.float64)
+    out[np.arange(len(idx)), idx] = 1.0
     return out
 
 

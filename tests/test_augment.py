@@ -17,8 +17,11 @@ from wfaug.augment import (
     RotationParams,
     hda_batch,
     mask,
+    mask_batch,
     mix,
+    mix_batch,
     rotate,
+    rotate_batch,
     sample_lambda,
     sample_mask,
     sample_rotation,
@@ -146,6 +149,55 @@ class TestMix:
     def test_lambda_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             MixParams(1.5)
+
+
+class TestBatchKernels:
+    """Row b of each kernel against the single-sample definition, with
+    different parameters in every row."""
+
+    def rows(self, dtype, batch=6, trace_len=23):
+        rng = np.random.default_rng(21)
+        if dtype == np.int8:
+            return rng.choice([-1, 0, 1], size=(batch, trace_len)).astype(dtype)
+        return rng.normal(size=(batch, trace_len))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.float64])
+    def test_rotate_rows_match_matrix_oracle(self, dtype):
+        x = self.rows(dtype)
+        params = [RotationParams(1, FORWARD), RotationParams(4, BACKWARD),
+                  RotationParams(23, FORWARD), RotationParams(7, BACKWARD),
+                  RotationParams(30, BACKWARD), RotationParams(11, FORWARD)]
+        out = rotate_batch(x, [p.shift for p in params])
+        assert out.dtype == dtype and out.shape == x.shape
+        for row, got, p in zip(x, out, params):
+            assert np.array_equal(got, rotate_by_matrix(row, p.n_step,
+                                                        p.direction))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.float64])
+    @pytest.mark.parametrize("length", [0, 1, 5])
+    def test_mask_rows_match_matrix_oracle(self, dtype, length):
+        x = self.rows(dtype)
+        starts = [0, 3, 23 - length, 9, 0, 17 - length]
+        out = mask_batch(x, starts, length)
+        assert out.dtype == dtype and out.shape == x.shape
+        for row, got, start in zip(x, out, starts):
+            assert np.array_equal(got, mask_by_matrix(row, start, length))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.float64])
+    def test_mix_rows_match_scalar_mix(self, dtype):
+        x = self.rows(dtype)
+        y = one_hot_labels(np.array([0, 1, 2, 3, 1, 0]), 4)
+        partners = [3, 1, 0, 5, 2, 5]   # rows 1 and 5 mix with themselves
+        lams = [0.3, 0.71, 0.0, 1.0, 0.5, 0.02]
+        xm, ym = mix_batch(x, y, partners, lams)
+        assert xm.dtype == ym.dtype == np.float64
+        for b, (j, lam) in enumerate(zip(partners, lams)):
+            want_x, want_y = mix(x[b], y[b], x[j], y[j], MixParams(lam))
+            assert np.array_equal(xm[b], want_x)
+            assert np.array_equal(ym[b], want_y)
+        for b in (1, 5):
+            assert np.array_equal(xm[b], x[b].astype(np.float64))
+            assert np.array_equal(ym[b], y[b])
 
 
 class TestSamplers:

@@ -167,6 +167,17 @@ class TestTune:
         assert not (workdir / "tuned").exists()
 
 
+def rewrite_header(ckpt, edit):
+    """Pass the checkpoint's header text through ``edit``; the edit must
+    change it."""
+    raw = ckpt.read_bytes()
+    n = struct.unpack("<I", raw[8:12])[0]
+    text = edit(raw[12:12 + n])
+    assert text != raw[12:12 + n]
+    ckpt.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text
+                     + raw[12 + n:])
+
+
 class TestTrainEvalReport:
     def pipeline(self, seed):
         assert run("train", "--manifest", "exp.cfg", "--seed", str(seed),
@@ -263,17 +274,24 @@ class TestTrainEvalReport:
     def test_checkpoint_header_without_fc_is_an_error(self, workdir, capsys):
         synth_here()
         self.pipeline(0)
-        ckpt = workdir / "run0" / "model.ckpt"
-        raw = ckpt.read_bytes()
-        n = struct.unpack("<I", raw[8:12])[0]
-        text = b"\n".join(line for line in raw[12:12 + n].split(b"\n")
-                          if not line.startswith(b"fc="))
-        ckpt.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text
-                         + raw[12 + n:])
+        rewrite_header(workdir / "run0" / "model.ckpt", lambda text: b"\n".join(
+            line for line in text.split(b"\n") if not line.startswith(b"fc=")))
         assert run("eval", "--manifest", "exp.cfg", "--seed", "0",
                    "--checkpoint", "run0/model.ckpt", "--out", "bad") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "fc" in err
+
+    def test_checkpoint_header_too_big_for_file_is_an_error(self, workdir,
+                                                            capsys):
+        # parameters that could never be in the file must not be allocated
+        synth_here()
+        self.pipeline(0)
+        rewrite_header(workdir / "run0" / "model.ckpt", lambda text: text.replace(
+            b"block.0=out:4,", b"block.0=out:1000000000000,"))
+        assert run("eval", "--manifest", "exp.cfg", "--seed", "0",
+                   "--checkpoint", "run0/model.ckpt", "--out", "bad") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestDeterminism:

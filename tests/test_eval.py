@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from wfaug import evaluate
 from wfaug.augment import AugConfig, MASKING, MIXING, OPERATORS, ROTATION
 from wfaug.evaluate import (ConfusionSummary, ExperimentConfig, OperatingPoint,
                             THRESHOLD_GRID, TuneSpec, aggregate_metrics,
@@ -20,7 +21,7 @@ from wfaug.evaluate import (ConfusionSummary, ExperimentConfig, OperatingPoint,
                             report_table, run_experiment,
                             sweep_operating_points,
                             tune_augmentation, write_report)
-from wfaug.nn import ConvBlock, ModelConfig, TrainConfig
+from wfaug.nn import ConvBlock, ModelConfig, TrainConfig, training
 from wfaug.tpe import SearchSpace, default_spaces
 from wfaug.traces import BACKGROUND, Dataset, SplitSpec, make_splits, synth_dataset
 
@@ -323,6 +324,29 @@ class TestTuneAugmentation:
         params, log = tune_augmentation(tr, va, TINY, FAST, spec, seed=0)
         assert set(params) == {"r_max", "m_len", "alpha"}
         assert len(log) == 6
+
+    def test_scores_trials_without_extra_validation_pass(self, task,
+                                                         monkeypatch):
+        # each proxy training validates once per epoch; its best val_acc is
+        # the trial's score, so nothing predicts again after training
+        calls = {"predict": 0, "train": 0}
+        predict, train = training.predict, evaluate.train
+
+        def counting_predict(*args, **kwargs):
+            calls["predict"] += 1
+            return predict(*args, **kwargs)
+
+        def counting_train(*args, **kwargs):
+            calls["train"] += 1
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(training, "predict", counting_predict)
+        monkeypatch.setattr(evaluate, "train", counting_train)
+        tr, va, _ = task
+        spec = TuneSpec(budget_per_param=2, proxy_epochs=2)
+        tune_augmentation(tr, va, TINY, FAST, spec, seed=0)
+        assert calls["train"] > 0
+        assert calls["predict"] == calls["train"] * spec.proxy_epochs
 
 
 class TestAggregate:

@@ -597,6 +597,7 @@ class TestCheckpoint:
         (b"seed=0", b"seed=0\ncolor=red"),
         (b"seed=0", b"seed=0\nno equals sign"),
         (b"seed=0", b"seed=\xff"),
+        (b"block.0=out:8", b"block.0=out:1000000000000"),
     ])
     def test_header_malformed_value_rejected(self, tmp_path, old, new):
         def corrupt(text):
