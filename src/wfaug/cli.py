@@ -11,9 +11,11 @@ name), so adding or removing one stage never shifts another's draws.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -68,6 +70,14 @@ def _load_data(m: Manifest):
 def _load_splits(m: Manifest, seed: int):
     dataset = _load_data(m)
     return dataset, make_splits(dataset, split_spec_from_manifest(m, seed))
+
+
+def _trained_on(dataset, m: Manifest, seed: int) -> dict:
+    """The loaded traces and labels (SHA-256) and the split drawn from them."""
+    digest = hashlib.sha256(dataset.traces.tobytes()
+                            + dataset.labels.tobytes()).hexdigest()
+    return {"dataset": digest,
+            "split": asdict(split_spec_from_manifest(m, seed))}
 
 
 def _operator_order(m: Manifest, seed: int) -> tuple:
@@ -166,6 +176,7 @@ def cmd_train(args, m: Manifest) -> int:
                                            dataset.output_width)
     train_cfg = train_config_from_manifest(m, seed)
     model, history = train(model_cfg, train_cfg, train_set, val_set, aug_cfg)
+    model.trained_on = _trained_on(dataset, m, seed)
     out = _out_dir(args, m)
     save_checkpoint(model, os.path.join(out, "model.ckpt"))
     write_history(os.path.join(out, "history.csv"), history)
@@ -183,6 +194,12 @@ def cmd_eval(args, m: Manifest) -> int:
         raise ManifestError(
             f"checkpoint {args.checkpoint} outputs {model.cfg.num_classes} "
             f"classes but the dataset encodes {dataset.output_width}")
+    # a test split drawn otherwise could hold the shots the model trained on
+    for part, value in _trained_on(dataset, m, seed).items():
+        if model.trained_on.get(part) != value:
+            raise CheckpointError(
+                f"checkpoint {args.checkpoint} was trained on {part} "
+                f"{model.trained_on.get(part)}, not this {part} {value}")
     if args.open_world:
         world = "open"
         metrics = open_world_metrics(model, val_set, test_set)

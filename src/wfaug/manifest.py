@@ -81,8 +81,12 @@ def parse_manifest_text(text: str, source: str = "<string>") -> dict:
 def load_manifest_file(path) -> dict:
     if not os.path.exists(path):
         raise ManifestError(f"manifest file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        return parse_manifest_text(fh.read(), source=str(path))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8 text ({exc})") from None
+    return parse_manifest_text(text, source=str(path))
 
 
 class Manifest:
@@ -151,8 +155,9 @@ def aug_config_from_manifest(m: Manifest, trace_len: int,
     order = default_order
     if m.has("aug.order"):
         order = parse_operator_order(m.get("aug.order"))
-    cfg = AugConfig(r_max=m.get("aug.r_max", 20), m_len=m.get("aug.m_len", 180),
-                    alpha=m.get("aug.alpha", 0.1), order=order, enabled=enabled)
+    cfg = AugConfig(order=order, enabled=enabled, **{
+        key: m.get(f"aug.{key}") for key in ("r_max", "m_len", "alpha")
+        if m.has(f"aug.{key}")})
     if enabled["masking"] and cfg.m_len >= trace_len:
         raise ManifestError(
             f"aug.m_len = {cfg.m_len} must be < trace length {trace_len}")
@@ -170,12 +175,10 @@ def split_spec_from_manifest(m: Manifest, seed: int) -> SplitSpec:
 
 
 def train_config_from_manifest(m: Manifest, seed: int) -> TrainConfig:
-    return TrainConfig(epochs=m.get("train.epochs", 150),
-                       batch_size=m.get("train.batch_size", 32),
-                       lr=m.get("train.lr", 1e-3),
-                       optimizer=m.get("train.optimizer", "adam"),
-                       momentum=m.get("train.momentum", 0.9),
-                       seed=seed)
+    return TrainConfig(seed=seed, **{
+        key: m.get(f"train.{key}")
+        for key in ("epochs", "batch_size", "lr", "optimizer", "momentum")
+        if m.has(f"train.{key}")})
 
 
 def tune_spec_from_manifest(m: Manifest, order,

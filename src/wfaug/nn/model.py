@@ -2,15 +2,16 @@
 
 The network consumes (batch, length) real-valued direction sequences and
 returns per-class probabilities plus the pooled feature vectors. A versioned
-binary checkpoint format captures the architecture and every parameter
-tensor.
+checkpoint holds a JSON header (architecture, seed, tensor table, training
+data) and every parameter tensor as little-endian float64.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .layers import Conv1D, Dense, GlobalAvgPool, MaxPool2, ReLU
 EPS = 1e-12
 
 CHECKPOINT_MAGIC = b"TFWF"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 POOL_KINDS = ("none", "max2")
 
@@ -71,8 +72,9 @@ class ModelConfig:
             raise ValueError("need at least one conv block")
         if not all(isinstance(b, ConvBlock) for b in self.blocks):
             raise ValueError("blocks must be ConvBlock instances")
-        if not self.fc or self.fc[-1] != self.num_classes:
-            raise ValueError("final fc width must equal num_classes")
+        if not self.fc or self.fc[-1] != self.num_classes or min(self.fc) < 1:
+            raise ValueError("fc widths must be >= 1, the final one equal to "
+                             "num_classes")
 
 
 def default_model_config(input_len: int, num_classes: int) -> ModelConfig:
@@ -119,6 +121,9 @@ class Model:
     def __init__(self, cfg: ModelConfig, seed: int):
         self.cfg = cfg
         self.seed = int(seed)
+        # JSON-able record of the data the weights were fit on ({} when
+        # unknown); checkpoints carry it so evaluation can refuse other data
+        self.trained_on = {}
         self.layers = []
         self._gap_index = None
         in_ch = 1
@@ -219,61 +224,39 @@ class CheckpointError(ValueError):
     pass
 
 
-_BLOCK_FIELDS = ("out", "kernel", "dilation", "stride", "pool", "causal")
+# the JSON types a header value may have; a dataclass field's annotation (a
+# string under the __future__ import) names its Python type
+_JSON_TYPES = {"int": int, "bool": bool, "str": str, "tuple": list}
+_FIELD_TYPES = {cls: {f.name: _JSON_TYPES[f.type] for f in fields(cls)}
+                for cls in (ConvBlock, ModelConfig)}
+_HEADER_TYPES = {"config": dict, "seed": int, "tensors": list,
+                 "trained_on": dict}
 
 
-def _config_text(model: Model) -> bytes:
-    cfg = model.cfg
-    lines = [f"input_len={cfg.input_len}",
-             f"num_classes={cfg.num_classes}",
-             f"seed={model.seed}",
-             f"fc={','.join(str(w) for w in cfg.fc)}"]
-    for i, b in enumerate(cfg.blocks):
-        lines.append(f"block.{i}=out:{b.out_channels},kernel:{b.kernel},"
-                     f"dilation:{b.dilation},stride:{b.stride},"
-                     f"pool:{b.pool},causal:{int(b.causal)}")
-    return "\n".join(lines).encode("utf-8")
+def _unique_keys(pairs) -> dict:
+    # json.loads alone would keep the last of two equal keys without a word
+    if len({key for key, _ in pairs}) != len(pairs):
+        raise CheckpointError(f"repeated key in {pairs!r}")
+    return dict(pairs)
 
 
-def _parse_config_text(raw: bytes):
-    """Inverse of ``_config_text``. Text that is not UTF-8, or a missing,
-    repeated, unknown or malformed field, raises CheckpointError."""
-    fields = {}
-    try:
-        for line in raw.decode("utf-8").splitlines():
-            key, sep, value = line.partition("=")
-            if not sep or key in fields:
-                raise ValueError(f"line {line!r}")
-            fields[key] = value
-        blocks = []
-        while f"block.{len(blocks)}" in fields:
-            value = fields.pop(f"block.{len(blocks)}")
-            parts = dict(p.split(":", 1) for p in value.split(","))
-            if set(parts) != set(_BLOCK_FIELDS):
-                raise ValueError(f"block fields {value!r}")
-            blocks.append(ConvBlock(
-                out_channels=int(parts["out"]), kernel=int(parts["kernel"]),
-                dilation=int(parts["dilation"]), stride=int(parts["stride"]),
-                pool=parts["pool"], causal=bool(int(parts["causal"]))))
-        cfg = ModelConfig(
-            input_len=int(fields.pop("input_len")),
-            num_classes=int(fields.pop("num_classes")),
-            blocks=tuple(blocks),
-            fc=tuple(int(w) for w in fields.pop("fc").split(",")))
-        seed = int(fields.pop("seed"))
-    except KeyError as exc:
-        raise CheckpointError(f"checkpoint header lacks {exc}") from None
-    except ValueError as exc:
-        raise CheckpointError(f"bad checkpoint header: {exc}") from None
-    if fields:
-        raise CheckpointError(
-            f"unexpected checkpoint header field(s) {sorted(fields)}")
-    return cfg, seed
+def _exact(obj, types: dict) -> dict:
+    """``obj`` if it is a JSON object with exactly the keys of ``types``, each
+    value of exactly that type (so ``true`` and ``3.0`` are no int)."""
+    if type(obj) is not dict or obj.keys() != types.keys():
+        raise CheckpointError(f"expected keys {sorted(types)}, got {obj!r}")
+    for key, value in obj.items():
+        if type(value) is not types[key]:
+            raise CheckpointError(f"{key} has the wrong JSON type: {value!r}")
+    return obj
+
+
+def _tensor_table(model: Model) -> list:
+    return [[name, list(arr.shape)] for name, arr in model.param_items()]
 
 
 def _param_count(cfg: ModelConfig) -> int:
-    """Number of float64 parameters a Model of ``cfg`` holds, found without
-    building it."""
+    """Float64 parameters a Model of ``cfg`` holds, counted without one."""
     chans = (1,) + tuple(b.out_channels for b in cfg.blocks)
     dims = chans[-1:] + cfg.fc
     return (sum((i * b.kernel + 1) * b.out_channels
@@ -282,56 +265,53 @@ def _param_count(cfg: ModelConfig) -> int:
 
 
 def save_checkpoint(model: Model, path) -> None:
-    text = _config_text(model)
+    """Magic, ``<II`` version and header length, a sorted-key JSON header,
+    then every ``param_items`` tensor as ``<f8`` bytes, back to back."""
+    header = json.dumps({"config": asdict(model.cfg), "seed": model.seed,
+                         "tensors": _tensor_table(model),
+                         "trained_on": model.trained_on}, sort_keys=True)
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(text)))
-        fh.write(text)
-        for name, arr in model.param_items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        fh.write(CHECKPOINT_MAGIC + struct.pack(
+            "<II", CHECKPOINT_VERSION, len(header)) + header.encode("ascii"))
+        for _, arr in model.param_items():
             fh.write(arr.astype("<f8").tobytes())
 
 
-def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointError("truncated checkpoint file")
-    return data
-
-
 def load_checkpoint(path) -> Model:
+    """The saved model; any other file, v1 included, raises CheckpointError."""
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != CHECKPOINT_MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(4) != CHECKPOINT_MAGIC:
             raise CheckpointError("not a model checkpoint (bad magic)")
-        version = struct.unpack("<I", _read_exact(fh, 4))[0]
+        if size < 12:
+            raise CheckpointError("truncated checkpoint file")
+        version, text_len = struct.unpack("<II", fh.read(8))
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        text_len = struct.unpack("<I", _read_exact(fh, 4))[0]
-        cfg, seed = _parse_config_text(_read_exact(fh, text_len))
-        # refuse a header whose sizes the file cannot hold before allocating
-        need = 8 * _param_count(cfg)
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if need > left:
-            raise CheckpointError(f"header implies {need} parameter bytes, "
-                                  f"but only {left} bytes follow it")
-        model = Model(cfg, seed)
-        for name, arr in model.param_items():
-            name_len = struct.unpack("<I", _read_exact(fh, 4))[0]
-            stored = _read_exact(fh, name_len).decode("utf-8")
-            if stored != name:
-                raise CheckpointError(f"expected tensor {name!r}, found {stored!r}")
-            ndim = struct.unpack("<I", _read_exact(fh, 4))[0]
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
-            if shape != arr.shape:
-                raise CheckpointError(f"tensor {name!r} has shape {shape}, "
-                                      f"expected {arr.shape}")
-            raw = _read_exact(fh, 8 * int(np.prod(shape)))
-            arr[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
-        if fh.read(1):
-            raise CheckpointError("trailing bytes after last tensor")
+        # each size is checked against the file before it is read
+        if text_len > size - 12:
+            raise CheckpointError("truncated checkpoint file")
+        try:
+            header = _exact(json.loads(fh.read(text_len).decode("utf-8"),
+                                       object_pairs_hook=_unique_keys),
+                            _HEADER_TYPES)
+            raw = _exact(header["config"], _FIELD_TYPES[ModelConfig])
+            if not all(type(w) is int for w in raw["fc"]):
+                raise CheckpointError(f"fc widths must be ints: {raw['fc']}")
+            cfg = ModelConfig(**{**raw, "blocks": [
+                ConvBlock(**_exact(b, _FIELD_TYPES[ConvBlock]))
+                for b in raw["blocks"]]})
+        except (ValueError, TypeError, RecursionError) as exc:
+            raise CheckpointError(f"bad checkpoint header: {exc}") from None
+        need, left = 8 * _param_count(cfg), size - 12 - text_len
+        if need != left:
+            raise CheckpointError(
+                f"{'truncated' if need > left else 'trailing bytes in'} "
+                f"checkpoint: {need} parameter bytes expected, {left} found")
+        model = Model(cfg, header["seed"])
+        model.trained_on = header["trained_on"]
+        if header["tensors"] != _tensor_table(model):
+            raise CheckpointError("tensor table does not match the config")
+        for _, arr in model.param_items():
+            arr.flat[:] = np.frombuffer(fh.read(8 * arr.size), "<f8")
     return model

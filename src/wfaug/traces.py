@@ -96,7 +96,9 @@ def load_dataset(path, trace_len: int) -> Dataset:
     if trace_len < 1:
         raise ValueError("trace_len must be >= 1")
     traces, labels = [], []
-    with open(path, encoding="utf-8") as fh:
+    # bytes that are not UTF-8 decode to lone surrogates, which neither a
+    # label nor a direction accepts, so they fail with their line number
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -109,7 +111,7 @@ def load_dataset(path, trace_len: int) -> Dataset:
             except ValueError:
                 raise TraceFormatError(
                     f"{path}:{lineno}: label {head!r} is not an integer") from None
-            if label < BACKGROUND:
+            if not BACKGROUND <= label <= np.iinfo(np.int64).max:
                 raise TraceFormatError(f"{path}:{lineno}: label {label} out of range")
             vals = []
             for tok in rest.split(" "):
@@ -255,11 +257,7 @@ def synth_dataset(num_classes: int, samples_per_class: int, trace_len: int,
                     d = max(1, int(round(0.1 * runs[b - 1])))
                     jittered[b] = min(bounds[b] + int(rng.integers(-d, d + 1)), trace_len)
                 jittered = np.maximum.accumulate(jittered)
-                trace = np.zeros(trace_len, dtype=np.int8)
-                sign = 1
-                for b in range(len(runs)):
-                    trace[jittered[b]: jittered[b + 1]] = sign
-                    sign = -sign
+                trace = _render_runs(np.diff(jittered).tolist(), trace_len)
                 flip = rng.random(trace_len) < noise_rate
                 trace = np.where(flip, -trace, trace).astype(np.int8)
             traces[row] = trace

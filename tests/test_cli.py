@@ -12,6 +12,7 @@ import pytest
 
 from wfaug.cli import main
 from wfaug.manifest import format_manifest, parse_manifest_text
+from wfaug.nn import Model, default_model_config, save_checkpoint
 from wfaug.tpe import TRIAL_LOG_HEADER
 from wfaug.traces import (BACKGROUND, Dataset, SplitSpec, load_dataset,
                           make_splits, save_dataset, synth_dataset)
@@ -274,8 +275,8 @@ class TestTrainEvalReport:
     def test_checkpoint_header_without_fc_is_an_error(self, workdir, capsys):
         synth_here()
         self.pipeline(0)
-        rewrite_header(workdir / "run0" / "model.ckpt", lambda text: b"\n".join(
-            line for line in text.split(b"\n") if not line.startswith(b"fc=")))
+        rewrite_header(workdir / "run0" / "model.ckpt",
+                       lambda text: text.replace(b'"fc": [3], ', b""))
         assert run("eval", "--manifest", "exp.cfg", "--seed", "0",
                    "--checkpoint", "run0/model.ckpt", "--out", "bad") == 1
         err = capsys.readouterr().err
@@ -287,11 +288,60 @@ class TestTrainEvalReport:
         synth_here()
         self.pipeline(0)
         rewrite_header(workdir / "run0" / "model.ckpt", lambda text: text.replace(
-            b"block.0=out:4,", b"block.0=out:1000000000000,"))
+            b'"out_channels": 4,', b'"out_channels": 1000000000000,'))
         assert run("eval", "--manifest", "exp.cfg", "--seed", "0",
                    "--checkpoint", "run0/model.ckpt", "--out", "bad") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_version_1_checkpoint_is_an_error(self, workdir, capsys):
+        synth_here()
+        self.pipeline(0)
+        ckpt = workdir / "run0" / "model.ckpt"
+        raw = ckpt.read_bytes()
+        ckpt.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+        assert run("eval", "--manifest", "exp.cfg", "--seed", "0",
+                   "--checkpoint", "run0/model.ckpt", "--out", "bad") == 1
+        err = capsys.readouterr().err
+        assert err == "error: unsupported checkpoint version 1\n"
+
+    @pytest.mark.parametrize("change,part", [
+        pytest.param(("--seed", "1"), "split", id="seed"),
+        pytest.param(("--manifest", "fewer_test.cfg"), "split",
+                     id="test_per_class"),
+        pytest.param(("--manifest", "other_data.cfg"), "dataset",
+                     id="data"),
+    ])
+    def test_eval_refuses_other_training_data(self, workdir, capsys, change,
+                                              part):
+        # a test split drawn otherwise could overlap the training shots
+        synth_here()
+        assert run("synth", "--manifest", "exp.cfg", "--seed", "8",
+                   "--out", "other.txt") == 0
+        (workdir / "fewer_test.cfg").write_text("split.test_per_class = 1\n",
+                                                encoding="utf-8")
+        (workdir / "other_data.cfg").write_text("data.path = other.txt\n",
+                                                encoding="utf-8")
+        assert run("train", "--manifest", "exp.cfg", "--seed", "0",
+                   "--out", "run0") == 0
+        argv = ["eval", "--manifest", "exp.cfg", "--seed", "0",
+                "--checkpoint", "run0/model.ckpt", "--out", "bad"]
+        assert run(*argv, *change) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint run0/model.ckpt was trained "
+                              f"on {part} ")
+        assert not (workdir / "bad").exists()
+
+    def test_eval_refuses_checkpoint_without_training_data(self, workdir,
+                                                           capsys):
+        synth_here()
+        save_checkpoint(Model(default_model_config(48, 3), seed=0),
+                        workdir / "bare.ckpt")
+        assert run("eval", "--manifest", "exp.cfg", "--seed", "0",
+                   "--checkpoint", "bare.ckpt", "--out", "bad") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint bare.ckpt was trained on "
+                              "dataset None, not this dataset ")
 
 
 class TestDeterminism:

@@ -1,0 +1,123 @@
+"""Property tests for the three parsers of outside input.
+
+Whatever bytes a trace file, a manifest or a checkpoint holds, its parser
+returns a value or raises its own documented error (TraceFormatError,
+ManifestError, CheckpointError), never anything else. Examples are
+derandomized so that every run tries the same inputs.
+"""
+
+import json
+import struct
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wfaug.manifest import KNOWN_KEYS, ManifestError, load_manifest_file
+from wfaug.nn import (CheckpointError, ConvBlock, Model, ModelConfig,
+                      load_checkpoint, save_checkpoint)
+from wfaug.nn.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+from wfaug.traces import Dataset, TraceFormatError, load_dataset
+
+FUZZ = settings(max_examples=300, derandomize=True, deadline=None)
+
+TINY = ModelConfig(16, 3, (ConvBlock(2, pool="max2"), ConvBlock(3, dilation=2)),
+                   fc=(4, 3))
+
+# bytes near each format's own alphabet reach deeper than uniform noise
+TRACE_BYTES = st.lists(st.sampled_from(
+    [b"0", b"1", b"-1", b"-", b"9", b"\t", b" ", b"\n", b"\r", b"\xff",
+     b"99999999999999999999", b"\xe2\x80\xa8"])).map(b"".join)
+MANIFEST_BYTES = st.lists(st.sampled_from(
+    [b"split.shots", b"train.lr", b"bogus", b" = ", b"=", b"3", b"x",
+     b"#", b"\n", b"\r", b"\xe9", b"\xff", b" "])).map(b"".join)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 10**13) | st.floats()
+    | st.sampled_from(["max2", "none", "", "conv0.w"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["fc", "seed", "pool", "x"]), inner,
+                      max_size=3),
+    max_leaves=8)
+
+
+def write(tmp_path_factory, raw, name):
+    path = tmp_path_factory.mktemp("fuzz") / name
+    path.write_bytes(raw)
+    return path
+
+
+@FUZZ
+@given(raw=st.binary(max_size=200) | TRACE_BYTES)
+def test_trace_file_gives_dataset_or_trace_format_error(tmp_path_factory,
+                                                        raw):
+    path = write(tmp_path_factory, raw, "d.txt")
+    try:
+        dataset = load_dataset(path, trace_len=8)
+    except TraceFormatError:
+        return
+    assert isinstance(dataset, Dataset) and dataset.traces.shape[1] == 8
+
+
+@FUZZ
+@given(raw=st.binary(max_size=200) | MANIFEST_BYTES)
+def test_manifest_gives_values_or_manifest_error(tmp_path_factory, raw):
+    path = write(tmp_path_factory, raw, "m.cfg")
+    try:
+        values = load_manifest_file(path)
+    except ManifestError:
+        return
+    assert set(values) <= set(KNOWN_KEYS)
+
+
+@FUZZ
+@given(raw=st.binary(max_size=300))
+def test_checkpoint_bytes_give_model_or_checkpoint_error(tmp_path_factory,
+                                                         raw):
+    # arbitrary bytes, and the same bytes behind a valid preamble
+    preamble = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION,
+                                              len(raw))
+    for body in (raw, preamble + raw):
+        path = write(tmp_path_factory, body, "m.ckpt")
+        try:
+            assert isinstance(load_checkpoint(path), Model)
+        except CheckpointError:
+            pass
+
+
+def header_paths(node, prefix=()):
+    """Every key and list index path inside a parsed JSON header."""
+    yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from header_paths(child, prefix + (key,))
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_header_gives_model_or_checkpoint_error(tmp_path_factory,
+                                                        data):
+    path = write(tmp_path_factory, b"", "m.ckpt")
+    save_checkpoint(Model(TINY, seed=3), path)
+    raw = path.read_bytes()
+    n = struct.unpack("<I", raw[8:12])[0]
+    header = json.loads(raw[12:12 + n])
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = [p for p in header_paths(header) if p]
+        if not paths:
+            break
+        where = data.draw(st.sampled_from(paths))
+        parent = header
+        for step in where[:-1]:
+            parent = parent[step]
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = data.draw(JSON_VALUES)
+    text = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(raw[:8] + struct.pack("<I", len(text)) + text
+                     + raw[12 + n:])
+    try:
+        model = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert isinstance(model, Model)

@@ -43,6 +43,12 @@ class TestParsing:
         with pytest.raises(ManifestError, match="not found"):
             load_manifest_file(tmp_path / "absent.cfg")
 
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"data.path = caf\xe9.txt\n")
+        with pytest.raises(ManifestError, match="latin1.cfg: not UTF-8"):
+            load_manifest_file(path)
+
 
 class TestTypedAccess:
     def manifest(self, **values):

@@ -1,6 +1,7 @@
+import json
 import math
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from wfaug.nn import (
     write_history,
 )
 from wfaug.augment import AugConfig
-from wfaug.nn.model import TILE_ROWS
+from wfaug.nn.model import CHECKPOINT_MAGIC, TILE_ROWS
 from wfaug.traces import SplitSpec, make_splits, synth_dataset
 
 TINY = ModelConfig(64, 3, (ConvBlock(8, dilation=1, pool="max2"),
@@ -204,6 +205,8 @@ class TestModelConfig:
             ModelConfig(64, 3, (), fc=(3,))
         with pytest.raises(ValueError, match="num_classes"):
             ModelConfig(64, 3, (ConvBlock(4),), fc=(5,))
+        with pytest.raises(ValueError, match="fc widths"):
+            ModelConfig(64, 3, (ConvBlock(4),), fc=(0, 3))
 
 
 class TestForward:
@@ -572,32 +575,66 @@ class TestCheckpoint:
                          + raw[12 + text_len:])
         return path
 
-    @pytest.mark.parametrize("key", ["input_len", "num_classes", "seed", "fc",
-                                     "block.0", "block.1"])
-    def test_header_missing_field_rejected(self, tmp_path, key):
+    @pytest.mark.parametrize("path", [
+        pytest.param(path, id=str(path[-1])) for path in
+        [("config",), ("seed",), ("tensors",), ("trained_on",)]
+        + [("config", key) for key in ("input_len", "num_classes", "blocks",
+                                       "fc")]
+        + [("config", "blocks", 0, f.name) for f in fields(ConvBlock)]
+    ] + [pytest.param(("config", "blocks", i), id=f"block.{i}")
+         for i in (0, 1)])
+    def test_header_missing_field_rejected(self, tmp_path, path):
         def drop(text):
-            lines = text.split(b"\n")
-            kept = [l for l in lines if not l.startswith(key.encode() + b"=")]
-            assert len(kept) == len(lines) - 1
-            return b"\n".join(kept)
+            header = json.loads(text)
+            parent = header
+            for step in path[:-1]:
+                parent = parent[step]
+            del parent[path[-1]]
+            return json.dumps(header, sort_keys=True).encode()
 
         with pytest.raises(CheckpointError):
             load_checkpoint(self.rewrite_header(tmp_path, drop))
 
+    # the first thirteen ids name the fault each case had in the version-1
+    # key=value header; the cases are the same faults in JSON
     @pytest.mark.parametrize("old,new", [
-        (b"input_len=64", b"input_len=sixty-four"),
-        (b"num_classes=3", b"num_classes="),
-        (b"fc=3", b"fc=3,x"),
-        (b"seed=0", b"seed=0.5"),
-        (b"pool:max2", b"pool:max3"),
-        (b"kernel:3", b"kernel:4"),
-        (b"dilation:1,", b""),
-        (b"causal:1", b"causal:yes"),
-        (b"seed=0", b"seed=0\nseed=0"),
-        (b"seed=0", b"seed=0\ncolor=red"),
-        (b"seed=0", b"seed=0\nno equals sign"),
-        (b"seed=0", b"seed=\xff"),
-        (b"block.0=out:8", b"block.0=out:1000000000000"),
+        pytest.param(b'"input_len": 64', b'"input_len": "64"',
+                     id="input_len=64-input_len=sixty-four"),
+        pytest.param(b'"num_classes": 3', b'"num_classes": null',
+                     id="num_classes=3-num_classes="),
+        pytest.param(b'"fc": [3]', b'"fc": [3, "x"]', id="fc=3-fc=3,x"),
+        pytest.param(b'"seed": 0', b'"seed": 0.5', id="seed=0-seed=0.5"),
+        pytest.param(b'"pool": "max2"', b'"pool": "max3"',
+                     id="pool:max2-pool:max3"),
+        pytest.param(b'"kernel": 3', b'"kernel": 4', id="kernel:3-kernel:4"),
+        pytest.param(b'"dilation": 1, ', b"", id="dilation:1,-"),
+        pytest.param(b'"causal": true', b'"causal": "yes"',
+                     id="causal:1-causal:yes"),
+        pytest.param(b'"seed": 0', b'"seed": 0, "seed": 0',
+                     id="seed=0-seed=0\nseed=0"),
+        pytest.param(b'"seed": 0', b'"seed": 0, "color": "red"',
+                     id="seed=0-seed=0\ncolor=red"),
+        pytest.param(b'"seed": 0', b'"seed" 0',
+                     id="seed=0-seed=0\nno equals sign"),
+        pytest.param(b'"seed": 0', b'"seed": "\xff"', id="seed=0-seed=\xff"),
+        pytest.param(b'"out_channels": 8', b'"out_channels": 1000000000000',
+                     id="block.0=out:8-block.0=out:1000000000000"),
+        pytest.param(b'"stride": 1', b'"stride": true', id="bool-as-int"),
+        pytest.param(b'"seed": 0', b'"seed": 0.0', id="integral-float-seed"),
+        pytest.param(b'"kernel": 3', b'"kernel": 3.0', id="float-kernel"),
+        pytest.param(b'"fc": [3]', b'"fc": [0, 3]', id="zero-width-fc"),
+        pytest.param(b'"fc": [3]', b'"fc": [3.0]', id="float-fc-width"),
+        pytest.param(b'"pool": "max2"', b'"pool": "max2", "pool": "max2"',
+                     id="repeated-block-key"),
+        pytest.param(b'["fc0.b", [3]]', b'["fc0.b", [1, 3]]',
+                     id="tensor-table-shape"),
+        pytest.param(b'["fc0.b", [3]]', b'["fc9.b", [3]]',
+                     id="tensor-table-name"),
+        pytest.param(b'"trained_on": {}', b'"trained_on": null',
+                     id="null-trained-on"),
+        pytest.param(b'"trained_on": {}',
+                     b'"trained_on": ' + b"[" * 100_000 + b"]" * 100_000,
+                     id="deep-nesting"),
     ])
     def test_header_malformed_value_rejected(self, tmp_path, old, new):
         def corrupt(text):
@@ -606,3 +643,12 @@ class TestCheckpoint:
 
         with pytest.raises(CheckpointError):
             load_checkpoint(self.rewrite_header(tmp_path, corrupt))
+
+    def test_version_1_file_rejected(self, tmp_path):
+        path = tmp_path / "v1.ckpt"
+        text = b"input_len=64\nnum_classes=3\nseed=0\nfc=3"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(text))
+                         + text)
+        with pytest.raises(CheckpointError,
+                           match="^unsupported checkpoint version 1$"):
+            load_checkpoint(path)

@@ -46,6 +46,8 @@ class TestLoadDataset:
         ("0\t1 0", "must be 1 or -1"),
         ("-2\t1 1", "out of range"),
         ("0 1 -1", "missing tab"),
+        ("99999999999999999999999\t1 -1", "out of range"),
+        ("9223372036854775808\t1", "out of range"),
     ])
     def test_malformed_line_names_line_number(self, tmp_path, line, fragment):
         path = write(tmp_path, "0\t1 1\n" + line + "\n")
@@ -53,6 +55,12 @@ class TestLoadDataset:
             load_dataset(path, trace_len=4)
         assert ":2:" in str(err.value)
         assert fragment in str(err.value)
+
+    def test_non_utf8_bytes_name_line_number(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_bytes(b"0\t1 1\n1\t1 \xff -1\n")
+        with pytest.raises(TraceFormatError, match=":2:"):
+            load_dataset(path, trace_len=4)
 
     def test_blank_line_rejected(self, tmp_path):
         with pytest.raises(TraceFormatError, match="blank"):
