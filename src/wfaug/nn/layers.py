@@ -2,9 +2,11 @@
 
 Every layer keeps its parameters in ``self.params`` and, after a backward
 pass, the matching gradients in ``self.grads``. ``forward(x, train=True)``
-caches whatever the backward pass needs. Convolutions are computed as one
-matmul per kernel tap over a strided slice of the padded input, which keeps
-both directions as plain BLAS calls with a fixed reduction order.
+caches whatever the backward pass needs, and ``backward`` drops that cache
+once it has used it, so no step's activations outlive the step. Convolutions
+are computed as one matmul per kernel tap over a strided slice of the padded
+input, which keeps both directions as plain BLAS calls with a fixed reduction
+order.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ class Conv1D(Layer):
         return y
 
     def backward(self, dy):
-        xp, l_out = self._cache
+        (xp, l_out), self._cache = self._cache, None
         w = self.params["w"]
         dw = np.empty_like(w)
         dxp = np.zeros_like(xp)
@@ -96,6 +98,7 @@ class Conv1D(Layer):
 
 class ReLU(Layer):
     name = "relu"
+    _mask = None
 
     def forward(self, x, train=False):
         if train:
@@ -103,7 +106,8 @@ class ReLU(Layer):
         return np.maximum(x, 0.0)
 
     def backward(self, dy):
-        return dy * self._mask
+        mask, self._mask = self._mask, None
+        return dy * mask
 
 
 class MaxPool2(Layer):
@@ -115,6 +119,7 @@ class MaxPool2(Layer):
     """
 
     name = "maxpool2"
+    _left_wins = None
 
     def forward(self, x, train=False):
         keep = 2 * (x.shape[2] // 2)
@@ -131,9 +136,10 @@ class MaxPool2(Layer):
 
     def backward(self, dy):
         keep = 2 * dy.shape[2]
+        left_wins, self._left_wins = self._left_wins, None
         dx = np.zeros(dy.shape[:2] + (self._len,))
-        dx[..., 0:keep:2] = np.where(self._left_wins, dy, 0.0)
-        dx[..., 1:keep:2] = np.where(self._left_wins, 0.0, dy)
+        dx[..., 0:keep:2] = np.where(left_wins, dy, 0.0)
+        dx[..., 1:keep:2] = np.where(left_wins, 0.0, dy)
         return dx
 
 
@@ -141,7 +147,8 @@ class GlobalAvgPool(Layer):
     name = "gap"
 
     def forward(self, x, train=False):
-        self._len = x.shape[2]
+        if train:
+            self._len = x.shape[2]
         return x.mean(axis=2)
 
     def backward(self, dy):
@@ -160,6 +167,7 @@ class Dense(Layer):
         scale = 1.0 / np.sqrt(in_dim)
         self.params["w"] = rng.uniform(-scale, scale, (in_dim, out_dim))
         self.params["b"] = np.zeros(out_dim)
+        self._x = None
 
     def forward(self, x, train=False):
         if x.ndim != 2 or x.shape[1] != self.params["w"].shape[0]:
@@ -170,6 +178,7 @@ class Dense(Layer):
         return x @ self.params["w"] + self.params["b"]
 
     def backward(self, dy):
-        self.grads["w"] = self._x.T @ dy
+        x, self._x = self._x, None
+        self.grads["w"] = x.T @ dy
         self.grads["b"] = dy.sum(axis=0)
         return dy @ self.params["w"].T

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -30,6 +31,12 @@ POOL_KINDS = ("none", "max2")
 # BLAS thread) took 340-370 ms with tiles of 4 to 24 rows, 390 ms at 32 and
 # 500 ms at 64; at 16 rows its widest activation is 16 x 32 x 1000 float64.
 TILE_ROWS = 16
+
+# Conv multiply-adds one inference tile must hold before the tiles of a
+# model run on a thread pool (about 1 ms of single-thread BLAS on that
+# Xeon). Below it, thread hand-offs and the GIL-bound small numpy calls
+# between BLAS calls cost more than a second core wins.
+PARALLEL_MIN_MACS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -115,6 +122,14 @@ def _run(layers, h: np.ndarray, train: bool) -> np.ndarray:
     return h
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not Linux
+        return os.cpu_count() or 1
+
+
 class Model:
     """The classifier: seeded construction, forward, backward, state copy."""
 
@@ -145,6 +160,16 @@ class Model:
             if j < len(cfg.fc) - 1:
                 self.layers.append(ReLU())
             width = out
+        # conv multiply-adds per input row decide whether inference tiles
+        # are worth a thread each
+        length, macs = cfg.input_len, 0
+        for layer in self.layers[:self._gap_index]:
+            if isinstance(layer, Conv1D):
+                length = layer.out_len(length)
+                macs += layer.out_ch * layer.in_ch * layer.kernel * length
+            elif isinstance(layer, MaxPool2):
+                length //= 2
+        self._threaded = macs * (TILE_ROWS // 2) >= PARALLEL_MIN_MACS
 
     def forward(self, x: np.ndarray, train: bool = False):
         """Run the net over (B, L) input; returns (probs, features).
@@ -152,12 +177,17 @@ class Model:
         Inference runs the conv blocks and global average pooling over tiles
         of TILE_ROWS rows, which keeps each tile's activations near cache
         size. Every row those layers output depends on its own input row
-        only, so tiling leaves the bits unchanged. The FC head and softmax
-        then run once on the whole batch: BLAS picks its kernel by the number
-        of rows (a matrix-vector product for one row), so the logits' last
-        bits can depend on batch size, and the head must see the batch the
-        caller passed. Training runs the whole batch as one tile, because
-        backward needs every layer's cache for the full batch.
+        only, so tiling leaves the bits unchanged. A model whose tile holds
+        PARALLEL_MIN_MACS or more runs tiles of TILE_ROWS // 2 rows on up to
+        one thread per CPU (numpy releases the GIL inside BLAS), so two tiles
+        in flight hold no more than one serial tile; np.concatenate keeps row
+        order, so this too leaves the bits unchanged. The FC head and
+        softmax then run once on the whole batch, in the calling thread: BLAS
+        picks its kernel by the number of rows (a matrix-vector product for
+        one row), so the logits' last bits can depend on batch size, and the
+        head must see the batch the caller passed. Training runs the whole
+        batch as one tile, because backward needs every layer's cache for the
+        full batch.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.cfg.input_len:
@@ -169,9 +199,17 @@ class Model:
         if train:
             features = _run(stack, h, train)
         else:
-            features = np.concatenate(
-                [_run(stack, h[lo:lo + TILE_ROWS], train)
-                 for lo in range(0, max(len(h), 1), TILE_ROWS)])
+            rows = TILE_ROWS // 2 if self._threaded else TILE_ROWS
+            tiles = [h[lo:lo + rows] for lo in range(0, max(len(h), 1), rows)]
+            workers = min(_cpu_count(), len(tiles)) if self._threaded else 1
+            if workers > 1:
+                # a pool per call: a long-lived one would not survive fork
+                with ThreadPoolExecutor(workers) as pool:
+                    outs = list(pool.map(lambda t: _run(stack, t, False),
+                                         tiles))
+            else:
+                outs = [_run(stack, t, False) for t in tiles]
+            features = np.concatenate(outs)
         return softmax(_run(head, features, train)), features
 
     def backward(self, probs: np.ndarray, targets: np.ndarray) -> None:

@@ -34,8 +34,7 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.traces.ndim != 2 or len(self.labels) != len(self.traces):
             raise ValueError("traces must be (N, L) with one label per trace")
-        vals = np.unique(self.traces)
-        if not np.all(np.isin(vals, [-1, 0, 1])):
+        if not ((self.traces >= -1) & (self.traces <= 1)).all():
             raise ValueError("trace elements must be in {-1, 0, +1}")
         bad = (self.labels >= self.num_classes) | (
             (self.labels < 0) & (self.labels != BACKGROUND)
@@ -80,53 +79,70 @@ class SplitSpec:
             raise ValueError("per-class counts must be >= 0")
 
 
-def _fit_length(values: list[int], trace_len: int) -> np.ndarray:
-    out = np.zeros(trace_len, dtype=np.int8)
-    n = min(len(values), trace_len)
-    out[:n] = values[:n]
-    return out
+# Largest label a trace file may hold. Output widths follow the largest
+# label, so an unbounded one would size arrays by it.
+MAX_LABEL = 65535
+
+# _FOLLOWS[a, b]: byte b may follow byte a in " " + directions + " ", which
+# holds exactly when the directions are "1"/"-1" tokens, one space apart
+_FOLLOWS = np.zeros((256, 256), dtype=bool)
+for _pair in (" 1", " -", "-1", "1 "):
+    _FOLLOWS[ord(_pair[0]), ord(_pair[1])] = True
+_TOKENS = {1: "1", -1: "-1"}
+
+
+def _directions(rest: str, trace_len: int, where: str) -> np.ndarray:
+    """The first ``trace_len`` directions of a record's text after the tab;
+    every token is checked, also those past ``trace_len``."""
+    raw = np.frombuffer(
+        b" " + rest.encode("utf-8", "surrogateescape") + b" ", dtype=np.uint8)
+    if not _FOLLOWS[raw[:-1], raw[1:]].all():
+        bad = next(tok for tok in rest.split(" ") if tok not in _TOKENS.values())
+        raise TraceFormatError(f"{where}: direction {bad!r} must be 1 or -1")
+    # each "1" ends a token, which is -1 when a "-" precedes it
+    ends = np.flatnonzero(raw == ord("1"))[:trace_len]
+    return np.where(raw[ends - 1] == ord("-"), -1, 1).astype(np.int8)
 
 
 def load_dataset(path, trace_len: int) -> Dataset:
     """Read a trace file, padding with 0 or truncating at the tail to ``trace_len``.
 
     File format: one record per line, ``<label>\\t<d1> <d2> ...`` with label a
-    decimal integer (-1 = background) and each d either ``1`` or ``-1``.
+    decimal integer from -1 (background) to MAX_LABEL and each d either ``1``
+    or ``-1``.
     """
     if trace_len < 1:
         raise ValueError("trace_len must be >= 1")
-    traces, labels = [], []
+    rows, labels = [], []
     # bytes that are not UTF-8 decode to lone surrogates, which neither a
     # label nor a direction accepts, so they fail with their line number
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
             line = line.rstrip("\n")
             if not line:
-                raise TraceFormatError(f"{path}:{lineno}: blank line")
+                raise TraceFormatError(f"{where}: blank line")
             head, sep, rest = line.partition("\t")
             if not sep:
-                raise TraceFormatError(f"{path}:{lineno}: missing tab separator")
+                raise TraceFormatError(f"{where}: missing tab separator")
             try:
                 label = int(head)
             except ValueError:
                 raise TraceFormatError(
-                    f"{path}:{lineno}: label {head!r} is not an integer") from None
-            if not BACKGROUND <= label <= np.iinfo(np.int64).max:
-                raise TraceFormatError(f"{path}:{lineno}: label {label} out of range")
-            vals = []
-            for tok in rest.split(" "):
-                if tok not in ("1", "-1"):
-                    raise TraceFormatError(
-                        f"{path}:{lineno}: direction {tok!r} must be 1 or -1")
-                vals.append(int(tok))
-            traces.append(_fit_length(vals, trace_len))
+                    f"{where}: label {head!r} is not an integer") from None
+            if not BACKGROUND <= label <= MAX_LABEL:
+                raise TraceFormatError(f"{where}: label {label} out of range")
+            rows.append(_directions(rest, trace_len, where))
             labels.append(label)
-    if not traces:
+    if not rows:
         raise TraceFormatError(f"{path}: empty dataset file")
+    traces = np.zeros((len(rows), trace_len), dtype=np.int8)
+    for out, row in zip(traces, rows):
+        out[:len(row)] = row
     labels = np.array(labels, dtype=np.int64)
     monitored = labels[labels != BACKGROUND]
     num_classes = int(monitored.max()) + 1 if len(monitored) else 0
-    return Dataset(np.stack(traces), labels, num_classes, {"source": str(path)})
+    return Dataset(traces, labels, num_classes, {"source": str(path)})
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -139,7 +155,7 @@ def save_dataset(dataset: Dataset, path) -> None:
             body = trace[: nz[-1] + 1]
             if np.any(body == 0):
                 raise ValueError("cannot save a trace with interior zeros")
-            fh.write(f"{label}\t{' '.join(str(int(v)) for v in body)}\n")
+            fh.write(f"{label}\t{' '.join([_TOKENS[v] for v in body.tolist()])}\n")
 
 
 def make_splits(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:

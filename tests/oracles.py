@@ -108,3 +108,47 @@ def maxpool2_backward_argmax(dy, idx, length):
     dx = np.zeros((b, c, length))
     dx[:, :, :2 * half] = pairs.reshape(b, c, 2 * half)
     return dx
+
+
+def load_dataset_per_token(path, trace_len: int):
+    """Trace-file reader that checks and converts one token at a time.
+
+    The reference for ``wfaug.traces.load_dataset``, with the same messages;
+    the one difference is that it accepts any label up to the int64 maximum.
+    """
+    from wfaug.traces import BACKGROUND, Dataset, TraceFormatError
+
+    if trace_len < 1:
+        raise ValueError("trace_len must be >= 1")
+    traces, labels = [], []
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                raise TraceFormatError(f"{path}:{lineno}: blank line")
+            head, sep, rest = line.partition("\t")
+            if not sep:
+                raise TraceFormatError(f"{path}:{lineno}: missing tab separator")
+            try:
+                label = int(head)
+            except ValueError:
+                raise TraceFormatError(
+                    f"{path}:{lineno}: label {head!r} is not an integer") from None
+            if not BACKGROUND <= label <= np.iinfo(np.int64).max:
+                raise TraceFormatError(f"{path}:{lineno}: label {label} out of range")
+            vals = []
+            for tok in rest.split(" "):
+                if tok not in ("1", "-1"):
+                    raise TraceFormatError(
+                        f"{path}:{lineno}: direction {tok!r} must be 1 or -1")
+                vals.append(int(tok))
+            row = np.zeros(trace_len, dtype=np.int8)
+            row[:min(len(vals), trace_len)] = vals[:trace_len]
+            traces.append(row)
+            labels.append(label)
+    if not traces:
+        raise TraceFormatError(f"{path}: empty dataset file")
+    labels = np.array(labels, dtype=np.int64)
+    monitored = labels[labels != BACKGROUND]
+    num_classes = int(monitored.max()) + 1 if len(monitored) else 0
+    return Dataset(np.stack(traces), labels, num_classes, {"source": str(path)})

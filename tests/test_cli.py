@@ -5,11 +5,16 @@ same way the determinism guarantees are meant to be used.
 """
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wfaug
 from wfaug.cli import main
 from wfaug.manifest import format_manifest, parse_manifest_text
 from wfaug.nn import Model, default_model_config, save_checkpoint
@@ -121,6 +126,16 @@ class TestAugment:
         y = np.load(workdir / "aug" / "augmented_y.npy")
         assert x.shape == (30, 48) and y.shape == (30, 3)
         assert np.allclose(y.sum(axis=1), 1.0)
+
+    def test_label_above_cap_is_an_error(self, workdir, capsys):
+        (workdir / "data.txt").write_text("0\t1 -1\n1000000000000\t-1 1\n",
+                                          encoding="utf-8")
+        (workdir / "aug.cfg").write_text("aug.enable.rotation = true\n",
+                                         encoding="utf-8")
+        assert run("augment", "--manifest", "exp.cfg", "--manifest",
+                   "aug.cfg", "--seed", "3", "--out", "aug") == 1
+        assert "data.txt:2: label 1000000000000 out of range" in \
+            capsys.readouterr().err
 
     def test_rerun_identical(self, workdir):
         synth_here()
@@ -368,6 +383,39 @@ class TestDeterminism:
                              "run/model.ckpt", "run/eval.json")}
             os.chdir(workdir)
         assert artifacts["a"] == artifacts["b"]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs CPU affinity")
+    def test_open_world_eval_same_bytes_on_one_cpu_and_all(self, workdir):
+        # the stock model at L=200 runs its inference tiles on a thread pool
+        assert Model(default_model_config(200, 4), seed=0)._threaded
+        manifest = {key: value for key, value in BASE.items()
+                    if key != "model.blocks"}
+        manifest.update({"data.trace_len": "200", "split.shots": "2",
+                         "split.val_per_class": "6",
+                         "split.test_per_class": "6", "train.epochs": "1"})
+        (workdir / "exp.cfg").write_text(format_manifest(manifest),
+                                         encoding="utf-8")
+        base = synth_dataset(4, 14, 200, 0.05, seed=7)
+        labels = np.where(base.labels == 3, BACKGROUND, base.labels)
+        save_dataset(Dataset(base.traces, labels, 3), workdir / "data.txt")
+        assert run("train", "--manifest", "exp.cfg", "--seed", "0",
+                   "--out", "ow") == 0
+        # one BLAS thread in both runs, so only the tile threads differ
+        env = dict(os.environ, PYTHONPATH=str(Path(wfaug.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        one_cpu = min(os.sched_getaffinity(0))
+        written = []
+        for out, pin in (("one", lambda: os.sched_setaffinity(0, {one_cpu})),
+                         ("all", None)):
+            subprocess.run(
+                [sys.executable, "-m", "wfaug.cli", "eval", "--manifest",
+                 "exp.cfg", "--seed", "0", "--checkpoint", "ow/model.ckpt",
+                 "--open-world", "--out", out],
+                cwd=workdir, env=env, preexec_fn=pin, check=True)
+            written.append((workdir / out / "eval.json").read_bytes())
+        assert written[0] == written[1]
 
 
 class TestManifestPrecedence:

@@ -2,7 +2,8 @@
 
 Whatever bytes a trace file, a manifest or a checkpoint holds, its parser
 returns a value or raises its own documented error (TraceFormatError,
-ManifestError, CheckpointError), never anything else. Examples are
+ManifestError, CheckpointError), never anything else. The trace parser also
+reads every file the way a token-at-a-time reference does. Examples are
 derandomized so that every run tries the same inputs.
 """
 
@@ -16,7 +17,8 @@ from wfaug.manifest import KNOWN_KEYS, ManifestError, load_manifest_file
 from wfaug.nn import (CheckpointError, ConvBlock, Model, ModelConfig,
                       load_checkpoint, save_checkpoint)
 from wfaug.nn.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
-from wfaug.traces import Dataset, TraceFormatError, load_dataset
+from oracles import load_dataset_per_token
+from wfaug.traces import MAX_LABEL, Dataset, TraceFormatError, load_dataset
 
 FUZZ = settings(max_examples=300, derandomize=True, deadline=None)
 
@@ -37,6 +39,14 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.sampled_from(["fc", "seed", "pool", "x"]), inner,
                       max_size=3),
     max_leaves=8)
+# well-formed trace files: labels on both sides of MAX_LABEL, records
+# shorter and longer than the trace length they are read at
+TRACE_RECORDS = st.lists(st.tuples(
+    st.integers(-1, 5) | st.integers(MAX_LABEL - 1, MAX_LABEL + 1),
+    st.lists(st.sampled_from(["1", "-1"]), min_size=1, max_size=20)),
+    min_size=1, max_size=6).map(
+        lambda recs: "".join(f"{label}\t{' '.join(toks)}\n"
+                             for label, toks in recs).encode())
 
 
 def write(tmp_path_factory, raw, name):
@@ -55,6 +65,45 @@ def test_trace_file_gives_dataset_or_trace_format_error(tmp_path_factory,
     except TraceFormatError:
         return
     assert isinstance(dataset, Dataset) and dataset.traces.shape[1] == 8
+
+
+def read_trace_file(reader, path, trace_len):
+    try:
+        return reader(path, trace_len)
+    except TraceFormatError as exc:
+        return exc
+
+
+def error_line(exc, path) -> int:
+    """Line number of a ``path:line: ...`` message."""
+    return int(str(exc).removeprefix(f"{path}:").partition(":")[0])
+
+
+@FUZZ
+@given(raw=TRACE_BYTES | TRACE_RECORDS, trace_len=st.integers(1, 16))
+def test_trace_file_reads_as_the_per_token_reference(tmp_path_factory, raw,
+                                                     trace_len):
+    path = write(tmp_path_factory, raw, "d.txt")
+    want = read_trace_file(load_dataset_per_token, path, trace_len)
+    got = read_trace_file(load_dataset, path, trace_len)
+    if isinstance(got, TraceFormatError) and str(got).endswith(
+            " out of range"):
+        label = int(str(got).split(" label ")[-1].split()[0])
+        if label > MAX_LABEL:
+            # the one difference: the reference reads on past this label
+            assert isinstance(want, Dataset) or (
+                error_line(want, path) > error_line(got, path))
+            return
+    if isinstance(want, TraceFormatError):
+        assert isinstance(got, TraceFormatError) and str(got) == str(want)
+        return
+    assert isinstance(got, Dataset)
+    assert got.traces.dtype == want.traces.dtype
+    assert got.traces.shape == want.traces.shape
+    assert got.traces.tobytes() == want.traces.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert (got.num_classes, got.provenance) == (want.num_classes,
+                                                 want.provenance)
 
 
 @FUZZ

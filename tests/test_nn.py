@@ -1,6 +1,8 @@
 import json
 import math
 import struct
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,6 +19,7 @@ from wfaug.nn import (
     MaxPool2,
     Model,
     ModelConfig,
+    ReLU,
     TrainConfig,
     TrainingDiverged,
     cross_entropy,
@@ -32,6 +35,7 @@ from wfaug.nn import (
     write_history,
 )
 from wfaug.augment import AugConfig
+from wfaug.nn import model as model_mod
 from wfaug.nn.model import CHECKPOINT_MAGIC, TILE_ROWS
 from wfaug.traces import SplitSpec, make_splits, synth_dataset
 
@@ -242,19 +246,70 @@ class TestForward:
         with pytest.raises(ValueError, match="expected"):
             model.forward(np.zeros((2, 65)))
 
-    def test_inference_tiling_keeps_bits(self):
+    def test_inference_tiling_keeps_bits(self, monkeypatch):
         batch = 37
         assert batch > TILE_ROWS and batch % TILE_ROWS
         model = Model(default_model_config(200, 5), seed=3)
+        # 19.8M multiply-adds per 8-row tile: the threaded path
+        assert model._threaded
         x = np.random.default_rng(5).choice([-1.0, 0.0, 1.0], size=(batch, 200))
         h = x[:, None, :]
         for i, layer in enumerate(model.layers):
             h = layer.forward(h)
             if isinstance(layer, GlobalAvgPool):
                 want_feats = h
-        probs, feats = model.forward(x)
-        assert feats.tobytes() == want_feats.tobytes()
-        assert probs.tobytes() == softmax(h).tobytes()
+        pools = []
+        monkeypatch.setattr(model_mod, "ThreadPoolExecutor",
+                            lambda workers: pools.append(workers)
+                            or ThreadPoolExecutor(workers))
+        # more threads than cores, switching as often as the interpreter
+        # allows, would show any state the tiles share
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 8):
+                monkeypatch.setattr(model_mod, "_cpu_count", lambda: cpus)
+                probs, feats = model.forward(x)
+                assert feats.tobytes() == want_feats.tobytes()
+                assert probs.tobytes() == softmax(h).tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [2, 5]
+
+    def test_small_model_never_starts_threads(self, monkeypatch):
+        # the shape of criterion 5's BENCH_MODEL: 3.0M multiply-adds per tile
+        model = Model(ModelConfig(1000, 20, tuple(
+            ConvBlock(ch, stride=2) for ch in (8, 12, 16, 24, 32, 32, 32)),
+            fc=(20,)), seed=0)
+        assert not model._threaded
+
+        def refuse(workers):
+            raise AssertionError("thread pool constructed")
+
+        monkeypatch.setattr(model_mod, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(model_mod, "_cpu_count", lambda: 2)
+        x = np.random.default_rng(0).choice([-1.0, 1.0], size=(64, 1000))
+        probs, _ = model.forward(x)
+        assert probs.shape == (64, 20)
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(model_mod.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(model_mod.os, "cpu_count", lambda: None)
+        assert model_mod._cpu_count() == 1
+        monkeypatch.setattr(model_mod.os, "cpu_count", lambda: 3)
+        assert model_mod._cpu_count() == 3
+
+    def test_backward_releases_forward_caches(self):
+        (train_set, _, _) = tiny_task()
+        model = Model(TINY, seed=0)
+        probs, _ = model.forward(train_set.traces.astype(np.float64),
+                                 train=True)
+        model.backward(probs, np.eye(3)[train_set.labels])
+        kinds = {type(layer) for layer in model.layers}
+        assert {Conv1D, ReLU, MaxPool2, Dense} <= kinds
+        for layer in model.layers:
+            for attr in ("_cache", "_mask", "_left_wins", "_x"):
+                assert getattr(layer, attr, None) is None, (layer.name, attr)
 
     def test_empty_batch(self):
         probs, feats = Model(TINY, seed=0).forward(np.zeros((0, 64)))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oracles import nearest_template_labels
 from wfaug.traces import (
     BACKGROUND,
+    MAX_LABEL,
     Dataset,
     SplitSpec,
     TraceFormatError,
@@ -48,6 +49,8 @@ class TestLoadDataset:
         ("0 1 -1", "missing tab"),
         ("99999999999999999999999\t1 -1", "out of range"),
         ("9223372036854775808\t1", "out of range"),
+        ("65536\t1", "out of range"),
+        ("1000000000000\t1 -1", "out of range"),
     ])
     def test_malformed_line_names_line_number(self, tmp_path, line, fragment):
         path = write(tmp_path, "0\t1 1\n" + line + "\n")
@@ -55,6 +58,11 @@ class TestLoadDataset:
             load_dataset(path, trace_len=4)
         assert ":2:" in str(err.value)
         assert fragment in str(err.value)
+
+    def test_largest_label_loads(self, tmp_path):
+        d = load_dataset(write(tmp_path, f"{MAX_LABEL}\t-1\n"), trace_len=2)
+        assert d.labels.tolist() == [MAX_LABEL] and MAX_LABEL == 65535
+        assert d.num_classes == MAX_LABEL + 1
 
     def test_non_utf8_bytes_name_line_number(self, tmp_path):
         path = tmp_path / "d.txt"
@@ -69,6 +77,16 @@ class TestLoadDataset:
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(TraceFormatError, match="empty"):
             load_dataset(write(tmp_path, ""), trace_len=4)
+
+
+class TestDatasetChecks:
+    @pytest.mark.parametrize("value", [2, -2, 127, -128])
+    def test_element_outside_directions_rejected(self, value):
+        with pytest.raises(ValueError, match="must be in"):
+            Dataset(np.array([[1, value]]), np.array([0]), 1)
+
+    def test_empty_split_accepted(self):
+        assert len(Dataset(np.zeros((0, 5)), np.zeros(0), 2)) == 0
 
 
 class TestRoundTrip:
