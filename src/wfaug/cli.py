@@ -2,10 +2,11 @@
 
 Subcommands: synth, split, augment, tune, train, eval, report. Every command
 is a pure function of the merged manifests, its flags and the referenced
-files, so rerunning it reproduces the outputs byte for byte. Flags override
-manifest keys. All randomness flows from one root seed (--seed beats
-run.seed, default 0); each stage derives its own stream from (seed, stage
-name), so adding or removing one stage never shifts another's draws.
+files, so rerunning it reproduces the outputs byte for byte. A flag sets the
+manifest key it names, above every manifest file. All randomness flows from
+one root seed (run.seed, default 0); each stage derives its own stream from
+(seed, stage name), so adding or removing one stage never shifts another's
+draws.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ import numpy as np
 from .augment import OPERATORS, hda_batch
 from .evaluate import (RunReport, aggregate_metrics, closed_accuracy,
                        open_world_metrics, tune_augmentation, write_report)
-from .manifest import (Manifest, ManifestError, aug_config_from_manifest,
-                       format_manifest, model_config_from_manifest,
-                       parse_operator_order, split_spec_from_manifest,
-                       train_config_from_manifest, tune_spec_from_manifest)
+from .manifest import (KNOWN_KEYS, Manifest, ManifestError,
+                       aug_config_from_manifest, format_manifest,
+                       model_config_from_manifest, parse_operator_order,
+                       split_spec_from_manifest, train_config_from_manifest,
+                       tune_spec_from_manifest)
 from .nn import (CheckpointError, TrainingDiverged, dataset_accuracy,
                  load_checkpoint, save_checkpoint, train, write_history)
 from .seeding import derive_rng
@@ -39,25 +41,21 @@ def _note(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _root_seed(args, m: Manifest) -> int:
-    return args.seed if args.seed is not None else m.get("run.seed", 0)
+def _root_seed(m: Manifest) -> int:
+    return m.get("run.seed", 0)
 
 
-def _out_path(args, m: Manifest) -> str:
-    out = args.out if args.out is not None else m.get("out.dir", None)
+def _out_path(m: Manifest) -> str:
+    out = m.get("out.dir", None)
     if out is None:
         raise ManifestError("no output location: pass --out or set out.dir")
     return out
 
 
-def _out_dir(args, m: Manifest) -> str:
-    out = _out_path(args, m)
+def _out_dir(m: Manifest) -> str:
+    out = _out_path(m)
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _flag_or_key(flag_value, m: Manifest, key: str):
-    return flag_value if flag_value is not None else m.get(key)
 
 
 def _load_data(m: Manifest):
@@ -96,21 +94,20 @@ def _write_json(path, payload: dict) -> None:
 
 def cmd_synth(args, m: Manifest) -> int:
     dataset = synth_dataset(
-        num_classes=_flag_or_key(args.classes, m, "data.classes"),
-        samples_per_class=_flag_or_key(args.per_class, m, "data.per_class"),
-        trace_len=_flag_or_key(args.length, m, "data.trace_len"),
-        noise_rate=_flag_or_key(args.noise, m, "data.noise"),
-        seed=_root_seed(args, m))
-    out = _out_path(args, m)
+        num_classes=m.get("data.classes"),
+        samples_per_class=m.get("data.per_class"),
+        trace_len=m.get("data.trace_len"), noise_rate=m.get("data.noise"),
+        seed=_root_seed(m))
+    out = _out_path(m)
     save_dataset(dataset, out)
     _note(args, f"wrote {len(dataset)} traces to {out}")
     return 0
 
 
 def cmd_split(args, m: Manifest) -> int:
-    seed = _root_seed(args, m)
+    seed = _root_seed(m)
     _, (train_set, val_set, test_set) = _load_splits(m, seed)
-    out = _out_dir(args, m)
+    out = _out_dir(m)
     for name, part in (("train", train_set), ("val", val_set),
                        ("test", test_set)):
         save_dataset(part, os.path.join(out, f"{name}.txt"))
@@ -125,7 +122,7 @@ def cmd_augment(args, m: Manifest) -> int:
     is written as float arrays (augmented_x.npy / augmented_y.npy) rather
     than the integer trace format.
     """
-    seed = _root_seed(args, m)
+    seed = _root_seed(m)
     dataset = _load_data(m)
     cfg = aug_config_from_manifest(m, dataset.trace_len)
     if cfg is None:
@@ -135,7 +132,7 @@ def cmd_augment(args, m: Manifest) -> int:
                             background_class=dataset.has_background())
     x, y = hda_batch(dataset.traces.astype(np.float64), labels, cfg,
                      derive_rng(seed, "augment"))
-    out = _out_dir(args, m)
+    out = _out_dir(m)
     np.save(os.path.join(out, "augmented_x.npy"), x)
     np.save(os.path.join(out, "augmented_y.npy"), y)
     _note(args, f"augmented {len(x)} traces into {out}")
@@ -143,11 +140,10 @@ def cmd_augment(args, m: Manifest) -> int:
 
 
 def cmd_tune(args, m: Manifest) -> int:
-    seed = _root_seed(args, m)
+    seed = _root_seed(m)
     dataset, (train_set, val_set, _) = _load_splits(m, seed)
     order = _operator_order(m, seed)
-    spec = tune_spec_from_manifest(m, order, mode=args.mode,
-                                   budget=args.budget)
+    spec = tune_spec_from_manifest(m, order)
     model_cfg = model_config_from_manifest(m, dataset.trace_len,
                                            dataset.output_width)
     train_cfg = train_config_from_manifest(m, seed)
@@ -158,7 +154,7 @@ def cmd_tune(args, m: Manifest) -> int:
         fragment[f"aug.enable.{op}"] = "true"
     for name, value in params.items():
         fragment[f"aug.{name}"] = str(value)
-    out = _out_dir(args, m)
+    out = _out_dir(m)
     with open(os.path.join(out, "aug_params.cfg"), "w",
               encoding="utf-8") as fh:
         fh.write(format_manifest(fragment))
@@ -168,7 +164,7 @@ def cmd_tune(args, m: Manifest) -> int:
 
 
 def cmd_train(args, m: Manifest) -> int:
-    seed = _root_seed(args, m)
+    seed = _root_seed(m)
     dataset, (train_set, val_set, _) = _load_splits(m, seed)
     aug_cfg = aug_config_from_manifest(m, dataset.trace_len,
                                        default_order=_operator_order(m, seed))
@@ -177,7 +173,7 @@ def cmd_train(args, m: Manifest) -> int:
     train_cfg = train_config_from_manifest(m, seed)
     model, history = train(model_cfg, train_cfg, train_set, val_set, aug_cfg)
     model.trained_on = _trained_on(dataset, m, seed)
-    out = _out_dir(args, m)
+    out = _out_dir(m)
     save_checkpoint(model, os.path.join(out, "model.ckpt"))
     write_history(os.path.join(out, "history.csv"), history)
     _note(args, f"best validation accuracy "
@@ -187,7 +183,7 @@ def cmd_train(args, m: Manifest) -> int:
 
 
 def cmd_eval(args, m: Manifest) -> int:
-    seed = _root_seed(args, m)
+    seed = _root_seed(m)
     dataset, (_, val_set, test_set) = _load_splits(m, seed)
     model = load_checkpoint(args.checkpoint)
     if model.cfg.num_classes != dataset.output_width:
@@ -210,7 +206,7 @@ def cmd_eval(args, m: Manifest) -> int:
         world = "closed"
         metrics = {"val_accuracy": dataset_accuracy(model, val_set),
                    "test_accuracy": closed_accuracy(model, test_set)}
-    out = _out_dir(args, m)
+    out = _out_dir(m)
     _write_json(os.path.join(out, "eval.json"),
                 {"seed": seed, "world": world, "metrics": metrics,
                  "dataset": dict(dataset.provenance),
@@ -219,20 +215,38 @@ def cmd_eval(args, m: Manifest) -> int:
     return 0
 
 
+def _read_eval(path) -> tuple[int, dict]:
+    """The seed and metrics of an eval.json; ValueError naming the file for
+    anything but an object with an int seed and metrics of finite numbers."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: not a JSON document ({exc})") from None
+    if isinstance(payload, dict):
+        seed, metrics = payload.get("seed"), payload.get("metrics")
+        # abs() <= float max also rules out NaN and ints too big for a float
+        if type(seed) is int and isinstance(metrics, dict) and all(
+                type(v) in (int, float) and abs(v) <= sys.float_info.max
+                for v in metrics.values()):
+            return seed, metrics
+    raise ValueError(f"{path}: not an object with an integer seed and "
+                     f"metrics of finite numbers")
+
+
 def cmd_report(args, m: Manifest) -> int:
     seeds, rows = [], []
     for run_dir in args.runs:
         path = os.path.join(run_dir, "eval.json")
         if not os.path.exists(path):
             raise ManifestError(f"no eval.json under {run_dir}")
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        seeds.append(int(payload["seed"]))
-        rows.append(payload["metrics"])
+        seed, metrics = _read_eval(path)
+        seeds.append(seed)
+        rows.append(metrics)
     mean, std = aggregate_metrics(rows)
     report = RunReport(seeds=tuple(seeds), per_seed=tuple(rows), mean=mean,
                        std=std, meta={"runs": [str(r) for r in args.runs]})
-    out = _out_dir(args, m)
+    out = _out_dir(m)
     write_report(report, os.path.join(out, "report.json"),
                  os.path.join(out, "report.txt"))
     _note(args, f"aggregated {len(rows)} runs into {out}")
@@ -244,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--manifest", action="append", default=[],
                         metavar="FILE",
                         help="manifest file; repeatable, later files win")
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", dest="run.seed", type=int,
                         help="root seed (overrides run.seed, default 0)")
-    common.add_argument("--out", default=None,
+    common.add_argument("--out", dest="out.dir",
                         help="output file or directory (overrides out.dir)")
     common.add_argument("--verbose", action="store_true",
                         help="progress notes on stderr")
@@ -260,10 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", parents=[common],
                        help="generate a synthetic labeled trace file")
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--per-class", dest="per_class", type=int, default=None)
-    p.add_argument("--len", dest="length", type=int, default=None)
-    p.add_argument("--noise", type=float, default=None)
+    p.add_argument("--classes", dest="data.classes", type=int)
+    p.add_argument("--per-class", dest="data.per_class", type=int)
+    p.add_argument("--len", dest="data.trace_len", type=int)
+    p.add_argument("--noise", dest="data.noise", type=float)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("split", parents=[common],
@@ -276,9 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", parents=[common],
                        help="search augmentation hyperparameters")
-    p.add_argument("--mode", choices=("sequential", "independent"),
-                   default=None, help="overrides tpe.mode")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--mode", dest="tpe.mode", help="overrides tpe.mode",
+                   choices=("sequential", "independent"))
+    p.add_argument("--budget", dest="tpe.budget_per_param", type=int,
                    help="trials per parameter (overrides tpe.budget_per_param)")
     p.set_defaults(func=cmd_tune)
 
@@ -304,8 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    flags = {key: str(value) for key, value in vars(args).items()
+             if key in KNOWN_KEYS and value is not None}
     try:
-        manifest = Manifest.from_files(args.manifest)
+        manifest = Manifest.from_files(args.manifest, flags)
         return args.func(args, manifest)
     except (ManifestError, TraceFormatError, CheckpointError, ObjectiveError,
             TrainingDiverged, FloatingPointError, ValueError, OSError) as exc:

@@ -19,8 +19,8 @@ from .augment import AugConfig, OPERATORS
 from .nn import Model, ModelConfig, TrainConfig, dataset_accuracy, predict, train
 from .seeding import derive_rng
 from .tpe import (GAMMA, N_CANDIDATES, N_STARTUP, OPERATOR_PARAMS,
-                  SearchSpace, default_spaces, optimize_independent,
-                  optimize_sequential)
+                  SearchSpace, check_tpe_settings, default_spaces,
+                  optimize_independent, optimize_sequential)
 from .traces import Dataset, SplitSpec, make_splits
 
 # 0.00, 0.01, ..., 1.00
@@ -177,6 +177,9 @@ class TuneSpec:
             raise ValueError(f"order must be a permutation of {OPERATORS}")
         if self.proxy_epochs < 1:
             raise ValueError("proxy_epochs must be >= 1")
+        if self.budget_per_param is not None and self.budget_per_param < 1:
+            raise ValueError("budget_per_param must be >= 1")
+        check_tpe_settings(self.gamma, self.n_candidates)
 
 
 def fit_spaces_to_length(spaces: dict, trace_len: int) -> dict:

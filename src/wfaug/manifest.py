@@ -2,13 +2,16 @@
 
 Format: UTF-8 text, one ``section.key = value`` per line, ``#`` starts a
 comment, blank lines ignored. Keys come from a fixed registry; anything else
-is rejected with the offending file and line. Later files override earlier
-ones when several are merged, and command-line flags override files.
+is rejected with the offending file and line. Each field of SplitSpec,
+AugConfig, TuneSpec and TrainConfig is a split.*, aug.*, tpe.* or train.* key
+(seed, order and enabled have keys of their own). Later files override
+earlier ones when several are merged, and command-line flags come last.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import MISSING, fields
 
 from .augment import AugConfig, OPERATORS
 from .evaluate import TuneSpec
@@ -20,6 +23,16 @@ class ManifestError(ValueError):
     """Raised for unparseable, unknown or ill-typed manifest content."""
 
 
+# config fields with keys of their own: run.seed, aug.order, aug.enable.*
+_OWN_KEYS = ("seed", "order", "enabled")
+
+
+def _field_keys(section: str, cls) -> dict:
+    """A key per config field; "int | None" reads as int (absent is None)."""
+    return {f"{section}.{f.name}": f.type.split(" | ")[0]
+            for f in fields(cls) if f.name not in _OWN_KEYS}
+
+
 # key -> value kind; the registry doubles as documentation of the format
 KNOWN_KEYS = {
     "run.seed": "int",
@@ -29,30 +42,17 @@ KNOWN_KEYS = {
     "data.classes": "int",
     "data.per_class": "int",
     "data.noise": "float",
-    "split.shots": "int",
-    "split.val_per_class": "int",
-    "split.test_per_class": "int",
-    "aug.r_max": "int",
-    "aug.m_len": "int",
-    "aug.alpha": "float",
+    **_field_keys("split", SplitSpec),
+    **_field_keys("aug", AugConfig),
     "aug.order": "str",
     "aug.enable.rotation": "bool",
     "aug.enable.masking": "bool",
     "aug.enable.mixing": "bool",
-    "tpe.gamma": "float",
-    "tpe.n_startup": "int",
-    "tpe.n_candidates": "int",
-    "tpe.budget_per_param": "int",
-    "tpe.mode": "str",
-    "tpe.proxy_epochs": "int",
+    **_field_keys("tpe", TuneSpec),
     "model.blocks": "str",
     "model.kernel": "int",
     "model.fc": "str",
-    "train.epochs": "int",
-    "train.batch_size": "int",
-    "train.lr": "float",
-    "train.optimizer": "str",
-    "train.momentum": "float",
+    **_field_keys("train", TrainConfig),
 }
 
 _BOOL = {"true": True, "1": True, "false": False, "0": False}
@@ -99,8 +99,9 @@ class Manifest:
         self.values = merged
 
     @classmethod
-    def from_files(cls, paths) -> "Manifest":
-        return cls(*[load_manifest_file(p) for p in paths])
+    def from_files(cls, paths, *overrides: dict) -> "Manifest":
+        """The files in order, then ``overrides`` (raw strings) on top."""
+        return cls(*[load_manifest_file(p) for p in paths], *overrides)
 
     def has(self, key: str) -> bool:
         return key in self.values
@@ -146,6 +147,18 @@ def parse_operator_order(raw: str) -> tuple:
     return order
 
 
+def _config(m: Manifest, section: str, cls, **given):
+    """``cls`` from ``given`` and the ``section.<field>`` keys the manifest
+    sets; the class holds the defaults, and a field without one is required."""
+    values = {}
+    for f in fields(cls):
+        key = f"{section}.{f.name}"
+        required = f.default is MISSING and f.default_factory is MISSING
+        if f.name not in given and (required or m.has(key)):
+            values[f.name] = m.get(key)
+    return cls(**values, **given)
+
+
 def aug_config_from_manifest(m: Manifest, trace_len: int,
                              default_order=OPERATORS) -> AugConfig | None:
     """Build the augmentation config, or None when every operator is off."""
@@ -155,9 +168,7 @@ def aug_config_from_manifest(m: Manifest, trace_len: int,
     order = default_order
     if m.has("aug.order"):
         order = parse_operator_order(m.get("aug.order"))
-    cfg = AugConfig(order=order, enabled=enabled, **{
-        key: m.get(f"aug.{key}") for key in ("r_max", "m_len", "alpha")
-        if m.has(f"aug.{key}")})
+    cfg = _config(m, "aug", AugConfig, order=order, enabled=enabled)
     if enabled["masking"] and cfg.m_len >= trace_len:
         raise ManifestError(
             f"aug.m_len = {cfg.m_len} must be < trace length {trace_len}")
@@ -168,33 +179,15 @@ def aug_config_from_manifest(m: Manifest, trace_len: int,
 
 
 def split_spec_from_manifest(m: Manifest, seed: int) -> SplitSpec:
-    return SplitSpec(shots=m.get("split.shots"),
-                     val_per_class=m.get("split.val_per_class"),
-                     test_per_class=m.get("split.test_per_class"),
-                     seed=seed)
+    return _config(m, "split", SplitSpec, seed=seed)
 
 
 def train_config_from_manifest(m: Manifest, seed: int) -> TrainConfig:
-    return TrainConfig(seed=seed, **{
-        key: m.get(f"train.{key}")
-        for key in ("epochs", "batch_size", "lr", "optimizer", "momentum")
-        if m.has(f"train.{key}")})
+    return _config(m, "train", TrainConfig, seed=seed)
 
 
-def tune_spec_from_manifest(m: Manifest, order,
-                            mode: str | None = None,
-                            budget: int | None = None) -> TuneSpec:
-    """tpe.* keys with optional flag overrides for mode and budget."""
-    defaults = TuneSpec()
-    if mode is None:
-        mode = m.get("tpe.mode", defaults.mode)
-    if budget is None:
-        budget = m.get("tpe.budget_per_param", None)
-    return TuneSpec(mode=mode, order=order, budget_per_param=budget,
-                    proxy_epochs=m.get("tpe.proxy_epochs", defaults.proxy_epochs),
-                    gamma=m.get("tpe.gamma", defaults.gamma),
-                    n_startup=m.get("tpe.n_startup", defaults.n_startup),
-                    n_candidates=m.get("tpe.n_candidates", defaults.n_candidates))
+def tune_spec_from_manifest(m: Manifest, order) -> TuneSpec:
+    return _config(m, "tpe", TuneSpec, order=order)
 
 
 def _parse_block(item: str, kernel: int) -> ConvBlock:

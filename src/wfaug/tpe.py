@@ -113,14 +113,19 @@ def _density(values, space: SearchSpace) -> np.ndarray:
     return w / w.sum()
 
 
-def tpe_suggest(history, space: SearchSpace, rng: np.random.Generator, *,
-                gamma: float = GAMMA, n_startup: int = N_STARTUP,
-                n_candidates: int = N_CANDIDATES):
-    """Pick the next grid value to evaluate given the trial history."""
+def check_tpe_settings(gamma: float, n_candidates: int) -> None:
+    """Raise ValueError unless 0 < gamma < 1 and n_candidates >= 1."""
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must be in (0, 1)")
     if n_candidates < 1:
         raise ValueError("n_candidates must be >= 1")
+
+
+def tpe_suggest(history, space: SearchSpace, rng: np.random.Generator, *,
+                gamma: float = GAMMA, n_startup: int = N_STARTUP,
+                n_candidates: int = N_CANDIDATES):
+    """Pick the next grid value to evaluate given the trial history."""
+    check_tpe_settings(gamma, n_candidates)
     grid = space.grid
     if len(history) < n_startup:
         return grid[int(rng.integers(0, len(grid)))]
@@ -162,7 +167,8 @@ def _run_stages(order, spaces, stage_objective, budget_per_param, rng, tpe_kw):
         if name not in spaces:
             raise ValueError(f"no search space for parameter {name!r}")
         space = spaces[name]
-        budget = budget_per_param or default_budget(space)
+        budget = (default_budget(space) if budget_per_param is None
+                  else budget_per_param)
         best, trials = optimize_one(
             space, lambda v, _n=name: stage_objective(chosen, _n, v),
             budget, rng, **tpe_kw)

@@ -108,8 +108,9 @@ def load_dataset(path, trace_len: int) -> Dataset:
     """Read a trace file, padding with 0 or truncating at the tail to ``trace_len``.
 
     File format: one record per line, ``<label>\\t<d1> <d2> ...`` with label a
-    decimal integer from -1 (background) to MAX_LABEL and each d either ``1``
-    or ``-1``.
+    decimal integer from -1 (background) to MAX_LABEL, spelled as ``str``
+    writes it (ASCII digits, a ``-`` only for -1, no leading zeros), and each
+    d either ``1`` or ``-1``.
     """
     if trace_len < 1:
         raise ValueError("trace_len must be >= 1")
@@ -130,6 +131,9 @@ def load_dataset(path, trace_len: int) -> Dataset:
             except ValueError:
                 raise TraceFormatError(
                     f"{where}: label {head!r} is not an integer") from None
+            if str(label) != head:
+                raise TraceFormatError(
+                    f"{where}: label {head!r} must be written as {label}")
             if not BACKGROUND <= label <= MAX_LABEL:
                 raise TraceFormatError(f"{where}: label {label} out of range")
             rows.append(_directions(rest, trace_len, where))

@@ -134,6 +134,9 @@ def load_dataset_per_token(path, trace_len: int):
             except ValueError:
                 raise TraceFormatError(
                     f"{path}:{lineno}: label {head!r} is not an integer") from None
+            if str(label) != head:
+                raise TraceFormatError(
+                    f"{path}:{lineno}: label {head!r} must be written as {label}")
             if not BACKGROUND <= label <= np.iinfo(np.int64).max:
                 raise TraceFormatError(f"{path}:{lineno}: label {label} out of range")
             vals = []

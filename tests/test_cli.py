@@ -4,6 +4,7 @@ Commands run in-process inside a scratch directory with relative paths, the
 same way the determinism guarantees are meant to be used.
 """
 
+import argparse
 import json
 import os
 import struct
@@ -15,8 +16,9 @@ import numpy as np
 import pytest
 
 import wfaug
-from wfaug.cli import main
-from wfaug.manifest import format_manifest, parse_manifest_text
+from wfaug import cli
+from wfaug.cli import build_parser, main
+from wfaug.manifest import KNOWN_KEYS, format_manifest, parse_manifest_text
 from wfaug.nn import Model, default_model_config, save_checkpoint
 from wfaug.tpe import TRIAL_LOG_HEADER
 from wfaug.traces import (BACKGROUND, Dataset, SplitSpec, load_dataset,
@@ -175,6 +177,32 @@ class TestTune:
         assert run("tune", "--manifest", "exp.cfg", "--mode", "independent",
                    "--budget", "1", "--out", "tuned") == 0
 
+    def test_flags_beat_tpe_keys(self, workdir, monkeypatch):
+        synth_here()
+        (workdir / "tpe.cfg").write_text(
+            "tpe.mode = independent\ntpe.budget_per_param = 4\n",
+            encoding="utf-8")
+        specs = []
+
+        def record_spec(train_set, val_set, model_cfg, train_cfg, spec, seed):
+            specs.append(spec)
+            return {}, []
+
+        monkeypatch.setattr(cli, "tune_augmentation", record_spec)
+        keys = ("tune", "--manifest", "exp.cfg", "--manifest", "tpe.cfg")
+        assert run(*keys, "--out", "from_keys") == 0
+        assert run(*keys, "--mode", "sequential", "--budget", "2",
+                   "--out", "from_flags") == 0
+        assert [(spec.mode, spec.budget_per_param) for spec in specs] == [
+            ("independent", 4), ("sequential", 2)]
+
+    def test_zero_budget_fails_before_work(self, workdir, capsys):
+        synth_here()
+        assert run("tune", "--manifest", "exp.cfg", "--budget", "0",
+                   "--out", "tuned") == 1
+        assert "budget_per_param must be >= 1" in capsys.readouterr().err
+        assert not (workdir / "tuned").exists()
+
     def test_missing_dataset_fails_before_work(self, workdir, capsys):
         assert run("tune", "--manifest", "exp.cfg", "--budget", "1",
                    "--out", "tuned") == 1
@@ -230,6 +258,35 @@ class TestTrainEvalReport:
     def test_report_missing_run_fails(self, workdir, capsys):
         assert run("report", "ghost", "--out", "summary") == 1
         assert "ghost" in capsys.readouterr().err
+
+    MALFORMED_EVAL_JSON = {
+        "empty_object": b"{}",
+        "list": b"[1]",
+        "null": b"null",
+        "not_utf8": b"\xff",
+        "truncated": b'{"seed": 0, "metrics": {',
+        "deep_nesting": b"[" * 100_000,
+        "no_metrics": b'{"seed": 0}',
+        "bool_seed": b'{"seed": true, "metrics": {}}',
+        "string_seed": b'{"seed": "0", "metrics": {}}',
+        "float_seed": b'{"seed": 0.0, "metrics": {}}',
+        "metrics_list": b'{"seed": 0, "metrics": [0.5]}',
+        "string_metric": b'{"seed": 0, "metrics": {"test_accuracy": "0.5"}}',
+        "bool_metric": b'{"seed": 0, "metrics": {"test_accuracy": true}}',
+        "nan_metric": b'{"seed": 0, "metrics": {"test_accuracy": NaN}}',
+        "inf_metric": b'{"seed": 0, "metrics": {"test_accuracy": 1e999}}',
+        "huge_int_metric": b'{"seed": 0, "metrics": {"n": 1' + b"0" * 400
+                           + b"}}",
+    }
+
+    @pytest.mark.parametrize("body", MALFORMED_EVAL_JSON.values(),
+                             ids=MALFORMED_EVAL_JSON.keys())
+    def test_report_malformed_eval_json_fails(self, workdir, capsys, body):
+        (workdir / "r").mkdir()
+        (workdir / "r" / "eval.json").write_bytes(body)
+        assert run("report", "r", "--out", "summary") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {os.path.join('r', 'eval.json')}: ")
 
     def test_open_world_eval(self, workdir):
         open_world_here(workdir)
@@ -419,6 +476,20 @@ class TestDeterminism:
 
 
 class TestManifestPrecedence:
+    def test_every_flag_stores_under_its_manifest_key(self):
+        parser = build_parser()
+        commands, = [action for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+        dests = {action.dest for p in (parser, *commands.choices.values())
+                 for action in p._actions}
+        assert dests - set(KNOWN_KEYS) == {
+            "help", "command", "manifest", "verbose", "checkpoint",
+            "open_world", "runs"}
+        assert dests & set(KNOWN_KEYS) == {
+            "run.seed", "out.dir", "data.classes", "data.per_class",
+            "data.trace_len", "data.noise", "tpe.mode",
+            "tpe.budget_per_param"}
+
     def test_later_manifest_overrides_earlier(self, workdir):
         synth_here()
         (workdir / "small.cfg").write_text("train.epochs = 2\n",

@@ -266,6 +266,20 @@ class TestTuneSpec:
         with pytest.raises(ValueError, match="proxy_epochs"):
             TuneSpec(proxy_epochs=0)
 
+    @pytest.mark.parametrize("kw,message", [
+        ({"budget_per_param": 0}, "budget_per_param must be >= 1"),
+        ({"budget_per_param": -2}, "budget_per_param must be >= 1"),
+        ({"gamma": 0.0}, r"gamma must be in \(0, 1\)"),
+        ({"gamma": 2.0}, r"gamma must be in \(0, 1\)"),
+        ({"gamma": float("nan")}, r"gamma must be in \(0, 1\)"),
+        ({"gamma": 2.0, "n_candidates": 0}, r"gamma must be in \(0, 1\)"),
+        ({"n_candidates": 0}, "n_candidates must be >= 1"),
+    ])
+    def test_search_settings_checked_at_construction(self, kw, message):
+        # the same check tpe_suggest makes, before any proxy training runs
+        with pytest.raises(ValueError, match=message):
+            TuneSpec(**kw)
+
 
 class TestFitSpaces:
     def test_m_len_grid_trimmed_below_trace_len(self):

@@ -1,18 +1,22 @@
-"""Property tests for the three parsers of outside input.
+"""Property tests for the parsers of outside input.
 
 Whatever bytes a trace file, a manifest or a checkpoint holds, its parser
 returns a value or raises its own documented error (TraceFormatError,
 ManifestError, CheckpointError), never anything else. The trace parser also
-reads every file the way a token-at-a-time reference does. Examples are
-derandomized so that every run tries the same inputs.
+reads every file the way a token-at-a-time reference does. Whatever the
+eval.json files hold, ``wfaug report`` exits 0, or 1 with an ``error:``
+line. Examples are derandomized so that every run tries the same inputs.
 """
 
+import contextlib
+import io
 import json
 import struct
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wfaug.cli import main
 from wfaug.manifest import KNOWN_KEYS, ManifestError, load_manifest_file
 from wfaug.nn import (CheckpointError, ConvBlock, Model, ModelConfig,
                       load_checkpoint, save_checkpoint)
@@ -39,6 +43,16 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.sampled_from(["fc", "seed", "pool", "x"]), inner,
                       max_size=3),
     max_leaves=8)
+# eval.json documents: near the written shape, any JSON, raw and deep bytes
+METRICS = st.dictionaries(
+    st.sampled_from(["test_accuracy", "val_accuracy", "n"]),
+    st.floats() | st.integers() | st.booleans() | st.text(max_size=2),
+    max_size=3)
+EVAL_DOCS = (st.fixed_dictionaries({"seed": st.integers() | JSON_VALUES,
+                                    "metrics": METRICS | JSON_VALUES})
+             | JSON_VALUES).map(lambda doc: json.dumps(doc).encode())
+EVAL_BYTES = (EVAL_DOCS | st.binary(max_size=100)
+              | st.integers(0, 5000).map(lambda n: b"[" * n + b"]" * n))
 # well-formed trace files: labels on both sides of MAX_LABEL, records
 # shorter and longer than the trace length they are read at
 TRACE_RECORDS = st.lists(st.tuples(
@@ -170,3 +184,18 @@ def test_mutated_header_gives_model_or_checkpoint_error(tmp_path_factory,
     except CheckpointError:
         return
     assert isinstance(model, Model)
+
+
+@FUZZ
+@given(bodies=st.lists(EVAL_BYTES, min_size=1, max_size=2))
+def test_report_exits_zero_or_with_an_error_line(tmp_path_factory, bodies):
+    root = tmp_path_factory.mktemp("report")
+    runs = []
+    for i, body in enumerate(bodies):
+        (root / f"run{i}").mkdir()
+        (root / f"run{i}" / "eval.json").write_bytes(body)
+        runs.append(str(root / f"run{i}"))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["report", *runs, "--out", str(root / "summary")])
+    assert code == 0 or (code == 1 and err.getvalue().startswith("error: "))

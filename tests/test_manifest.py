@@ -1,8 +1,11 @@
 """Manifest parsing, typed access and config-building tests."""
 
+from dataclasses import MISSING, fields
+
 import pytest
 
-from wfaug.augment import MASKING, MIXING, OPERATORS, ROTATION
+from wfaug.augment import MASKING, MIXING, OPERATORS, ROTATION, AugConfig
+from wfaug.evaluate import TuneSpec
 from wfaug.manifest import (KNOWN_KEYS, Manifest, ManifestError,
                             aug_config_from_manifest, format_manifest,
                             load_manifest_file, model_config_from_manifest,
@@ -10,7 +13,8 @@ from wfaug.manifest import (KNOWN_KEYS, Manifest, ManifestError,
                             split_spec_from_manifest,
                             train_config_from_manifest,
                             tune_spec_from_manifest)
-from wfaug.nn import default_model_config
+from wfaug.nn import TrainConfig, default_model_config
+from wfaug.traces import SplitSpec
 
 
 class TestParsing:
@@ -182,21 +186,44 @@ class TestConfigBuilders:
             10, "sgd-momentum", 0.8)
 
     def test_tune_spec_defaults_and_flag_precedence(self):
+        # flag precedence: test_cli.py TestTune::test_flags_beat_tpe_keys
         m = Manifest({"tpe.mode": "independent", "tpe.budget_per_param": "4",
                       "tpe.proxy_epochs": "2", "tpe.gamma": "0.5"})
         spec = tune_spec_from_manifest(m, OPERATORS)
         assert (spec.mode, spec.budget_per_param, spec.proxy_epochs,
                 spec.gamma) == ("independent", 4, 2, 0.5)
-        # explicit flags beat manifest keys
-        spec = tune_spec_from_manifest(m, OPERATORS, mode="sequential",
-                                       budget=9)
-        assert (spec.mode, spec.budget_per_param) == ("sequential", 9)
 
     def test_tune_spec_empty_manifest(self):
         spec = tune_spec_from_manifest(Manifest({}), OPERATORS)
         assert spec.mode == "sequential"
         assert spec.budget_per_param is None
         assert spec.proxy_epochs == 30
+
+    # a value other than the default for every field with a key of its own
+    @pytest.mark.parametrize("section,cls,build,values", [
+        ("split", SplitSpec, lambda m: split_spec_from_manifest(m, seed=0),
+         {"shots": 4, "val_per_class": 2, "test_per_class": 6}),
+        ("aug", AugConfig, lambda m: aug_config_from_manifest(m, 1000),
+         {"r_max": 7, "m_len": 9, "alpha": 0.7}),
+        ("tpe", TuneSpec, lambda m: tune_spec_from_manifest(m, OPERATORS),
+         {"mode": "independent", "budget_per_param": 4, "proxy_epochs": 2,
+          "gamma": 0.5, "n_startup": 3, "n_candidates": 7}),
+        ("train", TrainConfig, lambda m: train_config_from_manifest(m, 0),
+         {"epochs": 9, "batch_size": 5, "lr": 0.25,
+          "optimizer": "sgd-momentum", "momentum": 0.5}),
+    ], ids=["split", "aug", "tpe", "train"])
+    def test_every_field_round_trips_through_its_key(self, section, cls,
+                                                     build, values):
+        own_keys = {"seed", "order", "enabled"}
+        by_name = {f.name: f for f in fields(cls) if f.name not in own_keys}
+        assert set(values) == set(by_name)
+        for name, value in values.items():
+            assert by_name[name].default in (MISSING, None) or \
+                value != by_name[name].default
+        raw = {f"{section}.{name}": str(v) for name, v in values.items()}
+        raw.update({f"aug.enable.{op}": "true" for op in OPERATORS})
+        cfg = build(Manifest(parse_manifest_text(format_manifest(raw))))
+        assert {name: getattr(cfg, name) for name in values} == values
 
 
 class TestModelConfig:
@@ -232,6 +259,23 @@ class TestModelConfig:
         m = Manifest({"model.blocks": "8:1", "model.fc": "32,ten"})
         with pytest.raises(ManifestError, match="model.fc"):
             model_config_from_manifest(m, 64, 3)
+
+    def test_registry_keys_and_kinds(self):
+        assert KNOWN_KEYS == {
+            "run.seed": "int", "out.dir": "str", "data.path": "str",
+            "data.trace_len": "int", "data.classes": "int",
+            "data.per_class": "int", "data.noise": "float",
+            "split.shots": "int", "split.val_per_class": "int",
+            "split.test_per_class": "int", "aug.r_max": "int",
+            "aug.m_len": "int", "aug.alpha": "float", "aug.order": "str",
+            "aug.enable.rotation": "bool", "aug.enable.masking": "bool",
+            "aug.enable.mixing": "bool", "tpe.gamma": "float",
+            "tpe.n_startup": "int", "tpe.n_candidates": "int",
+            "tpe.budget_per_param": "int", "tpe.mode": "str",
+            "tpe.proxy_epochs": "int", "model.blocks": "str",
+            "model.kernel": "int", "model.fc": "str", "train.epochs": "int",
+            "train.batch_size": "int", "train.lr": "float",
+            "train.optimizer": "str", "train.momentum": "float"}
 
     def test_registry_covers_spec_pinned_keys(self):
         pinned = {"aug.r_max", "aug.m_len", "aug.alpha", "aug.order",

@@ -190,6 +190,14 @@ class TestSequential:
         assert [(t.value, t.objective) for t in log] == \
                [(t.value, t.objective) for t in single]
 
+    @pytest.mark.parametrize("optimize", [optimize_sequential,
+                                          optimize_independent])
+    def test_zero_budget_is_not_the_default_budget(self, optimize):
+        calls = []
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            optimize(["v"], {"v": TEN}, calls.append, 0, derive_rng(8))
+        assert calls == []
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_recovers_planted_optimum(self, seed):
         spaces = default_spaces()

@@ -51,6 +51,16 @@ class TestLoadDataset:
         ("9223372036854775808\t1", "out of range"),
         ("65536\t1", "out of range"),
         ("1000000000000\t1 -1", "out of range"),
+        # int() reads these, but save_dataset would write them otherwise
+        ("+3\t1", "label '+3' must be written as 3"),
+        (" 2\t1", "label ' 2' must be written as 2"),
+        ("2 \t1", "label '2 ' must be written as 2"),
+        ("1_0\t1", "label '1_0' must be written as 10"),
+        ("３\t1", "label '３' must be written as 3"),
+        ("007\t1", "label '007' must be written as 7"),
+        ("-0\t1", "label '-0' must be written as 0"),
+        ("-01\t1", "label '-01' must be written as -1"),
+        ("+65536\t1", "must be written as 65536"),
     ])
     def test_malformed_line_names_line_number(self, tmp_path, line, fragment):
         path = write(tmp_path, "0\t1 1\n" + line + "\n")
