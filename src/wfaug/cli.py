@@ -235,7 +235,7 @@ def _read_eval(path) -> tuple[int, dict]:
 
 
 def cmd_report(args, m: Manifest) -> int:
-    seeds, rows = [], []
+    seeds, rows, paths = [], [], []
     for run_dir in args.runs:
         path = os.path.join(run_dir, "eval.json")
         if not os.path.exists(path):
@@ -243,7 +243,8 @@ def cmd_report(args, m: Manifest) -> int:
         seed, metrics = _read_eval(path)
         seeds.append(seed)
         rows.append(metrics)
-    mean, std = aggregate_metrics(rows)
+        paths.append(path)
+    mean, std = aggregate_metrics(rows, paths)
     report = RunReport(seeds=tuple(seeds), per_seed=tuple(rows), mean=mean,
                        std=std, meta={"runs": [str(r) for r in args.runs]})
     out = _out_dir(m)

@@ -249,17 +249,32 @@ class RunReport:
     meta: dict
 
 
-def aggregate_metrics(rows) -> tuple[dict, dict]:
-    """Population mean and std per metric; a single row gives std 0."""
+def aggregate_metrics(rows, names=None) -> tuple[dict, dict]:
+    """Population mean and std per metric; a single row gives std 0.
+
+    ValueError when a row's keys differ from the first row's, naming the row
+    (by ``names``, else its index) and its missing and extra keys, or when a
+    mean or std is not finite, naming the metric.
+    """
     rows = list(rows)
     if not rows:
         raise ValueError("no metric rows to aggregate")
+    names = list(names) if names is not None else [
+        f"row {i}" for i in range(len(rows))]
     keys = sorted(rows[0])
-    for r in rows[1:]:
+    for name, r in zip(names[1:], rows[1:]):
         if sorted(r) != keys:
-            raise ValueError("metric rows disagree on keys")
-    mean = {k: float(np.mean([r[k] for r in rows])) for k in keys}
-    std = {k: float(np.std([r[k] for r in rows])) for k in keys}
+            raise ValueError(
+                f"{name}: metric keys disagree with {names[0]}: missing "
+                f"{sorted(set(keys) - set(r))}, extra "
+                f"{sorted(set(r) - set(keys))}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = {k: float(np.mean([r[k] for r in rows])) for k in keys}
+        std = {k: float(np.std([r[k] for r in rows])) for k in keys}
+    for k in keys:
+        if not (np.isfinite(mean[k]) and np.isfinite(std[k])):
+            raise ValueError(f"metric {k!r} has mean {mean[k]} and std "
+                             f"{std[k]}; both must be finite")
     return mean, std
 
 

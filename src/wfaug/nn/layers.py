@@ -3,10 +3,18 @@
 Every layer keeps its parameters in ``self.params`` and, after a backward
 pass, the matching gradients in ``self.grads``. ``forward(x, train=True)``
 caches whatever the backward pass needs, and ``backward`` drops that cache
-once it has used it, so no step's activations outlive the step. Convolutions
-are computed as one matmul per kernel tap over a strided slice of the padded
-input, which keeps both directions as plain BLAS calls with a fixed reduction
-order.
+once it has used it, so no step's activations outlive the step.
+
+Convolutions are computed one kernel tap at a time over a strided slice of
+the zero-padded input, so both directions stay plain BLAS calls with a fixed
+reduction order. Each tap's product goes into one buffer reused across taps
+and is added into the output. With a single input channel (the first layer)
+a tap is a broadcast multiply instead of a K=1 matmul: every output is then
+one product, rounded once either way. Each weight-gradient tap is one GEMM of
+the (out_ch, batch * length) rows of the output gradient, built once per
+call, with the tap's (batch * length, in_ch) rows. ``Model`` marks its first
+conv ``input_grad = False``: nothing uses the gradient of the network's
+input, so that layer does not compute it.
 """
 
 from __future__ import annotations
@@ -36,7 +44,13 @@ class Conv1D(Layer):
     Causal mode pads on the left only, so output position t never sees input
     positions beyond t. Plain mode pads symmetrically (same-size output for
     odd kernels at stride 1).
+
+    ``input_grad = False`` makes ``backward`` compute the parameter
+    gradients only and return None; a model's first layer has no use for
+    the gradient of its input.
     """
+
+    input_grad = True
 
     def __init__(self, name: str, in_ch: int, out_ch: int, kernel: int = 3,
                  dilation: int = 1, stride: int = 1, causal: bool = True,
@@ -72,11 +86,22 @@ class Conv1D(Layer):
         l_out = self.out_len(x.shape[2])
         if l_out < 1:
             raise ValueError(f"{self.name}: input shorter than kernel span")
-        xp = np.pad(x, ((0, 0), (0, 0), (self.pad_l, self.pad_r)))
+        batch, length = x.shape[0], x.shape[2]
+        xp = np.empty((batch, self.in_ch, self.pad_l + length + self.pad_r),
+                      x.dtype)
+        xp[:, :, :self.pad_l] = 0
+        xp[:, :, self.pad_l + length:] = 0
+        xp[:, :, self.pad_l:self.pad_l + length] = x
         w = self.params["w"]
-        y = np.zeros((x.shape[0], self.out_ch, l_out))
+        y = np.zeros((batch, self.out_ch, l_out))
+        prod = np.empty_like(y)
+        # with one input channel each tap output is a single product, which
+        # matmul and multiply round alike; a -0.0 product loses its sign on
+        # the add into y, which starts at +0.0
+        tap_product = np.multiply if self.in_ch == 1 else np.matmul
         for t in range(self.kernel):
-            y += np.matmul(w[:, :, t], xp[:, :, self._tap(t, l_out)])
+            y += tap_product(w[:, :, t], xp[:, :, self._tap(t, l_out)],
+                             out=prod)
         y += self.params["b"][None, :, None]
         if train:
             self._cache = (xp, l_out)
@@ -86,13 +111,24 @@ class Conv1D(Layer):
         (xp, l_out), self._cache = self._cache, None
         w = self.params["w"]
         dw = np.empty_like(w)
-        dxp = np.zeros_like(xp)
+        # the same reshapes a tensordot of dy and the tap over batch and
+        # length makes, so each dw tap is that GEMM call on those operands
+        # and keeps its bits; dy's operand is made once for all taps
+        rows = dy.shape[0] * l_out
+        dy_rows = dy.transpose(1, 0, 2).reshape(self.out_ch, rows)
         for t in range(self.kernel):
-            tap = self._tap(t, l_out)
-            dw[:, :, t] = np.tensordot(dy, xp[:, :, tap], axes=([0, 2], [0, 2]))
-            dxp[:, :, tap] += np.matmul(w[:, :, t].T, dy)
+            tap = xp[:, :, self._tap(t, l_out)]
+            dw[:, :, t] = np.dot(dy_rows, tap.transpose(0, 2, 1).reshape(
+                rows, self.in_ch))
         self.grads["w"] = dw
         self.grads["b"] = dy.sum(axis=(0, 2))
+        if not self.input_grad:
+            return None
+        dxp = np.zeros_like(xp)
+        prod = np.empty((dy.shape[0], self.in_ch, l_out))
+        for t in range(self.kernel):
+            dxp[:, :, self._tap(t, l_out)] += np.matmul(w[:, :, t].T, dy,
+                                                        out=prod)
         return dxp[:, :, self.pad_l: xp.shape[2] - self.pad_r]
 
 

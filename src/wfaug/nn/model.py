@@ -151,6 +151,7 @@ class Model:
             if blk.pool == "max2":
                 self.layers.append(MaxPool2())
             in_ch = blk.out_channels
+        self.layers[0].input_grad = False
         self._gap_index = len(self.layers)
         self.layers.append(GlobalAvgPool())
         width = in_ch

@@ -2,7 +2,10 @@
 
 These deliberately avoid the index-arithmetic code paths of the package:
 rotation and masking are realized as explicit matrix products over small
-traces, so kernel implementations can be checked exactly.
+traces, so kernel implementations can be checked exactly. The per-tap
+convolution is the one ``Conv1D`` used before its fast path (``np.pad``, one
+matmul per tap, ``tensordot`` weight gradients): the layer must write the
+same bytes.
 """
 
 from __future__ import annotations
@@ -89,6 +92,40 @@ def conv1d_backward_loops(x, w, dy, dilation=1, stride=1, pad_l=0, pad_r=0):
                         dxp[n, i, src] += dy[n, o, p] * w[o, i, t]
     dx = dxp[:, :, pad_l: xp.shape[2] - pad_r if pad_r else None]
     return dw, dy.sum(axis=(0, 2)), dx
+
+
+def _tap(t, dilation, stride, l_out):
+    start = t * dilation
+    return slice(start, start + stride * (l_out - 1) + 1, stride)
+
+
+def conv1d_forward_per_tap(x, w, b, dilation=1, stride=1, pad_l=0, pad_r=0):
+    """Per-tap convolution as ``Conv1D`` computed it before its fast path:
+    ``np.pad``, then ``y = zeros; y += w[:, :, t] @ tap`` for every tap t.
+    Returns (y, xp), the output and the padded input."""
+    xp = np.pad(x, ((0, 0), (0, 0), (pad_l, pad_r)))
+    out_ch, _, kernel = w.shape
+    l_out = (xp.shape[2] - (kernel - 1) * dilation - 1) // stride + 1
+    y = np.zeros((x.shape[0], out_ch, l_out))
+    for t in range(kernel):
+        y += np.matmul(w[:, :, t], xp[:, :, _tap(t, dilation, stride, l_out)])
+    y += b[None, :, None]
+    return y, xp
+
+
+def conv1d_backward_per_tap(xp, w, dy, dilation=1, stride=1, pad_l=0,
+                            pad_r=0):
+    """Per-tap gradients of ``conv1d_forward_per_tap`` from its padded input:
+    ``tensordot`` over batch and length for each dw tap, a ``w.T @ dy``
+    matmul added into a zeroed padded input gradient. Returns (dw, db, dx)."""
+    l_out = dy.shape[2]
+    dw = np.empty_like(w)
+    dxp = np.zeros_like(xp)
+    for t in range(w.shape[2]):
+        tap = _tap(t, dilation, stride, l_out)
+        dw[:, :, t] = np.tensordot(dy, xp[:, :, tap], axes=([0, 2], [0, 2]))
+        dxp[:, :, tap] += np.matmul(w[:, :, t].T, dy)
+    return dw, dy.sum(axis=(0, 2)), dxp[:, :, pad_l: xp.shape[2] - pad_r]
 
 
 def maxpool2_forward_argmax(x):

@@ -288,6 +288,26 @@ class TestTrainEvalReport:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {os.path.join('r', 'eval.json')}: ")
 
+    def write_runs(self, workdir, **runs):
+        for name, metrics in runs.items():
+            (workdir / name).mkdir()
+            (workdir / name / "eval.json").write_text(
+                json.dumps({"seed": 0, "metrics": metrics}))
+
+    def test_report_overflowing_metrics_fail(self, workdir, capsys):
+        self.write_runs(workdir, a={"x": 1e308}, b={"x": 1e308})
+        assert run("report", "a", "b", "--out", "summary") == 1
+        assert capsys.readouterr().err.startswith("error: metric 'x' ")
+        assert not (workdir / "summary" / "report.json").exists()
+
+    def test_report_key_mismatch_names_file_and_keys(self, workdir, capsys):
+        self.write_runs(workdir, a={"x": 1.0}, c={"y": 1.0})
+        assert run("report", "a", "c", "--out", "summary") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {os.path.join('c', 'eval.json')}: ")
+        assert "missing ['x'], extra ['y']" in err
+        assert not (workdir / "summary" / "report.json").exists()
+
     def test_open_world_eval(self, workdir):
         open_world_here(workdir)
         assert run("train", "--manifest", "exp.cfg", "--seed", "0",

@@ -378,6 +378,21 @@ class TestAggregate:
     def test_key_mismatch_rejected(self):
         with pytest.raises(ValueError, match="keys"):
             aggregate_metrics([{"a": 1.0}, {"b": 1.0}])
+        # the message names the row and its missing and extra keys
+        rows = [{"a": 1.0, "b": 1.0}, {"a": 1.0, "b": 1.0}, {"b": 1.0, "c": 2}]
+        with pytest.raises(ValueError, match=r"^row 2: .* row 0: missing "
+                                             r"\['a'\], extra \['c'\]$"):
+            aggregate_metrics(rows)
+        with pytest.raises(ValueError, match=r"^third: .* first: missing"):
+            aggregate_metrics(rows, ["first", "second", "third"])
+
+    @pytest.mark.filterwarnings("error")  # no numpy overflow warning either
+    @pytest.mark.parametrize("values", [[1e308, 1e308], [1e200, -1e200],
+                                        [-1e308, -1e308, 1.0]])
+    def test_non_finite_mean_or_std_rejected(self, values):
+        rows = [{"fine": 0.5, "x": v} for v in values]
+        with pytest.raises(ValueError, match="metric 'x'"):
+            aggregate_metrics(rows)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="rows"):

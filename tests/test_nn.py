@@ -8,7 +8,11 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from oracles import (conv1d_backward_loops, conv1d_forward_loops,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (conv1d_backward_loops, conv1d_backward_per_tap,
+                     conv1d_forward_loops, conv1d_forward_per_tap,
                      maxpool2_backward_argmax, maxpool2_forward_argmax)
 from wfaug.nn import (
     CheckpointError,
@@ -64,6 +68,30 @@ def lattice_model(cfg, seed=0):
     return m
 
 
+def assert_conv_matches_per_tap(conv, draw, batch, length, rng):
+    """Forward and backward of ``conv`` write the per-tap oracle's bytes.
+
+    ``draw(shape)`` gives the input and the output gradient; the bias is
+    redrawn from normal values, so it is not all zero.
+    """
+    conv.params["b"][...] = rng.normal(size=conv.out_ch)
+    x = draw((batch, conv.in_ch, length))
+    y = conv.forward(x, train=True)
+    dy = draw(y.shape)
+    dx = conv.backward(dy)
+    w, b = conv.params["w"], conv.params["b"]
+    args = (conv.dilation, conv.stride, conv.pad_l, conv.pad_r)
+    y_want, xp = conv1d_forward_per_tap(x, w, b, *args)
+    dw, db, dx_want = conv1d_backward_per_tap(xp, w, dy, *args)
+    for got, want in ((y, y_want), (conv.grads["w"], dw),
+                      (conv.grads["b"], db), (dx, dx_want)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# signed zeros next to +-1 reach the sign of every zero product
+CONV_LATTICE = (-1.0, -0.0, 0.0, 1.0)
+
+
 def fd_worst_rel_err(model, x, targets, n_coords, eps, probe_seed):
     probs, _ = model.forward(x, train=True)
     model.backward(probs, targets)
@@ -110,6 +138,47 @@ class TestConvLayer:
         assert np.allclose(conv.grads["w"], dw, atol=1e-12)
         assert np.allclose(conv.grads["b"], db, atol=1e-12)
         assert np.allclose(dx, dx_want, atol=1e-12)
+
+    @pytest.mark.parametrize("causal", [True, False])
+    @pytest.mark.parametrize("dilation", [1, 2, 8])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("in_ch", [1, 3])
+    def test_same_bytes_as_per_tap_oracle(self, in_ch, kernel, stride,
+                                          dilation, causal):
+        # kernel 1 pads neither side and causal pads no right side
+        rng = np.random.default_rng(kernel * 100 + dilation * 10 + stride)
+        conv = Conv1D("c", in_ch, 5, kernel=kernel, dilation=dilation,
+                      stride=stride, causal=causal, rng=rng)
+        assert (conv.params["w"] < 0).any()
+        for batch in (1, 7, 16):
+            assert_conv_matches_per_tap(
+                conv, lambda shape: rng.choice(CONV_LATTICE, size=shape),
+                batch, 37, rng)
+            assert_conv_matches_per_tap(
+                conv, lambda shape: rng.normal(size=shape), batch, 37, rng)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(in_ch=st.integers(1, 3), out_ch=st.integers(1, 6),
+           kernel=st.integers(1, 5), stride=st.integers(1, 3),
+           dilation=st.integers(1, 8), causal=st.booleans(),
+           batch=st.integers(1, 16), length=st.integers(1, 40),
+           lattice=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_fuzz_same_bytes_as_per_tap_oracle(self, in_ch, out_ch, kernel,
+                                               stride, dilation, causal,
+                                               batch, length, lattice, seed):
+        rng = np.random.default_rng(seed)
+        conv = Conv1D("c", in_ch, out_ch, kernel=kernel, dilation=dilation,
+                      stride=stride, causal=causal, rng=rng)
+        if lattice:
+            def draw(shape):
+                return rng.choice(CONV_LATTICE, size=shape)
+        else:
+            def draw(shape):
+                return rng.normal(size=shape)
+        # the padding is one short of the kernel span, so every length
+        # gives at least one output position
+        assert_conv_matches_per_tap(conv, draw, batch, length, rng)
 
     def test_causal_outputs_ignore_future_inputs(self):
         rng = np.random.default_rng(2)
@@ -400,6 +469,37 @@ class TestBackward:
             assert np.allclose(g_dup[name], g_a[name], atol=1e-12)
             assert np.allclose(g_ab[name], (g_a[name] + g_b[name]) / 2, atol=1e-12)
 
+    def test_first_conv_skips_its_input_gradient(self, monkeypatch):
+        train_set, _, _ = tiny_task()
+        x = train_set.traces.astype(np.float64)
+        targets = np.eye(3)[train_set.labels]
+        built = []
+        zeros_like = np.zeros_like
+
+        def recording(a, *args, **kwargs):
+            built.append(a.shape)
+            return zeros_like(a, *args, **kwargs)
+
+        def grads(model):
+            probs, _ = model.forward(x, train=True)
+            model.backward(probs, targets)
+            return [(name, g.tobytes())
+                    for name, _, g in model.param_grad_items()]
+
+        monkeypatch.setattr(np, "zeros_like", recording)
+        model = Model(TINY, seed=0)
+        first, second = model.layers[0], model.layers[3]
+        assert not first.input_grad and second.input_grad
+        fast = grads(model)
+        # padded inputs: conv0 (B, 1, 64 + 2), conv1 (B, 8, 32 + 4)
+        assert (len(x), 1, 66) not in built and (len(x), 8, 36) in built
+        reference = Model(TINY, seed=0)
+        reference.layers[0].input_grad = True
+        assert grads(reference) == fast
+        assert (len(x), 1, 66) in built
+        model.forward(x, train=True)
+        assert first.backward(np.ones((len(x), 8, 64))) is None
+
     def test_non_finite_gradient_names_layer(self):
         model = Model(TINY, seed=0)
         model.layers[-1].params["w"][...] = np.inf
@@ -563,6 +663,39 @@ class TestTraining:
         assert lines[0] == "epoch,train_loss,val_acc"
         assert lines[1] == "0,1.5,0.25"
         assert lines[2] == "1,0.75,0.5"
+
+
+class TestSameBitsAsPerTapConv:
+    """Training through ``Conv1D`` gives the bytes the per-tap reference
+    convolution (the ``per_tap_conv`` fixture) gives on the same machine."""
+
+    def trained_bytes(self, tmp_path, model_cfg, train_cfg, data, aug):
+        train_set, val_set, _ = make_splits(data, SplitSpec(5, 3, 0, seed=0))
+        model, history = train(model_cfg, train_cfg, train_set, val_set, aug)
+        path = tmp_path / "history.csv"
+        write_history(path, history)
+        return ([(name, p.tobytes()) for name, p in model.param_items()],
+                path.read_bytes())
+
+    def run_both(self, request, tmp_path, *args):
+        fast = self.trained_bytes(tmp_path, *args)
+        request.getfixturevalue("per_tap_conv")
+        reference = self.trained_bytes(tmp_path, *args)
+        assert fast == reference
+
+    def test_bench_model_shape_with_hda(self, request, tmp_path):
+        cfg = ModelConfig(1000, 6, tuple(
+            ConvBlock(ch, stride=2) for ch in (8, 12, 16, 24, 32, 32, 32)),
+            fc=(6,))
+        self.run_both(request, tmp_path, cfg,
+                      TrainConfig(epochs=2, batch_size=16, lr=2e-3, seed=3),
+                      synth_dataset(6, 8, 1000, 0.05, seed=4),
+                      AugConfig(r_max=20, m_len=36, alpha=0.1))
+
+    def test_stock_model(self, request, tmp_path):
+        self.run_both(request, tmp_path, default_model_config(128, 4),
+                      TrainConfig(epochs=1, batch_size=16, seed=5),
+                      synth_dataset(4, 8, 128, 0.05, seed=6), None)
 
 
 class TestCheckpoint:
