@@ -27,7 +27,7 @@ from .nn import (Adam, CheckpointError, Conv1D, ConvBlock, Dense,
                  cross_entropy, dataset_accuracy, decide,
                  default_model_config, load_checkpoint, make_optimizer,
                  predict, save_checkpoint, softmax, train, write_history)
-from .seeding import derive_rng, spawn_seeds
+from .seeding import derive_rng
 from .tpe import (ObjectiveError, SearchSpace, StageTrial, TpeTrial,
                   default_budget, default_spaces, optimize_independent,
                   optimize_one, optimize_sequential, tpe_suggest,

@@ -4,17 +4,19 @@ Three operators: random rotation (circular shift), random masking (zero out a
 contiguous window) and random mixing (convex combination of two samples and
 their labels, mixup-style). Rotation and masking keep the label; mixing
 interpolates it. Each operator is one batched kernel (rotate_batch,
-mask_batch, mix_batch): rotate, mask and mix run it on one sample, hda_batch
-on a minibatch, in a configurable order with fresh per-sample randomness.
+mask_batch, mix_batch) with one batch sampler of its random parameters
+(sample_rotation, sample_mask, sample_lambda). rotate, mask and mix run a
+kernel on one sample with given parameters; hda_batch augments a minibatch,
+drawing every trace's parameters from the one generator it is given and
+applying the enabled operators in a configurable order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .seeding import spawn_seeds
 
 ROTATION = "rotation"
 MASKING = "masking"
@@ -44,8 +46,7 @@ class AugConfig:
             raise ValueError(f"enabled flags missing for {sorted(missing)}")
         if self.r_max < 0 or self.m_len < 0:
             raise ValueError("r_max and m_len must be >= 0")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
+        _check_alpha(self.alpha)
         if self.enabled[ROTATION] and self.r_max < 1:
             raise ValueError("rotation enabled but r_max < 1")
 
@@ -75,6 +76,11 @@ class AugConfig:
                    enabled={ROTATION: "r_max" in params,
                             MASKING: "m_len" in params,
                             MIXING: "alpha" in params})
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -162,64 +168,56 @@ def mix(xi: np.ndarray, yi: np.ndarray, xj: np.ndarray, yj: np.ndarray,
     return x[0], y[0]
 
 
-def sample_rotation(r_max: int, rng: np.random.Generator) -> RotationParams:
-    """n_step uniform on {1..r_max}, direction uniform on {forward, backward}."""
+def sample_rotation(r_max: int, rng: np.random.Generator,
+                    size: int) -> np.ndarray:
+    """``size`` signed shifts: steps uniform on {1..r_max}, then directions
+    uniform on {forward (+), backward (-)}, signed as RotationParams.shift."""
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    n_step = int(rng.integers(1, r_max + 1))
-    direction = FORWARD if rng.integers(0, 2) == 0 else BACKWARD
-    return RotationParams(n_step, direction)
+    n_step = rng.integers(1, r_max + 1, size)
+    return np.where(rng.integers(0, 2, size) == 0, n_step, -n_step)
 
 
-def sample_mask(m_len: int, trace_len: int, rng: np.random.Generator) -> MaskParams:
-    """Start position uniform on {0..L - m_len}."""
-    if m_len >= trace_len:
-        raise ValueError("m_len must be < trace length")
-    return MaskParams(int(rng.integers(0, trace_len - m_len + 1)), m_len)
+def sample_mask(m_len: int, trace_len: int, rng: np.random.Generator,
+                size: int) -> np.ndarray:
+    """``size`` window starts, uniform on {0..trace_len - m_len}."""
+    if not 0 <= m_len < trace_len:
+        raise ValueError("m_len must be >= 0 and < trace length")
+    return rng.integers(0, trace_len - m_len + 1, size)
 
 
-def sample_lambda(alpha: float, rng: np.random.Generator) -> MixParams:
-    """Mixing weight from Beta(alpha, alpha)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    return MixParams(float(rng.beta(alpha, alpha)))
+def sample_lambda(alpha: float, rng: np.random.Generator,
+                  size: int) -> np.ndarray:
+    """``size`` mixing weights from Beta(alpha, alpha)."""
+    _check_alpha(alpha)
+    return rng.beta(alpha, alpha, size)
 
 
 def hda_batch(traces: np.ndarray, labels: np.ndarray, cfg: AugConfig,
               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Augment one minibatch, applying the enabled operators in ``cfg.order``.
 
-    ``traces`` is (B, L), ``labels`` is (B, K) soft labels. Mixing pairs each
-    sample with a partner drawn uniformly from the same batch (possibly
-    itself). Each sample's random draws come from its own sub-stream derived
-    from ``rng``, so the per-sample work is order-independent.
+    ``traces`` is (B, L), ``labels`` is (B, K) soft labels. Each operator
+    draws its B parameters from ``rng`` just before it is applied: rotation
+    its steps then directions, masking its starts, mixing its weights then
+    each sample's partner, uniform over the same batch (possibly itself).
     """
     if len(traces) == 0:
         raise ValueError("batch must be non-empty")
     if len(traces) != len(labels):
         raise ValueError("one label row per trace required")
-    if not cfg.any_enabled():
-        return traces, labels
 
     batch, trace_len = traces.shape
-    streams = [np.random.Generator(np.random.PCG64(s))
-               for s in spawn_seeds(rng, batch)]
-    if cfg.enabled[ROTATION]:
-        shifts = [sample_rotation(cfg.r_max, g).shift for g in streams]
-    if cfg.enabled[MASKING]:
-        starts = [sample_mask(cfg.m_len, trace_len, g).start for g in streams]
-    if cfg.enabled[MIXING]:
-        lams = [sample_lambda(cfg.alpha, g).lam for g in streams]
-        partners = [int(g.integers(0, batch)) for g in streams]
-
     x, y = traces, labels
     for op in cfg.order:
         if not cfg.enabled[op]:
             continue
         if op == ROTATION:
-            x = rotate_batch(x, shifts)
+            x = rotate_batch(x, sample_rotation(cfg.r_max, rng, batch))
         elif op == MASKING:
+            starts = sample_mask(cfg.m_len, trace_len, rng, batch)
             x = mask_batch(x, starts, cfg.m_len)
         else:
-            x, y = mix_batch(x, y, partners, lams)
+            lams = sample_lambda(cfg.alpha, rng, batch)
+            x, y = mix_batch(x, y, rng.integers(0, batch, batch), lams)
     return x, y

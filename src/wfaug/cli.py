@@ -185,6 +185,9 @@ def cmd_train(args, m: Manifest) -> int:
 def cmd_eval(args, m: Manifest) -> int:
     seed = _root_seed(m)
     dataset, (_, val_set, test_set) = _load_splits(m, seed)
+    if len(test_set) == 0:
+        raise ManifestError("split.test_per_class = 0 leaves no test traces "
+                            "to evaluate")
     model = load_checkpoint(args.checkpoint)
     if model.cfg.num_classes != dataset.output_width:
         raise ManifestError(

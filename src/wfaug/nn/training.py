@@ -35,8 +35,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not math.isfinite(self.momentum):
+            raise ValueError(f"momentum must be finite, got {self.momentum}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
 
@@ -57,9 +59,9 @@ class TrainingDiverged(RuntimeError):
         self.history = list(history)
 
 
-def dataset_accuracy(model: Model, ds: Dataset, batch_size: int = 256) -> float:
+def dataset_accuracy(model: Model, ds: Dataset) -> float:
     """Plain argmax accuracy; background counts as the extra last class."""
-    pred, _ = predict(model, ds.traces, batch_size=batch_size)
+    pred, _ = predict(model, ds.traces)
     return float(np.mean(pred == class_indices(ds.labels, ds.num_classes)))
 
 

@@ -30,8 +30,3 @@ def derive_rng(root_seed: int, *path) -> np.random.Generator:
     """
     words = [int(root_seed) & 0xFFFFFFFFFFFFFFFF] + [_as_word(p) for p in path]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
-
-
-def spawn_seeds(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw ``n`` child seeds usable as independent per-item sub-streams."""
-    return rng.integers(0, 2**63, size=n, dtype=np.int64)

@@ -69,27 +69,27 @@ def test_criterion_1_kernels_match_matrix_oracles():
 
 
 def test_criterion_2_sampler_distributions():
-    with criterion(2, "sampler chi-square uniformity p>0.01 (1e5 draws) and "
-                      "Beta(a,a) moments", 30.0):
+    with criterion(2, "sampler chi-square uniformity p>0.01 (1e5 draws), "
+                      "balanced rotation signs and Beta(a,a) moments", 30.0):
         draws = 100_000
         r_max = 20
         rng = derive_rng(0, "acceptance", "rotation")
-        steps = np.fromiter((sample_rotation(r_max, rng).n_step
-                             for _ in range(draws)), dtype=np.int64)
-        counts = np.bincount(steps, minlength=r_max + 1)[1:]
+        shifts = sample_rotation(r_max, rng, draws)
+        counts = np.bincount(np.abs(shifts), minlength=r_max + 1)[1:]
         assert stats.chisquare(counts).pvalue > 0.01
+        signs = [np.sum(shifts > 0), np.sum(shifts < 0)]
+        assert sum(signs) == draws
+        assert stats.chisquare(signs).pvalue > 0.01
 
         trace_len, m_len = 100, 10
         rng = derive_rng(0, "acceptance", "mask")
-        starts = np.fromiter((sample_mask(m_len, trace_len, rng).start
-                              for _ in range(draws)), dtype=np.int64)
+        starts = sample_mask(m_len, trace_len, rng, draws)
         counts = np.bincount(starts, minlength=trace_len - m_len + 1)
         assert stats.chisquare(counts).pvalue > 0.01
 
         alpha = 0.1
         rng = derive_rng(0, "acceptance", "lambda")
-        lam = np.fromiter((sample_lambda(alpha, rng).lam
-                           for _ in range(draws)), dtype=np.float64)
+        lam = sample_lambda(alpha, rng, draws)
         assert abs(lam.mean() - 0.5) <= 0.01
         tail_mass = np.mean((lam <= 0.1) | (lam >= 0.9))
         central_mass = np.mean((lam >= 0.45) & (lam <= 0.55))

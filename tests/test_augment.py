@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,37 +205,41 @@ class TestBatchKernels:
 class TestSamplers:
     def test_rotation_covers_grid_and_directions(self):
         rng = derive_rng(0, "samplers")
-        draws = [sample_rotation(5, rng) for _ in range(2000)]
-        steps = np.array([p.n_step for p in draws])
+        shifts = sample_rotation(5, rng, 2000)
+        assert shifts.shape == (2000,)
+        steps = np.abs(shifts)
         assert set(steps.tolist()) == {1, 2, 3, 4, 5}
         counts = np.bincount(steps, minlength=6)[1:]
         assert counts.min() > 300  # expected 400 each
-        dirs = {p.direction for p in draws}
-        assert dirs == {FORWARD, BACKWARD}
+        assert set(np.sign(shifts).tolist()) == {-1, 1}
 
     def test_rotation_rejects_zero_bound(self):
         with pytest.raises(ValueError):
-            sample_rotation(0, np.random.default_rng(0))
+            sample_rotation(0, np.random.default_rng(0), 1)
 
     def test_mask_start_covers_valid_range(self):
         rng = derive_rng(0, "samplers", "mask")
-        starts = {sample_mask(7, 10, rng).start for _ in range(2000)}
-        assert starts == {0, 1, 2, 3}
+        starts = sample_mask(7, 10, rng, 2000)
+        assert starts.shape == (2000,)
+        assert set(starts.tolist()) == {0, 1, 2, 3}
 
     def test_mask_length_must_leave_room(self):
-        with pytest.raises(ValueError):
-            sample_mask(10, 10, np.random.default_rng(0))
+        for m_len in (10, 11, -1):
+            with pytest.raises(ValueError):
+                sample_mask(m_len, 10, np.random.default_rng(0), 1)
 
     def test_lambda_range_and_shape(self):
         rng = derive_rng(0, "samplers", "lam")
-        lams = np.array([sample_lambda(0.1, rng).lam for _ in range(2000)])
+        lams = sample_lambda(0.1, rng, 2000)
+        assert lams.shape == (2000,)
         assert np.all((lams >= 0) & (lams <= 1))
         # Beta(0.1, 0.1) is strongly bimodal at the endpoints
         assert np.mean((lams < 0.1) | (lams > 0.9)) > 0.7
 
     def test_lambda_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            sample_lambda(0.0, np.random.default_rng(0))
+        for alpha in (0.0, -0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+                sample_lambda(alpha, np.random.default_rng(0), 1)
 
 
 class TestAugConfig:
@@ -254,8 +260,9 @@ class TestAugConfig:
             AugConfig(enabled={ROTATION: True})
 
     def test_alpha_must_be_positive(self):
-        with pytest.raises(ValueError):
-            AugConfig(alpha=0.0)
+        for alpha in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+                AugConfig(alpha=alpha)
 
     def test_enabled_rotation_needs_positive_bound(self):
         with pytest.raises(ValueError):
@@ -315,7 +322,8 @@ class TestHdaBatch:
         assert not np.array_equal(x1, x2)
 
     def test_operator_order_changes_output(self):
-        # same parameter draws either way, so any difference is composition
+        # each operator draws just before it applies, so the order moves the
+        # draws as well as the composition
         traces, labels = batch_fixture(batch=16)
         cfg_rm = self.cfg(order=(ROTATION, MASKING, MIXING),
                           enabled={MIXING: False})
@@ -350,6 +358,42 @@ class TestHdaBatch:
             j = int(np.argmax(np.where(np.arange(num_classes) == i, -1, y[i])))
             lam = 1.0 - y[i, j]
             assert np.isclose(v, lam * i + (1 - lam) * j)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(OPERATORS)))
+    @pytest.mark.parametrize("ops", [
+        ops for k in (1, 2, 3) for ops in itertools.combinations(OPERATORS, k)])
+    def test_draws_batch_samplers_in_order_from_one_generator(
+            self, order, ops, monkeypatch):
+        batch, trace_len = 16, 64
+        traces, labels = batch_fixture(batch=batch, trace_len=trace_len)
+        cfg = self.cfg(order=order, enabled={op: op in ops for op in OPERATORS})
+        rng, replay = derive_rng(11, "draws"), derive_rng(11, "draws")
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("hda_batch built a generator of its own")
+
+        for name in ("PCG64", "Generator", "default_rng"):
+            monkeypatch.setattr(np.random, name, no_generator)
+        x, y = hda_batch(traces, labels, cfg, rng)
+
+        want_x, want_y = traces, labels
+        for op in order:
+            if op not in ops:
+                continue
+            if op == ROTATION:
+                shifts = sample_rotation(cfg.r_max, replay, batch)
+                want_x = rotate_batch(want_x, shifts)
+            elif op == MASKING:
+                starts = sample_mask(cfg.m_len, trace_len, replay, batch)
+                want_x = mask_batch(want_x, starts, cfg.m_len)
+            else:
+                lams = sample_lambda(cfg.alpha, replay, batch)
+                partners = replay.integers(0, batch, batch)
+                want_x, want_y = mix_batch(want_x, want_y, partners, lams)
+        assert x.dtype == want_x.dtype and x.tobytes() == want_x.tobytes()
+        assert y.dtype == want_y.dtype and y.tobytes() == want_y.tobytes()
+        # nothing drawn beyond the documented draws
+        assert rng.bit_generator.state == replay.bit_generator.state
 
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):

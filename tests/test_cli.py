@@ -364,6 +364,40 @@ class TestTrainEvalReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("lines,field", [
+        pytest.param("train.lr = nan", "lr", id="lr-nan"),
+        pytest.param("train.lr = inf", "lr", id="lr-inf"),
+        pytest.param("train.momentum = nan\ntrain.optimizer = sgd-momentum",
+                     "momentum", id="momentum-nan"),
+        pytest.param("aug.alpha = nan\naug.enable.mixing = true", "alpha",
+                     id="alpha-nan"),
+        pytest.param("aug.alpha = inf\naug.enable.mixing = true", "alpha",
+                     id="alpha-inf"),
+    ])
+    def test_non_finite_hyperparameter_fails_before_training(
+            self, workdir, capsys, lines, field):
+        synth_here()
+        (workdir / "bad.cfg").write_text(lines + "\n", encoding="utf-8")
+        assert run("train", "--manifest", "exp.cfg", "--manifest", "bad.cfg",
+                   "--seed", "0", "--out", "bad") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be finite")
+        assert not (workdir / "bad").exists()
+
+    def test_eval_on_empty_test_split_fails(self, workdir, capsys):
+        synth_here()
+        (workdir / "no_test.cfg").write_text("split.test_per_class = 0\n",
+                                             encoding="utf-8")
+        argv = ["--manifest", "exp.cfg", "--manifest", "no_test.cfg",
+                "--seed", "0"]
+        assert run("train", *argv, "--out", "run0") == 0
+        for world in ((), ("--open-world",)):
+            assert run("eval", *argv, *world, "--checkpoint",
+                       "run0/model.ckpt", "--out", "bad") == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: split.test_per_class = 0 ")
+        assert not (workdir / "bad").exists()
+
     def test_checkpoint_header_without_fc_is_an_error(self, workdir, capsys):
         synth_here()
         self.pipeline(0)

@@ -572,7 +572,11 @@ class TestTrainConfig:
         assert cfg.epochs == 150 and cfg.optimizer == "adam" and cfg.lr == 1e-3
 
     @pytest.mark.parametrize("kw", [dict(epochs=0), dict(batch_size=0),
-                                    dict(lr=0.0), dict(optimizer="newton")])
+                                    dict(lr=0.0), dict(optimizer="newton"),
+                                    dict(lr=float("nan")), dict(lr=float("inf")),
+                                    dict(momentum=float("nan"),
+                                         optimizer="sgd-momentum"),
+                                    dict(momentum=float("inf"))])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             TrainConfig(**kw)
