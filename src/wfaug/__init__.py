@@ -9,10 +9,8 @@ command line (manifest, cli).
 
 import types
 
-from .augment import (AugConfig, BACKWARD, FORWARD, MASKING, MIXING,
-                      MaskParams, MixParams, OPERATORS, ROTATION,
-                      RotationParams, hda_batch, mask, mix, rotate,
-                      sample_lambda, sample_mask, sample_rotation)
+from .augment import (AugConfig, MASKING, MIXING, OPERATORS, ROTATION,
+                      hda_batch, sample_lambda, sample_mask, sample_rotation)
 from .evaluate import (ConfusionSummary, ExperimentConfig, OperatingPoint,
                        RunReport, THRESHOLD_GRID, TuneSpec, aggregate_metrics,
                        closed_accuracy, config_digest,

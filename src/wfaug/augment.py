@@ -5,16 +5,16 @@ contiguous window) and random mixing (convex combination of two samples and
 their labels, mixup-style). Rotation and masking keep the label; mixing
 interpolates it. Each operator is one batched kernel (rotate_batch,
 mask_batch, mix_batch) with one batch sampler of its random parameters
-(sample_rotation, sample_mask, sample_lambda). rotate, mask and mix run a
-kernel on one sample with given parameters; hda_batch augments a minibatch,
-drawing every trace's parameters from the one generator it is given and
-applying the enabled operators in a configurable order.
+(sample_rotation, sample_mask, sample_lambda) and one hyperparameter in
+AugConfig; an operator runs when its hyperparameter is set. hda_batch
+augments a minibatch, drawing every trace's parameters from the one
+generator it is given and applying the operators in a configurable order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,100 +23,51 @@ MASKING = "masking"
 MIXING = "mixing"
 OPERATORS = (ROTATION, MASKING, MIXING)
 
-FORWARD = "forward"
-BACKWARD = "backward"
+# each operator's one hyperparameter, the AugConfig field that switches it on
+OPERATOR_PARAMS = {ROTATION: "r_max", MASKING: "m_len", MIXING: "alpha"}
 
 
 @dataclass
 class AugConfig:
-    """Augmentation hyperparameters and the operator application order."""
+    """Augmentation hyperparameters and the operator application order; an
+    operator whose hyperparameter is None is off."""
 
-    r_max: int = 20           # rotation step bound
-    m_len: int = 180          # masked subsequence length
-    alpha: float = 0.1        # Beta(alpha, alpha) mixing concentration
+    r_max: int | None = 20       # rotation step bound
+    m_len: int | None = 180      # masked subsequence length
+    alpha: float | None = 0.1    # Beta(alpha, alpha) mixing concentration
     order: tuple = OPERATORS
-    enabled: dict = field(default_factory=lambda: {op: True for op in OPERATORS})
 
     def __post_init__(self):
         self.order = tuple(self.order)
         if sorted(self.order) != sorted(OPERATORS):
             raise ValueError(f"order must be a permutation of {OPERATORS}")
-        missing = set(OPERATORS) - set(self.enabled)
-        if missing:
-            raise ValueError(f"enabled flags missing for {sorted(missing)}")
-        if self.r_max < 0 or self.m_len < 0:
-            raise ValueError("r_max and m_len must be >= 0")
-        _check_alpha(self.alpha)
-        if self.enabled[ROTATION] and self.r_max < 1:
-            raise ValueError("rotation enabled but r_max < 1")
-
-    def any_enabled(self) -> bool:
-        return any(self.enabled.values())
-
-    @classmethod
-    def disabled(cls) -> "AugConfig":
-        return cls(enabled={op: False for op in OPERATORS})
+        if self.r_max is not None and self.r_max < 1:
+            raise ValueError("r_max must be >= 1")
+        if self.m_len is not None and self.m_len < 0:
+            raise ValueError("m_len must be >= 0")
+        if self.alpha is not None:
+            _check_alpha(self.alpha)
+        if self.r_max is None and self.m_len is None and self.alpha is None:
+            raise ValueError("r_max, m_len and alpha are all None: no operator")
 
     @classmethod
     def from_params(cls, params: dict, order: tuple = OPERATORS) -> "AugConfig":
-        """Build a config from a hyperparameter dict, enabling exactly the
-        operators whose parameter is present.
-
-        Keys: ``r_max`` (rotation), ``m_len`` (masking), ``alpha`` (mixing).
-        Absent keys leave the operator disabled with a benign placeholder.
-        """
-        known = {"r_max", "m_len", "alpha"}
-        unknown = set(params) - known
+        """The config running exactly the operators whose parameter
+        (``r_max``, ``m_len``, ``alpha``) is in ``params``."""
+        unknown = set(params) - set(OPERATOR_PARAMS.values())
         if unknown:
             raise ValueError(f"unknown augmentation parameters {sorted(unknown)}")
-        return cls(r_max=int(params.get("r_max", 1)),
-                   m_len=int(params.get("m_len", 0)),
-                   alpha=float(params.get("alpha", 0.5)),
-                   order=order,
-                   enabled={ROTATION: "r_max" in params,
-                            MASKING: "m_len" in params,
-                            MIXING: "alpha" in params})
+
+        def given(name, kind):
+            return kind(params[name]) if name in params else None
+
+        return cls(r_max=given("r_max", int), m_len=given("m_len", int),
+                   alpha=given("alpha", float), order=order)
 
 
 def _check_alpha(alpha: float) -> None:
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-
-
-@dataclass(frozen=True)
-class RotationParams:
-    n_step: int
-    direction: str
-
-    def __post_init__(self):
-        if self.n_step < 1:
-            raise ValueError("n_step must be >= 1")
-        if self.direction not in (FORWARD, BACKWARD):
-            raise ValueError(f"direction must be {FORWARD!r} or {BACKWARD!r}")
-
-    @property
-    def shift(self) -> int:
-        """Signed circular shift: +n_step forward, -n_step backward."""
-        return self.n_step if self.direction == FORWARD else -self.n_step
-
-
-@dataclass(frozen=True)
-class MaskParams:
-    start: int
-    length: int
-
-    def __post_init__(self):
-        if self.length < 0 or self.start < 0:
-            raise ValueError("start and length must be >= 0")
-
-
-@dataclass(frozen=True)
-class MixParams:
-    lam: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lambda must be in [0, 1]")
 
 
 def rotate_batch(x: np.ndarray, shifts) -> np.ndarray:
@@ -144,34 +95,11 @@ def mix_batch(x: np.ndarray, y: np.ndarray, partners,
     return x + t * (x[partners] - x), y + t * (y[partners] - y)
 
 
-def rotate(x: np.ndarray, params: RotationParams) -> np.ndarray:
-    """Circular shift: forward by s moves the element at position i to
-    (i + s) mod L; backward is the inverse."""
-    return rotate_batch(np.asarray(x)[None], [params.shift])[0]
-
-
-def mask(x: np.ndarray, params: MaskParams) -> np.ndarray:
-    """Zero out positions [start, start + length); everything else unchanged."""
-    if params.start + params.length > len(x):
-        raise ValueError("mask window exceeds trace length")
-    return mask_batch(np.asarray(x)[None], [params.start], params.length)[0]
-
-
-def mix(xi: np.ndarray, yi: np.ndarray, xj: np.ndarray, yj: np.ndarray,
-        params: MixParams) -> tuple[np.ndarray, np.ndarray]:
-    """lam * (xi, yi) + (1 - lam) * (xj, yj), elementwise and real-valued."""
-    if len(xi) != len(xj):
-        raise ValueError("traces must have equal length")
-    if len(yi) != len(yj):
-        raise ValueError("labels must have equal dimension")
-    x, y = mix_batch([xi, xj], [yi, yj], [1, 0], [params.lam, params.lam])
-    return x[0], y[0]
-
-
 def sample_rotation(r_max: int, rng: np.random.Generator,
                     size: int) -> np.ndarray:
     """``size`` signed shifts: steps uniform on {1..r_max}, then directions
-    uniform on {forward (+), backward (-)}, signed as RotationParams.shift."""
+    uniform on {forward (+), backward (-)}. Forward by s moves the element at
+    position i to (i + s) mod L; backward by s is its inverse."""
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     n_step = rng.integers(1, r_max + 1, size)
@@ -195,7 +123,7 @@ def sample_lambda(alpha: float, rng: np.random.Generator,
 
 def hda_batch(traces: np.ndarray, labels: np.ndarray, cfg: AugConfig,
               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Augment one minibatch, applying the enabled operators in ``cfg.order``.
+    """Augment one minibatch, applying the set operators in ``cfg.order``.
 
     ``traces`` is (B, L), ``labels`` is (B, K) soft labels. Each operator
     draws its B parameters from ``rng`` just before it is applied: rotation
@@ -210,14 +138,12 @@ def hda_batch(traces: np.ndarray, labels: np.ndarray, cfg: AugConfig,
     batch, trace_len = traces.shape
     x, y = traces, labels
     for op in cfg.order:
-        if not cfg.enabled[op]:
-            continue
-        if op == ROTATION:
+        if op == ROTATION and cfg.r_max is not None:
             x = rotate_batch(x, sample_rotation(cfg.r_max, rng, batch))
-        elif op == MASKING:
+        elif op == MASKING and cfg.m_len is not None:
             starts = sample_mask(cfg.m_len, trace_len, rng, batch)
             x = mask_batch(x, starts, cfg.m_len)
-        else:
+        elif op == MIXING and cfg.alpha is not None:
             lams = sample_lambda(cfg.alpha, rng, batch)
             x, y = mix_batch(x, y, rng.integers(0, batch, batch), lams)
     return x, y

@@ -15,10 +15,10 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .augment import AugConfig, OPERATORS
+from .augment import OPERATOR_PARAMS, AugConfig, OPERATORS
 from .nn import Model, ModelConfig, TrainConfig, dataset_accuracy, predict, train
 from .seeding import derive_rng
-from .tpe import (GAMMA, N_CANDIDATES, N_STARTUP, OPERATOR_PARAMS,
+from .tpe import (GAMMA, N_CANDIDATES, N_STARTUP,
                   SearchSpace, check_tpe_settings, default_spaces,
                   optimize_independent, optimize_sequential)
 from .traces import Dataset, SplitSpec, make_splits

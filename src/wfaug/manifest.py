@@ -4,7 +4,7 @@ Format: UTF-8 text, one ``section.key = value`` per line, ``#`` starts a
 comment, blank lines ignored. Keys come from a fixed registry; anything else
 is rejected with the offending file and line. Each field of SplitSpec,
 AugConfig, TuneSpec and TrainConfig is a split.*, aug.*, tpe.* or train.* key
-(seed, order and enabled have keys of their own). Later files override
+(seed and order have keys of their own). Later files override
 earlier ones when several are merged, and command-line flags come last.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import MISSING, fields
 
-from .augment import AugConfig, OPERATORS
+from .augment import OPERATOR_PARAMS, AugConfig, OPERATORS
 from .evaluate import TuneSpec
 from .nn import ConvBlock, ModelConfig, TrainConfig, default_model_config
 from .traces import SplitSpec
@@ -23,8 +23,8 @@ class ManifestError(ValueError):
     """Raised for unparseable, unknown or ill-typed manifest content."""
 
 
-# config fields with keys of their own: run.seed, aug.order, aug.enable.*
-_OWN_KEYS = ("seed", "order", "enabled")
+# config fields with keys of their own: run.seed, aug.order
+_OWN_KEYS = ("seed", "order")
 
 
 def _field_keys(section: str, cls) -> dict:
@@ -162,17 +162,18 @@ def _config(m: Manifest, section: str, cls, **given):
 def aug_config_from_manifest(m: Manifest, trace_len: int,
                              default_order=OPERATORS) -> AugConfig | None:
     """Build the augmentation config, or None when every operator is off."""
-    enabled = {op: m.get(f"aug.enable.{op}", False) for op in OPERATORS}
-    if not any(enabled.values()):
+    off = {OPERATOR_PARAMS[op]: None for op in OPERATORS
+           if not m.get(f"aug.enable.{op}", False)}
+    if len(off) == len(OPERATORS):
         return None
     order = default_order
     if m.has("aug.order"):
         order = parse_operator_order(m.get("aug.order"))
-    cfg = _config(m, "aug", AugConfig, order=order, enabled=enabled)
-    if enabled["masking"] and cfg.m_len >= trace_len:
+    cfg = _config(m, "aug", AugConfig, order=order, **off)
+    if cfg.m_len is not None and cfg.m_len >= trace_len:
         raise ManifestError(
             f"aug.m_len = {cfg.m_len} must be < trace length {trace_len}")
-    if enabled["rotation"] and cfg.r_max > trace_len:
+    if cfg.r_max is not None and cfg.r_max > trace_len:
         raise ManifestError(
             f"aug.r_max = {cfg.r_max} must be <= trace length {trace_len}")
     return cfg

@@ -37,8 +37,9 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        if not math.isfinite(self.momentum):
-            raise ValueError(f"momentum must be finite, got {self.momentum}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be finite and in [0, 1), got "
+                             f"{self.momentum}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
 
@@ -89,7 +90,6 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: Dataset,
     x_all = train_set.traces.astype(np.float64)
     y_all = one_hot_labels(train_set.labels, train_set.num_classes,
                            background_class=background)
-    augment = aug_cfg is not None and aug_cfg.any_enabled()
     n = len(train_set)
 
     history: list[HistoryRow] = []
@@ -100,7 +100,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: Dataset,
         for index, lo in enumerate(range(0, n, train_cfg.batch_size)):
             sel = order[lo:lo + train_cfg.batch_size]
             xb, yb = x_all[sel], y_all[sel]
-            if augment:
+            if aug_cfg is not None:
                 xb, yb = hda_batch(xb, yb, aug_cfg,
                                    derive_rng(train_cfg.seed, "aug", epoch, index))
             probs, _ = model.forward(xb, train=True)

@@ -20,14 +20,12 @@ from typing import Callable
 
 import numpy as np
 
-from .augment import MASKING, MIXING, ROTATION
+from .augment import OPERATOR_PARAMS
 
 GAMMA = 0.25
 N_STARTUP = 5
 N_CANDIDATES = 24
 MAX_BUDGET = 30
-
-OPERATOR_PARAMS = {ROTATION: "r_max", MASKING: "m_len", MIXING: "alpha"}
 
 TRIAL_LOG_HEADER = ("stage", "param", "value", "objective", "seed", "trial_index")
 

@@ -83,6 +83,11 @@ class SplitSpec:
 # label, so an unbounded one would size arrays by it.
 MAX_LABEL = 65535
 
+# Longest trace, in directions, that load_dataset and synth_dataset accept.
+# Both size every row by trace_len before looking at the data, so an unbounded
+# length asks for terabytes or loops for minutes; at this cap a row is 64 KiB.
+MAX_TRACE_LEN = 1 << 16
+
 # _FOLLOWS[a, b]: byte b may follow byte a in " " + directions + " ", which
 # holds exactly when the directions are "1"/"-1" tokens, one space apart
 _FOLLOWS = np.zeros((256, 256), dtype=bool)
@@ -104,6 +109,12 @@ def _directions(rest: str, trace_len: int, where: str) -> np.ndarray:
     return np.where(raw[ends - 1] == ord("-"), -1, 1).astype(np.int8)
 
 
+def _check_trace_len(trace_len: int) -> None:
+    if not 1 <= trace_len <= MAX_TRACE_LEN:
+        raise ValueError(f"trace_len must be in [1, {MAX_TRACE_LEN}], "
+                         f"got {trace_len}")
+
+
 def load_dataset(path, trace_len: int) -> Dataset:
     """Read a trace file, padding with 0 or truncating at the tail to ``trace_len``.
 
@@ -112,8 +123,7 @@ def load_dataset(path, trace_len: int) -> Dataset:
     writes it (ASCII digits, a ``-`` only for -1, no leading zeros), and each
     d either ``1`` or ``-1``.
     """
-    if trace_len < 1:
-        raise ValueError("trace_len must be >= 1")
+    _check_trace_len(trace_len)
     rows, labels = [], []
     # bytes that are not UTF-8 decode to lone surrogates, which neither a
     # label nor a direction accepts, so they fail with their line number
@@ -257,8 +267,9 @@ def synth_dataset(num_classes: int, samples_per_class: int, trace_len: int,
         raise ValueError("num_classes must be >= 2")
     if not 0.0 <= noise_rate < 0.5:
         raise ValueError("noise_rate must be in [0, 0.5)")
-    if samples_per_class < 1 or trace_len < 1:
-        raise ValueError("samples_per_class and trace_len must be >= 1")
+    if samples_per_class < 1:
+        raise ValueError("samples_per_class must be >= 1")
+    _check_trace_len(trace_len)
     template_runs = synth_template_runs(num_classes, trace_len, seed)
     traces = np.empty((num_classes * samples_per_class, trace_len), dtype=np.int8)
     labels = np.empty(num_classes * samples_per_class, dtype=np.int64)

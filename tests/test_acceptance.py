@@ -17,15 +17,15 @@ import pytest
 from scipy import stats
 
 from oracles import mask_by_matrix, rotate_by_matrix
-from wfaug import (AugConfig, BACKGROUND, BACKWARD, ConvBlock, Dataset,
-                   ExperimentConfig, FORWARD, MaskParams, Model, ModelConfig,
-                   RotationParams, SearchSpace,
+from wfaug import (AugConfig, BACKGROUND, ConvBlock, Dataset,
+                   ExperimentConfig, Model, ModelConfig, SearchSpace,
                    SplitSpec, TrainConfig, confusion_from_predictions,
                    cross_entropy, dataset_accuracy, default_model_config,
-                   derive_rng, mask, optimize_independent, optimize_one,
-                   optimize_sequential, rotate, run_experiment,
+                   derive_rng, optimize_independent, optimize_one,
+                   optimize_sequential, run_experiment,
                    sample_lambda, sample_mask, sample_rotation,
                    sweep_operating_points, synth_dataset, train)
+from wfaug.augment import mask_batch, rotate_batch
 from wfaug.cli import main as cli_main
 from wfaug.manifest import format_manifest
 
@@ -53,17 +53,16 @@ def test_criterion_1_kernels_match_matrix_oracles():
             vectors = [rng.normal(size=n),
                        rng.choice([-1.0, 1.0], size=n)]
             for step in range(1, n + 1):
-                for direction in (FORWARD, BACKWARD):
-                    params = RotationParams(step, direction)
+                # the shift's sign is the direction: + forward, - backward
+                for sign, direction in ((1, "forward"), (-1, "backward")):
                     for x in vectors:
-                        got = rotate(x, params)
+                        got = rotate_batch(x[None], [sign * step])[0]
                         want = rotate_by_matrix(x, step, direction)
                         assert np.array_equal(got, want)
             for start in range(n + 1):
                 for length in range(n - start + 1):
-                    params = MaskParams(start, length)
                     for x in vectors:
-                        got = mask(x, params)
+                        got = mask_batch(x[None], [start], length)[0]
                         want = mask_by_matrix(x, start, length)
                         assert np.array_equal(got, want)
 

@@ -7,22 +7,14 @@ from hypothesis import strategies as st
 
 from oracles import mask_by_matrix, rotate_by_matrix
 from wfaug.augment import (
-    BACKWARD,
-    FORWARD,
     MASKING,
     MIXING,
     OPERATORS,
     ROTATION,
     AugConfig,
-    MaskParams,
-    MixParams,
-    RotationParams,
     hda_batch,
-    mask,
     mask_batch,
-    mix,
     mix_batch,
-    rotate,
     rotate_batch,
     sample_lambda,
     sample_mask,
@@ -34,49 +26,57 @@ from wfaug.traces import one_hot_labels
 signs = st.lists(st.sampled_from([-1, 1]), min_size=2, max_size=64)
 
 
+def rotate(x, shift):
+    """One row through rotate_batch; a positive shift is forward."""
+    return rotate_batch(np.asarray(x)[None], [shift])[0]
+
+
+def mask(x, start, length):
+    """One row through mask_batch."""
+    return mask_batch(np.asarray(x)[None], [start], length)[0]
+
+
+def mix(xi, yi, xj, yj, lam):
+    """Row 0 of mix_batch on the two rows (xi, yi) and (xj, yj): row 0 mixes
+    with row 1 at weight ``lam``."""
+    x, y = mix_batch(np.stack([xi, xj]), np.stack([yi, yj]), [1, 0],
+                     [lam, lam])
+    return x[0], y[0]
+
+
 class TestRotate:
     def test_forward_by_one(self):
         x = np.array([1, -1, -1, 1])
-        out = rotate(x, RotationParams(1, FORWARD))
-        assert out.tolist() == [1, 1, -1, -1]
+        assert rotate(x, 1).tolist() == [1, 1, -1, -1]
 
     def test_backward_undoes_forward(self):
         x = np.array([1, 1, -1, 1, -1, -1, 1])
-        fwd = rotate(x, RotationParams(3, FORWARD))
-        assert np.array_equal(rotate(fwd, RotationParams(3, BACKWARD)), x)
+        assert np.array_equal(rotate(rotate(x, 3), -3), x)
 
     def test_matches_matrix_oracle(self):
         rng = np.random.default_rng(11)
         for n in (5, 12, 31):
             x = rng.choice([-1, 1], size=n)
             for s in range(1, n + 1):
-                for d in (FORWARD, BACKWARD):
-                    want = rotate_by_matrix(x, s, d)
-                    assert np.array_equal(rotate(x, RotationParams(s, d)), want)
+                for sign, direction in ((1, "forward"), (-1, "backward")):
+                    want = rotate_by_matrix(x, s, direction)
+                    assert np.array_equal(rotate(x, sign * s), want)
 
     def test_full_cycle_is_identity(self):
         x = np.array([1, -1, 1, 1, -1])
-        assert np.array_equal(rotate(x, RotationParams(5, FORWARD)), x)
+        assert np.array_equal(rotate(x, 5), x)
 
-    @given(signs, st.integers(1, 200), st.sampled_from([FORWARD, BACKWARD]))
-    def test_preserves_multiset(self, vals, n_step, direction):
+    @given(signs, st.integers(1, 200), st.sampled_from([-1, 1]))
+    def test_preserves_multiset(self, vals, n_step, sign):
         x = np.array(vals)
-        out = rotate(x, RotationParams(n_step, direction))
+        out = rotate(x, sign * n_step)
         assert sorted(out.tolist()) == sorted(vals)
-
-    def test_rejects_zero_step(self):
-        with pytest.raises(ValueError):
-            RotationParams(0, FORWARD)
-
-    def test_rejects_bad_direction(self):
-        with pytest.raises(ValueError):
-            RotationParams(1, "up")
 
 
 class TestMask:
     def test_zeroes_window_only(self):
         x = np.array([1, -1, 1, -1, 1])
-        assert mask(x, MaskParams(1, 3)).tolist() == [1, 0, 0, 0, 1]
+        assert mask(x, 1, 3).tolist() == [1, 0, 0, 0, 1]
 
     def test_matches_matrix_oracle(self):
         rng = np.random.default_rng(12)
@@ -84,26 +84,30 @@ class TestMask:
         for start in (0, 7, 33):
             for length in (0, 1, 7):
                 want = mask_by_matrix(x, start, length)
-                assert np.array_equal(mask(x, MaskParams(start, length)), want)
+                assert np.array_equal(mask(x, start, length), want)
 
     @given(signs, st.data())
     def test_zero_count_equals_length(self, vals, data):
         x = np.array(vals)
         length = data.draw(st.integers(0, len(x)))
         start = data.draw(st.integers(0, len(x) - length))
-        out = mask(x, MaskParams(start, length))
+        out = mask(x, start, length)
         # input has no zeros, so every zero in the output came from the window
         assert int(np.sum(out == 0)) == length
         assert np.array_equal(np.delete(out, range(start, start + length)),
                               np.delete(x, range(start, start + length)))
 
     def test_window_past_end_rejected(self):
-        with pytest.raises(ValueError):
-            mask(np.ones(4), MaskParams(3, 2))
+        # windows are drawn inside the trace, so a window as long as the
+        # trace never reaches mask_batch
+        traces, labels = np.ones((2, 4)), np.eye(2)
+        cfg = AugConfig(r_max=None, m_len=4, alpha=None)
+        with pytest.raises(ValueError, match="m_len"):
+            hda_batch(traces, labels, cfg, derive_rng(0))
 
     def test_does_not_modify_input(self):
         x = np.array([1, -1, 1])
-        mask(x, MaskParams(0, 3))
+        mask(x, 0, 3)
         assert x.tolist() == [1, -1, 1]
 
 
@@ -111,19 +115,18 @@ class TestMix:
     def test_lam_one_returns_first(self):
         xi, xj = np.array([1.0, -1.0]), np.array([-1.0, -1.0])
         yi, yj = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        x, y = mix(xi, yi, xj, yj, MixParams(1.0))
+        x, y = mix(xi, yi, xj, yj, 1.0)
         assert np.array_equal(x, xi) and np.array_equal(y, yi)
 
     def test_lam_zero_returns_second(self):
         xi, xj = np.array([1.0, -1.0]), np.array([-1.0, -1.0])
         yi, yj = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        x, y = mix(xi, yi, xj, yj, MixParams(0.0))
+        x, y = mix(xi, yi, xj, yj, 0.0)
         assert np.array_equal(x, xj) and np.array_equal(y, yj)
 
     def test_convex_combination_values(self):
         x, y = mix(np.array([1.0, -1.0]), np.array([1.0, 0.0]),
-                   np.array([-1.0, 1.0]), np.array([0.0, 1.0]),
-                   MixParams(0.25))
+                   np.array([-1.0, 1.0]), np.array([0.0, 1.0]), 0.25)
         assert np.allclose(x, [-0.5, 0.5])
         assert np.allclose(y, [0.25, 0.75])
 
@@ -131,30 +134,20 @@ class TestMix:
     def test_self_mix_is_exact_identity(self, lam, vals):
         x = np.array(vals, dtype=np.float64)
         y = np.array([0.0, 1.0, 0.0])
-        xm, ym = mix(x, y, x, y, MixParams(lam))
+        xm, ym = mix_batch(x[None], y[None], [0], [lam])
         # bitwise, not approximately: a + t*(a - a) == a
-        assert np.array_equal(xm, x)
-        assert np.array_equal(ym, y)
+        assert np.array_equal(xm[0], x)
+        assert np.array_equal(ym[0], y)
 
     def test_one_hot_mix_sums_to_one(self):
         yi = np.array([0.0, 1.0, 0.0])
         yj = np.array([0.0, 0.0, 1.0])
-        _, y = mix(np.zeros(3), yi, np.zeros(3), yj, MixParams(0.3))
+        _, y = mix(np.zeros(3), yi, np.zeros(3), yj, 0.3)
         assert np.isclose(y.sum(), 1.0)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            mix(np.zeros(3), np.zeros(2), np.zeros(4), np.zeros(2), MixParams(0.5))
-        with pytest.raises(ValueError):
-            mix(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(5), MixParams(0.5))
-
-    def test_lambda_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            MixParams(1.5)
 
 
 class TestBatchKernels:
-    """Row b of each kernel against the single-sample definition, with
+    """Row b of each kernel against an independent definition, with
     different parameters in every row."""
 
     def rows(self, dtype, batch=6, trace_len=23):
@@ -166,14 +159,12 @@ class TestBatchKernels:
     @pytest.mark.parametrize("dtype", [np.int8, np.float64])
     def test_rotate_rows_match_matrix_oracle(self, dtype):
         x = self.rows(dtype)
-        params = [RotationParams(1, FORWARD), RotationParams(4, BACKWARD),
-                  RotationParams(23, FORWARD), RotationParams(7, BACKWARD),
-                  RotationParams(30, BACKWARD), RotationParams(11, FORWARD)]
-        out = rotate_batch(x, [p.shift for p in params])
+        shifts = [1, -4, 23, -7, -30, 11]
+        out = rotate_batch(x, shifts)
         assert out.dtype == dtype and out.shape == x.shape
-        for row, got, p in zip(x, out, params):
-            assert np.array_equal(got, rotate_by_matrix(row, p.n_step,
-                                                        p.direction))
+        for row, got, s in zip(x, out, shifts):
+            direction = "forward" if s > 0 else "backward"
+            assert np.array_equal(got, rotate_by_matrix(row, abs(s), direction))
 
     @pytest.mark.parametrize("dtype", [np.int8, np.float64])
     @pytest.mark.parametrize("length", [0, 1, 5])
@@ -186,19 +177,27 @@ class TestBatchKernels:
             assert np.array_equal(got, mask_by_matrix(row, start, length))
 
     @pytest.mark.parametrize("dtype", [np.int8, np.float64])
-    def test_mix_rows_match_scalar_mix(self, dtype):
+    def test_mix_rows_match_convex_combination(self, dtype):
         x = self.rows(dtype)
         y = one_hot_labels(np.array([0, 1, 2, 3, 1, 0]), 4)
         partners = [3, 1, 0, 5, 2, 5]   # rows 1 and 5 mix with themselves
         lams = [0.3, 0.71, 0.0, 1.0, 0.5, 0.02]
         xm, ym = mix_batch(x, y, partners, lams)
         assert xm.dtype == ym.dtype == np.float64
+        xf = x.astype(np.float64)
         for b, (j, lam) in enumerate(zip(partners, lams)):
-            want_x, want_y = mix(x[b], y[b], x[j], y[j], MixParams(lam))
-            assert np.array_equal(xm[b], want_x)
-            assert np.array_equal(ym[b], want_y)
+            assert np.allclose(xm[b], lam * xf[b] + (1 - lam) * xf[j])
+            assert np.allclose(ym[b], lam * y[b] + (1 - lam) * y[j])
+        assert np.allclose(ym.sum(axis=1), 1.0)
+        # lam = 1 and self-mixes are exact, not approximate; lam = 0 gives
+        # the partner's row exactly where x_j - x_b is exact, as for
+        # direction values and one-hot labels
+        assert np.array_equal(xm[3], xf[3]) and np.array_equal(ym[3], y[3])
+        assert np.array_equal(ym[2], y[0])
+        if dtype == np.int8:
+            assert np.array_equal(xm[2], xf[0])
         for b in (1, 5):
-            assert np.array_equal(xm[b], x[b].astype(np.float64))
+            assert np.array_equal(xm[b], xf[b])
             assert np.array_equal(ym[b], y[b])
 
 
@@ -247,7 +246,6 @@ class TestAugConfig:
         cfg = AugConfig()
         assert cfg.r_max == 20 and cfg.m_len == 180 and cfg.alpha == 0.1
         assert cfg.order == OPERATORS
-        assert cfg.any_enabled()
 
     def test_order_must_be_permutation(self):
         with pytest.raises(ValueError):
@@ -255,22 +253,42 @@ class TestAugConfig:
         with pytest.raises(ValueError):
             AugConfig(order=(ROTATION, ROTATION, MIXING))
 
-    def test_missing_enabled_flag_rejected(self):
-        with pytest.raises(ValueError):
-            AugConfig(enabled={ROTATION: True})
-
     def test_alpha_must_be_positive(self):
         for alpha in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="alpha must be finite and > 0"):
                 AugConfig(alpha=alpha)
 
     def test_enabled_rotation_needs_positive_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="r_max"):
             AugConfig(r_max=0)
-        AugConfig(r_max=0, enabled={ROTATION: False, MASKING: True, MIXING: True})
+        AugConfig(r_max=None)
 
-    def test_disabled_factory(self):
-        assert not AugConfig.disabled().any_enabled()
+    def test_mask_length_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="m_len"):
+            AugConfig(m_len=-1)
+        AugConfig(m_len=0)
+        AugConfig(m_len=None)
+
+    def test_all_operators_off_rejected(self):
+        with pytest.raises(ValueError, match="all None"):
+            AugConfig(r_max=None, m_len=None, alpha=None)
+
+    @pytest.mark.parametrize("names", [
+        names for k in (1, 2, 3)
+        for names in itertools.combinations(("r_max", "m_len", "alpha"), k)])
+    def test_from_params_sets_exactly_the_given_operators(self, names):
+        values = {"r_max": 3, "m_len": 5, "alpha": 0.4}
+        params = {name: values[name] for name in names}
+        cfg = AugConfig.from_params(params, order=(MIXING, ROTATION, MASKING))
+        assert cfg.order == (MIXING, ROTATION, MASKING)
+        for name in values:
+            assert getattr(cfg, name) == params.get(name)
+
+    def test_from_params_rejects_unknown_and_empty(self):
+        with pytest.raises(ValueError, match="unknown"):
+            AugConfig.from_params({"r_max": 3, "beta": 1})
+        with pytest.raises(ValueError, match="all None"):
+            AugConfig.from_params({})
 
 
 def batch_fixture(batch=8, trace_len=64, num_classes=4, seed=3):
@@ -281,15 +299,11 @@ def batch_fixture(batch=8, trace_len=64, num_classes=4, seed=3):
 
 
 class TestHdaBatch:
-    def cfg(self, **kw):
-        enabled = {op: True for op in OPERATORS}
-        enabled.update(kw.pop("enabled", {}))
-        return AugConfig(r_max=8, m_len=16, alpha=0.1, enabled=enabled, **kw)
-
-    def test_disabled_config_is_identity(self):
-        traces, labels = batch_fixture()
-        x, y = hda_batch(traces, labels, AugConfig.disabled(), derive_rng(0))
-        assert np.array_equal(x, traces) and np.array_equal(y, labels)
+    def cfg(self, ops=OPERATORS, order=OPERATORS):
+        """r_max 8, m_len 16 and alpha 0.1 for the operators in ``ops``."""
+        return AugConfig(r_max=8 if ROTATION in ops else None,
+                         m_len=16 if MASKING in ops else None,
+                         alpha=0.1 if MIXING in ops else None, order=order)
 
     def test_shapes_preserved(self):
         traces, labels = batch_fixture()
@@ -298,7 +312,7 @@ class TestHdaBatch:
 
     def test_labels_untouched_without_mixing(self):
         traces, labels = batch_fixture()
-        cfg = self.cfg(enabled={MIXING: False})
+        cfg = self.cfg(ops=(ROTATION, MASKING))
         x, y = hda_batch(traces, labels, cfg, derive_rng(2))
         assert np.array_equal(y, labels)
         assert np.isin(x, [-1, 0, 1]).all()
@@ -325,17 +339,17 @@ class TestHdaBatch:
         # each operator draws just before it applies, so the order moves the
         # draws as well as the composition
         traces, labels = batch_fixture(batch=16)
-        cfg_rm = self.cfg(order=(ROTATION, MASKING, MIXING),
-                          enabled={MIXING: False})
-        cfg_mr = self.cfg(order=(MASKING, ROTATION, MIXING),
-                          enabled={MIXING: False})
+        cfg_rm = self.cfg(ops=(ROTATION, MASKING),
+                          order=(ROTATION, MASKING, MIXING))
+        cfg_mr = self.cfg(ops=(ROTATION, MASKING),
+                          order=(MASKING, ROTATION, MIXING))
         x1, _ = hda_batch(traces, labels, cfg_rm, derive_rng(9))
         x2, _ = hda_batch(traces, labels, cfg_mr, derive_rng(9))
         assert not np.array_equal(x1, x2)
 
     def test_single_sample_mixes_with_itself_exactly(self):
         traces, labels = batch_fixture(batch=1)
-        cfg = self.cfg(enabled={ROTATION: False, MASKING: False})
+        cfg = self.cfg(ops=(MIXING,))
         x, y = hda_batch(traces, labels, cfg, derive_rng(4))
         assert np.array_equal(x, traces.astype(np.float64))
         assert np.array_equal(y, labels.astype(np.float64))
@@ -346,7 +360,7 @@ class TestHdaBatch:
         batch, num_classes = 6, 6
         traces = np.repeat(np.arange(batch, dtype=np.float64)[:, None], 12, axis=1)
         labels = one_hot_labels(np.arange(batch), num_classes)
-        cfg = self.cfg(enabled={ROTATION: False, MASKING: False})
+        cfg = self.cfg(ops=(MIXING,))
         x, y = hda_batch(traces, labels, cfg, derive_rng(5))
         for i in range(batch):
             assert np.ptp(x[i]) == 0  # still constant
@@ -366,7 +380,7 @@ class TestHdaBatch:
             self, order, ops, monkeypatch):
         batch, trace_len = 16, 64
         traces, labels = batch_fixture(batch=batch, trace_len=trace_len)
-        cfg = self.cfg(order=order, enabled={op: op in ops for op in OPERATORS})
+        cfg = self.cfg(ops=ops, order=order)
         rng, replay = derive_rng(11, "draws"), derive_rng(11, "draws")
 
         def no_generator(*args, **kwargs):

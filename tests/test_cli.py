@@ -92,6 +92,12 @@ class TestSynth:
         assert run("synth", "--manifest", "exp.cfg") == 1
         assert "--out" in capsys.readouterr().err
 
+    def test_huge_length_fails_at_once(self, workdir, capsys):
+        assert run("synth", "--manifest", "exp.cfg", "--len", str(10 ** 12),
+                   "--out", "data.txt") == 1
+        assert capsys.readouterr().err.startswith("error: trace_len must be")
+        assert not (workdir / "data.txt").exists()
+
 
 class TestSplit:
     def test_writes_three_partitions(self, workdir):
@@ -113,6 +119,16 @@ class TestSplit:
         total = sum(len(load_dataset(workdir / "splits" / f"{n}.txt", 48))
                     for n in ("train", "val", "test"))
         assert total == 30  # shots+val+test per class, all samples used
+
+    def test_huge_trace_len_fails_at_once(self, workdir, capsys):
+        synth_here()
+        (workdir / "long.cfg").write_text(f"data.trace_len = {10 ** 12}\n",
+                                          encoding="utf-8")
+        assert run("split", "--manifest", "exp.cfg", "--manifest", "long.cfg",
+                   "--out", "splits") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: trace_len must be")
+        assert "Traceback" not in err and not (workdir / "splits").exists()
 
 
 class TestAugment:
@@ -382,6 +398,17 @@ class TestTrainEvalReport:
                    "--seed", "0", "--out", "bad") == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} must be finite")
+        assert not (workdir / "bad").exists()
+
+    def test_momentum_of_one_or_more_fails_before_training(self, workdir,
+                                                            capsys):
+        synth_here()
+        (workdir / "bad.cfg").write_text(
+            "train.momentum = 5\ntrain.optimizer = sgd-momentum\n",
+            encoding="utf-8")
+        assert run("train", "--manifest", "exp.cfg", "--manifest", "bad.cfg",
+                   "--seed", "0", "--out", "bad") == 1
+        assert capsys.readouterr().err.startswith("error: momentum ")
         assert not (workdir / "bad").exists()
 
     def test_eval_on_empty_test_split_fails(self, workdir, capsys):

@@ -491,7 +491,7 @@ class TestReports:
         assert config_digest(base) == config_digest(same)
         bumped = replace(base, train=replace(FAST, lr=2e-2))
         assert config_digest(bumped) != config_digest(base)
-        with_aug = replace(base, aug=AugConfig.disabled())
+        with_aug = replace(base, aug=AugConfig())
         assert config_digest(with_aug) != config_digest(base)
 
 

@@ -7,6 +7,7 @@ from oracles import nearest_template_labels
 from wfaug.traces import (
     BACKGROUND,
     MAX_LABEL,
+    MAX_TRACE_LEN,
     Dataset,
     SplitSpec,
     TraceFormatError,
@@ -87,6 +88,14 @@ class TestLoadDataset:
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(TraceFormatError, match="empty"):
             load_dataset(write(tmp_path, ""), trace_len=4)
+
+    def test_trace_len_capped(self, tmp_path):
+        path = write(tmp_path, "0\t1 -1\n")
+        d = load_dataset(path, trace_len=MAX_TRACE_LEN)
+        assert d.traces.shape == (1, MAX_TRACE_LEN) and MAX_TRACE_LEN == 65536
+        for bad in (0, MAX_TRACE_LEN + 1):
+            with pytest.raises(ValueError, match="trace_len"):
+                load_dataset(path, trace_len=bad)
 
 
 class TestDatasetChecks:
@@ -214,6 +223,13 @@ class TestSynth:
     def test_noise_rate_bounds(self):
         with pytest.raises(ValueError):
             synth_dataset(3, 10, 100, 0.5, seed=0)
+
+    def test_trace_len_capped(self):
+        d = synth_dataset(2, 1, MAX_TRACE_LEN, 0.05, seed=0)
+        assert d.traces.shape == (2, MAX_TRACE_LEN)
+        for bad in (0, MAX_TRACE_LEN + 1):
+            with pytest.raises(ValueError, match="trace_len"):
+                synth_dataset(2, 1, bad, 0.05, seed=0)
 
 
 class TestOutputWidth:
