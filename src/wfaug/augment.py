@@ -38,9 +38,7 @@ class AugConfig:
     order: tuple = OPERATORS
 
     def __post_init__(self):
-        self.order = tuple(self.order)
-        if sorted(self.order) != sorted(OPERATORS):
-            raise ValueError(f"order must be a permutation of {OPERATORS}")
+        self.order = check_order(self.order)
         if self.r_max is not None and self.r_max < 1:
             raise ValueError("r_max must be >= 1")
         if self.m_len is not None and self.m_len < 0:
@@ -63,6 +61,21 @@ class AugConfig:
 
         return cls(r_max=given("r_max", int), m_len=given("m_len", int),
                    alpha=given("alpha", float), order=order)
+
+
+def check_order(order) -> tuple:
+    """``order`` as a tuple; ValueError unless it lists every operator once."""
+    order = tuple(order)
+    if sorted(order) != sorted(OPERATORS):
+        raise ValueError(f"order must be a permutation of {OPERATORS}")
+    return order
+
+
+def length_limits(trace_len: int) -> dict:
+    """The largest ``m_len`` and ``r_max`` an L-cell trace supports: a mask
+    leaves at least one cell (m_len < L) and a rotation step goes at most
+    once round (r_max <= L)."""
+    return {"m_len": trace_len - 1, "r_max": trace_len}
 
 
 def _check_alpha(alpha: float) -> None:
@@ -109,7 +122,7 @@ def sample_rotation(r_max: int, rng: np.random.Generator,
 def sample_mask(m_len: int, trace_len: int, rng: np.random.Generator,
                 size: int) -> np.ndarray:
     """``size`` window starts, uniform on {0..trace_len - m_len}."""
-    if not 0 <= m_len < trace_len:
+    if not 0 <= m_len <= length_limits(trace_len)["m_len"]:
         raise ValueError("m_len must be >= 0 and < trace length")
     return rng.integers(0, trace_len - m_len + 1, size)
 

@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .augment import OPERATOR_PARAMS, AugConfig, OPERATORS
+from .augment import (OPERATOR_PARAMS, AugConfig, OPERATORS, check_order,
+                      length_limits)
 from .nn import Model, ModelConfig, TrainConfig, dataset_accuracy, predict, train
 from .seeding import derive_rng
 from .tpe import (GAMMA, N_CANDIDATES, N_STARTUP,
@@ -173,8 +174,7 @@ class TuneSpec:
     def __post_init__(self):
         if self.mode not in ("sequential", "independent"):
             raise ValueError("mode must be 'sequential' or 'independent'")
-        if sorted(self.order) != sorted(OPERATORS):
-            raise ValueError(f"order must be a permutation of {OPERATORS}")
+        check_order(self.order)
         if self.proxy_epochs < 1:
             raise ValueError("proxy_epochs must be >= 1")
         if self.budget_per_param is not None and self.budget_per_param < 1:
@@ -184,7 +184,7 @@ class TuneSpec:
 
 def fit_spaces_to_length(spaces: dict, trace_len: int) -> dict:
     """Drop grid values an L-cell trace cannot support (m_len < L, r_max <= L)."""
-    bound = {"m_len": trace_len - 1, "r_max": trace_len}
+    bound = length_limits(trace_len)
     out = {}
     for name, space in spaces.items():
         grid = tuple(v for v in space.grid if v <= bound.get(name, v))

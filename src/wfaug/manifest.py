@@ -13,7 +13,8 @@ from __future__ import annotations
 import os
 from dataclasses import MISSING, fields
 
-from .augment import OPERATOR_PARAMS, AugConfig, OPERATORS
+from .augment import (OPERATOR_PARAMS, AugConfig, OPERATORS, check_order,
+                      length_limits)
 from .evaluate import TuneSpec
 from .nn import ConvBlock, ModelConfig, TrainConfig, default_model_config
 from .traces import SplitSpec
@@ -139,12 +140,12 @@ def format_manifest(values: dict) -> str:
 
 
 def parse_operator_order(raw: str) -> tuple:
-    order = tuple(part.strip() for part in raw.split(","))
-    if sorted(order) != sorted(OPERATORS):
+    try:
+        return check_order(part.strip() for part in raw.split(","))
+    except ValueError:
         raise ManifestError(
             f"aug.order must list {', '.join(OPERATORS)} exactly once, "
-            f"got {raw!r}")
-    return order
+            f"got {raw!r}") from None
 
 
 def _config(m: Manifest, section: str, cls, **given):
@@ -170,12 +171,12 @@ def aug_config_from_manifest(m: Manifest, trace_len: int,
     if m.has("aug.order"):
         order = parse_operator_order(m.get("aug.order"))
     cfg = _config(m, "aug", AugConfig, order=order, **off)
-    if cfg.m_len is not None and cfg.m_len >= trace_len:
-        raise ManifestError(
-            f"aug.m_len = {cfg.m_len} must be < trace length {trace_len}")
-    if cfg.r_max is not None and cfg.r_max > trace_len:
-        raise ManifestError(
-            f"aug.r_max = {cfg.r_max} must be <= trace length {trace_len}")
+    for name, limit in length_limits(trace_len).items():
+        value = getattr(cfg, name)
+        if value is not None and value > limit:
+            relation = "<" if limit < trace_len else "<="
+            raise ManifestError(f"aug.{name} = {value} must be {relation} "
+                                f"trace length {trace_len}")
     return cfg
 
 

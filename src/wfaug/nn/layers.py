@@ -15,6 +15,10 @@ the (out_ch, batch * length) rows of the output gradient, built once per
 call, with the tap's (batch * length, in_ch) rows. ``Model`` marks its first
 conv ``input_grad = False``: nothing uses the gradient of the network's
 input, so that layer does not compute it.
+
+Every array a layer allocates takes the dtype of its input and parameters,
+so a network whose parameters ``Model`` casts to float32 stays float32
+through forward and backward.
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ class Conv1D(Layer):
         xp[:, :, self.pad_l + length:] = 0
         xp[:, :, self.pad_l:self.pad_l + length] = x
         w = self.params["w"]
-        y = np.zeros((batch, self.out_ch, l_out))
+        y = np.zeros((batch, self.out_ch, l_out), np.result_type(x, w))
         prod = np.empty_like(y)
         # with one input channel each tap output is a single product, which
         # matmul and multiply round alike; a -0.0 product loses its sign on
@@ -125,7 +129,8 @@ class Conv1D(Layer):
         if not self.input_grad:
             return None
         dxp = np.zeros_like(xp)
-        prod = np.empty((dy.shape[0], self.in_ch, l_out))
+        prod = np.empty((dy.shape[0], self.in_ch, l_out),
+                        np.result_type(w, dy))
         for t in range(self.kernel):
             dxp[:, :, self._tap(t, l_out)] += np.matmul(w[:, :, t].T, dy,
                                                         out=prod)
@@ -173,7 +178,7 @@ class MaxPool2(Layer):
     def backward(self, dy):
         keep = 2 * dy.shape[2]
         left_wins, self._left_wins = self._left_wins, None
-        dx = np.zeros(dy.shape[:2] + (self._len,))
+        dx = np.zeros(dy.shape[:2] + (self._len,), dy.dtype)
         dx[..., 0:keep:2] = np.where(left_wins, dy, 0.0)
         dx[..., 1:keep:2] = np.where(left_wins, 0.0, dy)
         return dx

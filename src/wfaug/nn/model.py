@@ -1,9 +1,12 @@
 """Model assembly: conv blocks, global average pooling, FC head, softmax.
 
 The network consumes (batch, length) real-valued direction sequences and
-returns per-class probabilities plus the pooled feature vectors. A versioned
-checkpoint holds a JSON header (architecture, seed, tensor table, training
-data) and every parameter tensor as little-endian float64.
+returns per-class probabilities plus the pooled feature vectors. Its body
+(parameters, activations, gradients, optimizer state) runs in ``DTYPE``; the
+logits are cast to float64 for the softmax, so probabilities, the loss and
+every threshold decision are float64. A versioned checkpoint holds a JSON
+header (architecture, seed, tensor table, training data) and every parameter
+tensor as little-endian float32.
 """
 
 from __future__ import annotations
@@ -21,21 +24,30 @@ from .layers import Conv1D, Dense, GlobalAvgPool, MaxPool2, ReLU
 
 EPS = 1e-12
 
+# the dtype of the network body; float64 models exist for gradient checks
+DTYPE = np.float32
+
 CHECKPOINT_MAGIC = b"TFWF"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 POOL_KINDS = ("none", "max2")
 
-# Rows per inference tile of the conv stack (see Model.forward). A forward
-# of 256 rows through the stock model on a 2-core Xeon (2 MB L2 per core, one
-# BLAS thread) took 340-370 ms with tiles of 4 to 24 rows, 390 ms at 32 and
-# 500 ms at 64; at 16 rows its widest activation is 16 x 32 x 1000 float64.
+# Rows per inference tile of the conv stack (see Model.forward). A float32
+# forward of 256 rows through the stock model at L=1000 on a 2-core Xeon
+# (2 MB L2 per core, one BLAS thread; best of 7, over three runs) took
+# 98-123 ms on two threads with the 8-row tiles this gives, 99-140 ms with
+# 12 or 16 rows and 122-162 ms with 24 to 64; serially, 135-168 ms with
+# 4-row tiles, 157-205 ms with 8 and 261-344 ms with 16. At 8 rows its
+# widest activation is 8 x 32 x 1000 float32, 1 MB.
 TILE_ROWS = 16
 
 # Conv multiply-adds one inference tile must hold before the tiles of a
-# model run on a thread pool (about 1 ms of single-thread BLAS on that
-# Xeon). Below it, thread hand-offs and the GIL-bound small numpy calls
-# between BLAS calls cost more than a second core wins.
+# model run on a thread pool (about 0.7 ms of single-thread float32 conv
+# work on that Xeon). Below it, thread hand-offs and the GIL-bound small
+# numpy calls between BLAS calls cost about what a second core wins: for the
+# stock model at L=40 to 140 (0.24 to 0.83 of this) two threads took 0.66 to
+# 1.28 times the serial time, and from L=170 (the threshold) up 0.29 to 0.68
+# times.
 PARALLEL_MIN_MACS = 1 << 24
 
 
@@ -133,9 +145,10 @@ def _cpu_count() -> int:
 class Model:
     """The classifier: seeded construction, forward, backward, state copy."""
 
-    def __init__(self, cfg: ModelConfig, seed: int):
+    def __init__(self, cfg: ModelConfig, seed: int, dtype=DTYPE):
         self.cfg = cfg
         self.seed = int(seed)
+        self.dtype = np.dtype(dtype)
         # JSON-able record of the data the weights were fit on ({} when
         # unknown); checkpoints carry it so evaluation can refuse other data
         self.trained_on = {}
@@ -161,6 +174,10 @@ class Model:
             if j < len(cfg.fc) - 1:
                 self.layers.append(ReLU())
             width = out
+        # layers draw their parameters in float64
+        for layer in self.layers:
+            for key, arr in layer.params.items():
+                layer.params[key] = arr.astype(self.dtype)
         # conv multiply-adds per input row decide whether inference tiles
         # are worth a thread each
         length, macs = cfg.input_len, 0
@@ -174,6 +191,9 @@ class Model:
 
     def forward(self, x: np.ndarray, train: bool = False):
         """Run the net over (B, L) input; returns (probs, features).
+
+        The input is cast to the model dtype once; the features keep it, and
+        the probabilities are float64.
 
         Inference runs the conv blocks and global average pooling over tiles
         of TILE_ROWS rows, which keeps each tile's activations near cache
@@ -190,7 +210,7 @@ class Model:
         batch as one tile, because backward needs every layer's cache for the
         full batch.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 2 or x.shape[1] != self.cfg.input_len:
             raise ValueError(f"expected (B, {self.cfg.input_len}) input, "
                              f"got {x.shape}")
@@ -211,11 +231,12 @@ class Model:
             else:
                 outs = [_run(stack, t, False) for t in tiles]
             features = np.concatenate(outs)
-        return softmax(_run(head, features, train)), features
+        logits = _run(head, features, train)
+        return softmax(logits.astype(np.float64)), features
 
     def backward(self, probs: np.ndarray, targets: np.ndarray) -> None:
         """Backpropagate mean cross-entropy; gradients land in each layer."""
-        d = (probs - targets) / len(probs)
+        d = ((probs - targets) / len(probs)).astype(self.dtype)
         for layer in reversed(self.layers):
             d = layer.backward(d)
             for key, g in layer.grads.items():
@@ -248,11 +269,12 @@ def decide(probs: np.ndarray):
 
 
 def predict(model: Model, traces: np.ndarray, batch_size: int = 256):
-    """Predicted class index and confidence per trace, batched for memory."""
+    """Predicted class index and confidence per trace, batched for memory;
+    ``Model.forward`` casts each batch straight to the model dtype."""
     labels, confs = [], []
     traces = np.asarray(traces)
     for lo in range(0, len(traces), batch_size):
-        probs, _ = model.forward(traces[lo:lo + batch_size].astype(np.float64))
+        probs, _ = model.forward(traces[lo:lo + batch_size])
         lab, conf = decide(probs)
         labels.append(lab)
         confs.append(conf)
@@ -295,7 +317,7 @@ def _tensor_table(model: Model) -> list:
 
 
 def _param_count(cfg: ModelConfig) -> int:
-    """Float64 parameters a Model of ``cfg`` holds, counted without one."""
+    """Parameters a Model of ``cfg`` holds, counted without one."""
     chans = (1,) + tuple(b.out_channels for b in cfg.blocks)
     dims = chans[-1:] + cfg.fc
     return (sum((i * b.kernel + 1) * b.out_channels
@@ -305,7 +327,11 @@ def _param_count(cfg: ModelConfig) -> int:
 
 def save_checkpoint(model: Model, path) -> None:
     """Magic, ``<II`` version and header length, a sorted-key JSON header,
-    then every ``param_items`` tensor as ``<f8`` bytes, back to back."""
+    then every ``param_items`` tensor as ``<f4`` bytes, back to back. Only a
+    float32 model is saved, so the file holds its values exactly."""
+    if model.dtype != np.float32:
+        raise ValueError(f"checkpoints hold float32 tensors; this model is "
+                         f"{model.dtype}")
     header = json.dumps({"config": asdict(model.cfg), "seed": model.seed,
                          "tensors": _tensor_table(model),
                          "trained_on": model.trained_on}, sort_keys=True)
@@ -313,11 +339,12 @@ def save_checkpoint(model: Model, path) -> None:
         fh.write(CHECKPOINT_MAGIC + struct.pack(
             "<II", CHECKPOINT_VERSION, len(header)) + header.encode("ascii"))
         for _, arr in model.param_items():
-            fh.write(arr.astype("<f8").tobytes())
+            fh.write(arr.astype("<f4").tobytes())
 
 
 def load_checkpoint(path) -> Model:
-    """The saved model; any other file, v1 included, raises CheckpointError."""
+    """The saved float32 model; any other file, versions 1 and 2 included,
+    raises CheckpointError."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(4) != CHECKPOINT_MAGIC:
@@ -342,15 +369,15 @@ def load_checkpoint(path) -> Model:
                 for b in raw["blocks"]]})
         except (ValueError, TypeError, RecursionError) as exc:
             raise CheckpointError(f"bad checkpoint header: {exc}") from None
-        need, left = 8 * _param_count(cfg), size - 12 - text_len
+        need, left = 4 * _param_count(cfg), size - 12 - text_len
         if need != left:
             raise CheckpointError(
                 f"{'truncated' if need > left else 'trailing bytes in'} "
                 f"checkpoint: {need} parameter bytes expected, {left} found")
-        model = Model(cfg, header["seed"])
+        model = Model(cfg, header["seed"], dtype=np.float32)
         model.trained_on = header["trained_on"]
         if header["tensors"] != _tensor_table(model):
             raise CheckpointError("tensor table does not match the config")
         for _, arr in model.param_items():
-            arr.flat[:] = np.frombuffer(fh.read(8 * arr.size), "<f8")
+            arr.flat[:] = np.frombuffer(fh.read(4 * arr.size), "<f4")
     return model

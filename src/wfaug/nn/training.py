@@ -87,7 +87,8 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: Dataset,
     model = Model(model_cfg, train_cfg.seed)
     optimizer = make_optimizer(train_cfg.optimizer, model, train_cfg.lr,
                                train_cfg.momentum)
-    x_all = train_set.traces.astype(np.float64)
+    # HDA mixing returns float64 traces, which the model casts to its dtype
+    x_all = train_set.traces.astype(model.dtype)
     y_all = one_hot_labels(train_set.labels, train_set.num_classes,
                            background_class=background)
     n = len(train_set)

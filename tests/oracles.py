@@ -101,12 +101,13 @@ def _tap(t, dilation, stride, l_out):
 
 def conv1d_forward_per_tap(x, w, b, dilation=1, stride=1, pad_l=0, pad_r=0):
     """Per-tap convolution as ``Conv1D`` computed it before its fast path:
-    ``np.pad``, then ``y = zeros; y += w[:, :, t] @ tap`` for every tap t.
-    Returns (y, xp), the output and the padded input."""
+    ``np.pad``, then ``y = zeros; y += w[:, :, t] @ tap`` for every tap t,
+    in the dtype of the input and weights. Returns (y, xp), the output and
+    the padded input."""
     xp = np.pad(x, ((0, 0), (0, 0), (pad_l, pad_r)))
     out_ch, _, kernel = w.shape
     l_out = (xp.shape[2] - (kernel - 1) * dilation - 1) // stride + 1
-    y = np.zeros((x.shape[0], out_ch, l_out))
+    y = np.zeros((x.shape[0], out_ch, l_out), np.result_type(xp, w))
     for t in range(kernel):
         y += np.matmul(w[:, :, t], xp[:, :, _tap(t, dilation, stride, l_out)])
     y += b[None, :, None]

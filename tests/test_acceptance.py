@@ -104,8 +104,9 @@ def test_criterion_2_sampler_distributions():
 
 def _lattice_model(cfg, seed=0):
     # dyadic parameters keep every pre-activation an exact multiple of 2^-6,
-    # so eps=1e-4 probes can never cross a ReLU kink
-    model = Model(cfg, seed)
+    # so eps=1e-4 probes can never cross a ReLU kink; the check runs in
+    # float64, where eps=1e-4 central differences resolve rel 1e-3
+    model = Model(cfg, seed, dtype=np.float64)
     convs = [l for l in model.layers if l.name.startswith("conv")]
     for depth, layer in enumerate(convs):
         w = layer.params["w"]

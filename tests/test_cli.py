@@ -556,6 +556,32 @@ class TestDeterminism:
         assert written[0] == written[1]
 
 
+    def test_train_and_eval_same_bytes_at_one_and_two_blas_threads(
+            self, workdir):
+        # the stock model at L=1000 makes products large enough for OpenBLAS
+        # to split them over threads
+        manifest = {key: value for key, value in BASE.items()
+                    if key != "model.blocks"}
+        manifest.update({"data.trace_len": "1000", "train.epochs": "2"})
+        (workdir / "exp.cfg").write_text(format_manifest(manifest),
+                                         encoding="utf-8")
+        synth_here()
+        written = []
+        for threads in ("1", "2"):
+            env = dict(os.environ,
+                       PYTHONPATH=str(Path(wfaug.__file__).parents[1]),
+                       OPENBLAS_NUM_THREADS=threads)
+            for argv in (["train"], ["eval", "--checkpoint", "run/model.ckpt"]):
+                subprocess.run([sys.executable, "-m", "wfaug.cli", *argv,
+                                "--manifest", "exp.cfg", "--seed", "0",
+                                "--out", "run"],
+                               cwd=workdir, env=env, check=True)
+            written.append({name: (workdir / "run" / name).read_bytes()
+                            for name in ("model.ckpt", "history.csv",
+                                         "eval.json")})
+        assert written[0] == written[1]
+
+
 class TestManifestPrecedence:
     def test_every_flag_stores_under_its_manifest_key(self):
         parser = build_parser()

@@ -2,10 +2,12 @@
 
 from dataclasses import MISSING, fields
 
+import numpy as np
 import pytest
 
-from wfaug.augment import MASKING, MIXING, OPERATORS, ROTATION, AugConfig
-from wfaug.evaluate import TuneSpec
+from wfaug.augment import (MASKING, MIXING, OPERATORS, ROTATION, AugConfig,
+                           check_order, length_limits, sample_mask)
+from wfaug.evaluate import TuneSpec, fit_spaces_to_length
 from wfaug.manifest import (KNOWN_KEYS, Manifest, ManifestError,
                             aug_config_from_manifest, format_manifest,
                             load_manifest_file, model_config_from_manifest,
@@ -14,6 +16,7 @@ from wfaug.manifest import (KNOWN_KEYS, Manifest, ManifestError,
                             train_config_from_manifest,
                             tune_spec_from_manifest)
 from wfaug.nn import TrainConfig, default_model_config
+from wfaug.tpe import SearchSpace
 from wfaug.traces import SplitSpec
 
 
@@ -160,6 +163,67 @@ class TestAugConfig:
         # only active operators constrain the trace length
         m = Manifest({"aug.enable.rotation": "true", "aug.m_len": "500"})
         assert aug_config_from_manifest(m, 64).m_len is None
+
+
+class TestOneRulePerFact:
+    """The manifest, the tune grids and the samplers apply the same length
+    rule and the same operator-order check, each with its own message."""
+
+    @pytest.mark.parametrize("trace_len", [2, 10, 64])
+    def test_length_rule_agrees_everywhere(self, trace_len):
+        limits = length_limits(trace_len)
+        assert limits == {"m_len": trace_len - 1, "r_max": trace_len}
+        keys = {"m_len": "masking", "r_max": "rotation"}
+        for name, limit in limits.items():
+            values = tuple(range(1, trace_len + 3))
+            fitted = fit_spaces_to_length(
+                {name: SearchSpace(name, values)}, trace_len)
+            assert max(fitted[name].grid) == limit
+            for value, fits in ((limit, True), (limit + 1, False)):
+                m = Manifest({f"aug.enable.{keys[name]}": "true",
+                              f"aug.{name}": str(value)})
+                if fits:
+                    assert getattr(aug_config_from_manifest(m, trace_len),
+                                   name) == value
+                else:
+                    with pytest.raises(ManifestError,
+                                       match=f"^aug.{name} = {value} must"):
+                        aug_config_from_manifest(m, trace_len)
+        rng = np.random.default_rng(0)
+        # the longest mask fits at the first or the second cell
+        assert set(sample_mask(limits["m_len"], trace_len, rng,
+                               50).tolist()) == {0, 1}
+        with pytest.raises(ValueError,
+                           match="^m_len must be >= 0 and < trace length$"):
+            sample_mask(limits["m_len"] + 1, trace_len, rng, 1)
+
+    def test_manifest_length_messages_unchanged(self):
+        for key, value, text in (("masking", "aug.m_len = 64", "<"),
+                                 ("rotation", "aug.r_max = 65", "<=")):
+            name, _, number = value.partition(" = ")
+            m = Manifest({f"aug.enable.{key}": "true", name: number})
+            with pytest.raises(ManifestError) as err:
+                aug_config_from_manifest(m, 64)
+            assert str(err.value) == f"{value} must be {text} trace length 64"
+
+    @pytest.mark.parametrize("order", [(ROTATION, MASKING),
+                                       (ROTATION, ROTATION, MIXING),
+                                       OPERATORS + ("extra",),
+                                       ("spin", MASKING, MIXING)])
+    def test_order_check_agrees_everywhere(self, order):
+        message = "^order must be a permutation of"
+        for build in (check_order, lambda o: AugConfig(order=o),
+                      lambda o: TuneSpec(order=o)):
+            with pytest.raises(ValueError, match=message):
+                build(order)
+        with pytest.raises(ManifestError,
+                           match="^aug.order must list rotation, masking, "
+                                 "mixing exactly once, got "):
+            parse_operator_order(",".join(order))
+        good = (MIXING, MASKING, ROTATION)
+        assert check_order(list(good)) == good
+        assert AugConfig(order=good).order == TuneSpec(order=good).order
+        assert parse_operator_order(",".join(good)) == good
 
 
 class TestConfigBuilders:

@@ -41,7 +41,7 @@ from wfaug.nn import (
 from wfaug.augment import AugConfig
 from wfaug.nn import model as model_mod
 from wfaug.nn import training
-from wfaug.nn.model import CHECKPOINT_MAGIC, TILE_ROWS
+from wfaug.nn.model import CHECKPOINT_MAGIC, DTYPE, TILE_ROWS
 from wfaug.traces import SplitSpec, make_splits, synth_dataset
 
 TINY = ModelConfig(64, 3, (ConvBlock(8, dilation=1, pool="max2"),
@@ -54,13 +54,13 @@ def tiny_task():
 
 
 def lattice_model(cfg, seed=0):
-    """Model whose conv parameters sit on a dyadic lattice.
+    """Float64 model whose conv parameters sit on a dyadic lattice.
 
     With +-1 inputs every pre-activation is then an exact multiple of a
     power of two, bounded away from the ReLU kink, so finite-difference
     probes at eps=1e-4 cannot flip any activation sign.
     """
-    m = Model(cfg, seed)
+    m = Model(cfg, seed, dtype=np.float64)
     convs = [l for l in m.layers if l.name.startswith("conv")]
     for depth, layer in enumerate(convs):
         w = layer.params["w"]
@@ -307,7 +307,7 @@ class TestForward:
         conv.params["w"][...] = np.array([[[0.0, 1.0, 0.0]]])
         conv.params["b"][...] = 0.0
         # non-negative input passes the ReLU untouched
-        x = np.random.default_rng(2).random((6, 32))
+        x = np.random.default_rng(2).random((6, 32)).astype(model.dtype)
         _, feats = model.forward(x)
         assert np.array_equal(feats[:, 0], x.mean(axis=1))
 
@@ -323,7 +323,7 @@ class TestForward:
         # 19.8M multiply-adds per 8-row tile: the threaded path
         assert model._threaded
         x = np.random.default_rng(5).choice([-1.0, 0.0, 1.0], size=(batch, 200))
-        h = x[:, None, :]
+        h = x.astype(model.dtype)[:, None, :]
         for i, layer in enumerate(model.layers):
             h = layer.forward(h)
             if isinstance(layer, GlobalAvgPool):
@@ -341,7 +341,8 @@ class TestForward:
                 monkeypatch.setattr(model_mod, "_cpu_count", lambda: cpus)
                 probs, feats = model.forward(x)
                 assert feats.tobytes() == want_feats.tobytes()
-                assert probs.tobytes() == softmax(h).tobytes()
+                assert probs.tobytes() == softmax(
+                    h.astype(np.float64)).tobytes()
         finally:
             sys.setswitchinterval(interval)
         assert pools == [2, 5]
@@ -452,7 +453,7 @@ class TestBackward:
                 assert np.array_equal(layer.grads["w"], np.zeros_like(layer.grads["w"]))
 
     def test_mean_loss_grads_are_linear_in_samples(self):
-        model = Model(TINY, seed=3)
+        model = Model(TINY, seed=3, dtype=np.float64)
         rng = np.random.default_rng(4)
         a, b = rng.choice([-1.0, 1.0], size=(2, 64))
         ya, yb = np.eye(3)[0], np.eye(3)[2]
@@ -709,6 +710,82 @@ class TestSameBitsAsPerTapConv:
                       synth_dataset(4, 8, 128, 0.05, seed=6), None)
 
 
+class TestDtypes:
+    """The network body keeps its dtype end to end; probabilities are
+    float64 whatever it is."""
+
+    def step_dtypes(self, model, optimizer):
+        """Dtypes of every layer output, returned input gradient, parameter
+        gradient and optimizer state over one training step."""
+        seen = []
+        for layer in model.layers:
+            def forward(h, train=False, layer=layer, run=layer.forward):
+                out = run(h, train)
+                seen.append((f"{layer.name} output", out.dtype))
+                return out
+
+            def backward(d, layer=layer, run=layer.backward):
+                out = run(d)
+                if out is not None:
+                    seen.append((f"{layer.name} input grad", out.dtype))
+                return out
+
+            layer.forward, layer.backward = forward, backward
+        train_set, _, _ = tiny_task()
+        probs, feats = model.forward(train_set.traces, train=True)
+        assert probs.dtype == np.float64
+        seen.append(("features", feats.dtype))
+        model.backward(probs, np.eye(3)[train_set.labels])
+        optimizer.step()
+        for name, p, g in model.param_grad_items():
+            seen += [(name, p.dtype), (f"{name} grad", g.dtype)]
+        for attr in ("m", "v", "vel"):
+            for name, state in getattr(optimizer, attr, {}).items():
+                seen.append((f"{attr} {name}", state.dtype))
+        return seen
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd-momentum"])
+    @pytest.mark.parametrize("dtype", [DTYPE, np.float64])
+    def test_model_keeps_its_dtype(self, dtype, kind):
+        model = Model(TINY, seed=0, dtype=dtype)
+        seen = self.step_dtypes(model, make_optimizer(kind, model, lr=1e-2))
+        # 7 layer outputs, 6 input gradients (not conv0's), the features,
+        # 6 parameters with their gradients and 6 or 12 state tensors
+        assert len(seen) == 7 + 6 + 1 + 12 + (12 if kind == "adam" else 6)
+        assert {d for _, d in seen} == {np.dtype(dtype)}, seen
+
+    def test_default_model_is_float32(self):
+        assert Model(TINY, seed=0).dtype == DTYPE == np.float32
+
+    def test_checkpoint_tensors_are_float32(self, tmp_path):
+        model = Model(TINY, seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        text_len = struct.unpack("<I", raw[8:12])[0]
+        flat = np.concatenate([p.ravel() for _, p in model.param_items()])
+        assert raw[12 + text_len:] == flat.astype("<f4").tobytes()
+        loaded = load_checkpoint(path)
+        assert loaded.dtype == np.float32
+        for _, p in loaded.param_items():
+            assert p.dtype == np.float32
+
+    def test_float64_model_is_not_saved(self, tmp_path):
+        with pytest.raises(ValueError, match="float32"):
+            save_checkpoint(Model(TINY, seed=0, dtype=np.float64),
+                            tmp_path / "model.ckpt")
+
+    def test_per_tap_oracle_keeps_input_dtype(self):
+        rng = np.random.default_rng(0)
+        for in_ch in (1, 3):
+            x = rng.normal(size=(2, in_ch, 9)).astype(np.float32)
+            w = rng.normal(size=(4, in_ch, 3)).astype(np.float32)
+            y, xp = conv1d_forward_per_tap(x, w, np.zeros(4, np.float32),
+                                           2, 1, 4, 0)
+            grads = conv1d_backward_per_tap(xp, w, y, 2, 1, 4, 0)
+            assert {a.dtype for a in (y, xp, *grads)} == {np.dtype("f4")}
+
+
 class TestCheckpoint:
     def roundtrip(self, tmp_path, model):
         path = tmp_path / "model.ckpt"
@@ -842,6 +919,20 @@ class TestCheckpoint:
 
         with pytest.raises(CheckpointError):
             load_checkpoint(self.rewrite_header(tmp_path, corrupt))
+
+    def test_float64_version_2_file_rejected(self, tmp_path):
+        model = Model(TINY, seed=0)
+        path = tmp_path / "v2.ckpt"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        text_len = struct.unpack("<I", raw[8:12])[0]
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 2, text_len)
+                         + raw[12:12 + text_len]
+                         + b"".join(p.astype("<f8").tobytes()
+                                    for _, p in model.param_items()))
+        with pytest.raises(CheckpointError,
+                           match="^unsupported checkpoint version 2$"):
+            load_checkpoint(path)
 
     def test_version_1_file_rejected(self, tmp_path):
         path = tmp_path / "v1.ckpt"
