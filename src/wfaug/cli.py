@@ -28,14 +28,14 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .augment import OPERATORS, hda_batch
-from .evaluate import (RunReport, aggregate_metrics, closed_accuracy,
-                       open_world_metrics, tune_augmentation, write_report)
+from .augment import hda_batch
+from .evaluate import (RunReport, aggregate_metrics, check_test_split,
+                       closed_accuracy, open_world_metrics, tune_augmentation,
+                       write_report)
 from .manifest import (KNOWN_KEYS, Manifest, ManifestError,
                        aug_config_from_manifest, format_manifest,
-                       model_config_from_manifest, parse_operator_order,
-                       split_spec_from_manifest, train_config_from_manifest,
-                       tune_spec_from_manifest)
+                       model_config_from_manifest, split_spec_from_manifest,
+                       train_config_from_manifest, tune_spec_from_manifest)
 from .nn import (CheckpointError, TrainingDiverged, dataset_accuracy,
                  load_checkpoint, save_checkpoint, train, write_history)
 from .seeding import derive_rng
@@ -86,15 +86,6 @@ def _trained_on(dataset, m: Manifest, seed: int) -> dict:
             "split": asdict(split_spec_from_manifest(m, seed))}
 
 
-def _operator_order(m: Manifest, seed: int) -> tuple:
-    """aug.order when given, else a seed-derived random permutation."""
-    if m.has("aug.order"):
-        return parse_operator_order(m.get("aug.order"))
-    order = list(OPERATORS)
-    derive_rng(seed, "order").shuffle(order)
-    return tuple(order)
-
-
 def _write_json(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -132,10 +123,10 @@ def cmd_augment(args, m: Manifest) -> int:
     """
     seed = _root_seed(m)
     dataset = _load_data(m)
-    cfg = aug_config_from_manifest(m, dataset.trace_len)
+    cfg = aug_config_from_manifest(m, dataset.trace_len, seed)
     if cfg is None:
-        raise ManifestError(
-            "no operators enabled; set aug.enable.<operator> = true")
+        raise ManifestError("no operators enabled; set aug.r_max, aug.m_len "
+                            "or aug.alpha")
     labels = one_hot_labels(dataset.labels, dataset.num_classes,
                             background_class=dataset.has_background())
     x, y = hda_batch(dataset.traces.astype(np.float64), labels, cfg,
@@ -150,16 +141,13 @@ def cmd_augment(args, m: Manifest) -> int:
 def cmd_tune(args, m: Manifest) -> int:
     seed = _root_seed(m)
     dataset, (train_set, val_set, _) = _load_splits(m, seed)
-    order = _operator_order(m, seed)
-    spec = tune_spec_from_manifest(m, order)
+    spec = tune_spec_from_manifest(m, seed)
     model_cfg = model_config_from_manifest(m, dataset.trace_len,
                                            dataset.output_width)
     train_cfg = train_config_from_manifest(m, seed)
     params, log = tune_augmentation(train_set, val_set, model_cfg, train_cfg,
                                     spec, seed)
-    fragment = {"aug.order": ",".join(order)}
-    for op in OPERATORS:
-        fragment[f"aug.enable.{op}"] = "true"
+    fragment = {"aug.order": ",".join(spec.order)}
     for name, value in params.items():
         fragment[f"aug.{name}"] = str(value)
     out = _out_dir(m)
@@ -174,8 +162,7 @@ def cmd_tune(args, m: Manifest) -> int:
 def cmd_train(args, m: Manifest) -> int:
     seed = _root_seed(m)
     dataset, (train_set, val_set, _) = _load_splits(m, seed)
-    aug_cfg = aug_config_from_manifest(m, dataset.trace_len,
-                                       default_order=_operator_order(m, seed))
+    aug_cfg = aug_config_from_manifest(m, dataset.trace_len, seed)
     model_cfg = model_config_from_manifest(m, dataset.trace_len,
                                            dataset.output_width)
     train_cfg = train_config_from_manifest(m, seed)
@@ -192,10 +179,8 @@ def cmd_train(args, m: Manifest) -> int:
 
 def cmd_eval(args, m: Manifest) -> int:
     seed = _root_seed(m)
+    check_test_split(split_spec_from_manifest(m, seed))
     dataset, (_, val_set, test_set) = _load_splits(m, seed)
-    if len(test_set) == 0:
-        raise ManifestError("split.test_per_class = 0 leaves no test traces "
-                            "to evaluate")
     model = load_checkpoint(args.checkpoint)
     if model.cfg.num_classes != dataset.output_width:
         raise ManifestError(

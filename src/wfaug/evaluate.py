@@ -237,6 +237,17 @@ class ExperimentConfig:
     aug: AugConfig | None = None
     tune: TuneSpec | None = None
 
+    def __post_init__(self):
+        if self.aug is not None and self.tune is not None:
+            raise ValueError("aug and tune are exclusive: tuning chooses aug")
+
+
+def check_test_split(split: SplitSpec) -> None:
+    """ValueError when ``split`` leaves no test traces to evaluate."""
+    if split.test_per_class == 0:
+        raise ValueError("split.test_per_class = 0 leaves no test traces to "
+                         "evaluate")
+
 
 @dataclass(frozen=True)
 class RunReport:
@@ -299,6 +310,7 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ValueError("seeds must be non-empty")
+    check_test_split(cfg.split)
     open_world = dataset.has_background()
     per_seed = []
     for seed in seeds:

@@ -4,8 +4,9 @@ Format: UTF-8 text, one ``section.key = value`` per line, ``#`` starts a
 comment, blank lines ignored. Keys come from a fixed registry; anything else
 is rejected with the offending file and line. Each field of SplitSpec,
 AugConfig, TuneSpec and TrainConfig is a split.*, aug.*, tpe.* or train.* key
-(seed and order have keys of their own). Later files override
-earlier ones when several are merged, and command-line flags come last.
+(seed and order have keys of their own); an aug.r_max, aug.m_len or aug.alpha
+value switches its operator on. Later files override earlier ones when
+several are merged, and command-line flags come last.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .augment import (OPERATOR_PARAMS, AugConfig, OPERATORS, check_order,
                       length_limits)
 from .evaluate import TuneSpec
 from .nn import ConvBlock, ModelConfig, TrainConfig, default_model_config
+from .seeding import derive_rng
 from .traces import SplitSpec
 
 
@@ -46,9 +48,6 @@ KNOWN_KEYS = {
     **_field_keys("split", SplitSpec),
     **_field_keys("aug", AugConfig),
     "aug.order": "str",
-    "aug.enable.rotation": "bool",
-    "aug.enable.masking": "bool",
-    "aug.enable.mixing": "bool",
     **_field_keys("tpe", TuneSpec),
     "model.blocks": "str",
     "model.kernel": "int",
@@ -56,7 +55,7 @@ KNOWN_KEYS = {
     **_field_keys("train", TrainConfig),
 }
 
-_BOOL = {"true": True, "1": True, "false": False, "0": False}
+_PARSE = {"int": int, "float": float, "str": str}
 _MISSING = object()
 
 
@@ -118,16 +117,10 @@ class Manifest:
             return default
         raw = self.values[key]
         try:
-            if kind == "int":
-                return int(raw)
-            if kind == "float":
-                return float(raw)
-            if kind == "bool":
-                return _BOOL[raw.lower()]
-        except (ValueError, KeyError):
+            return _PARSE[kind](raw)
+        except ValueError:
             raise ManifestError(
                 f"manifest key {key!r}: {raw!r} is not a {kind}") from None
-        return raw
 
 
 def format_manifest(values: dict) -> str:
@@ -160,17 +153,24 @@ def _config(m: Manifest, section: str, cls, **given):
     return cls(**values, **given)
 
 
-def aug_config_from_manifest(m: Manifest, trace_len: int,
-                             default_order=OPERATORS) -> AugConfig | None:
-    """Build the augmentation config, or None when every operator is off."""
-    off = {OPERATOR_PARAMS[op]: None for op in OPERATORS
-           if not m.get(f"aug.enable.{op}", False)}
-    if len(off) == len(OPERATORS):
-        return None
-    order = default_order
+def operator_order(m: Manifest, seed: int) -> tuple:
+    """aug.order when given, else a permutation derived from ``seed``."""
     if m.has("aug.order"):
-        order = parse_operator_order(m.get("aug.order"))
-    cfg = _config(m, "aug", AugConfig, order=order, **off)
+        return parse_operator_order(m.get("aug.order"))
+    order = list(OPERATORS)
+    derive_rng(seed, "order").shuffle(order)
+    return tuple(order)
+
+
+def aug_config_from_manifest(m: Manifest, trace_len: int,
+                             seed: int) -> AugConfig | None:
+    """The augmentation config running each operator whose aug.r_max,
+    aug.m_len or aug.alpha key is set, or None when none is set."""
+    params = {name: m.get(f"aug.{name}") for name in OPERATOR_PARAMS.values()
+              if m.has(f"aug.{name}")}
+    if not params:
+        return None
+    cfg = AugConfig.from_params(params, order=operator_order(m, seed))
     for name, limit in length_limits(trace_len).items():
         value = getattr(cfg, name)
         if value is not None and value > limit:
@@ -188,8 +188,8 @@ def train_config_from_manifest(m: Manifest, seed: int) -> TrainConfig:
     return _config(m, "train", TrainConfig, seed=seed)
 
 
-def tune_spec_from_manifest(m: Manifest, order) -> TuneSpec:
-    return _config(m, "tpe", TuneSpec, order=order)
+def tune_spec_from_manifest(m: Manifest, seed: int) -> TuneSpec:
+    return _config(m, "tpe", TuneSpec, order=operator_order(m, seed))
 
 
 def _parse_block(item: str, kernel: int) -> ConvBlock:

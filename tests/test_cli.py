@@ -17,9 +17,11 @@ import pytest
 
 import wfaug
 from wfaug import cli
+from wfaug.augment import AugConfig, hda_batch
 from wfaug.cli import build_parser, main
+from wfaug.evaluate import tune_augmentation
 from wfaug.manifest import KNOWN_KEYS, format_manifest, parse_manifest_text
-from wfaug.nn import Model, default_model_config, save_checkpoint
+from wfaug.nn import Model, default_model_config, save_checkpoint, training
 from wfaug.tpe import TRIAL_LOG_HEADER
 from wfaug.traces import (BACKGROUND, Dataset, SplitSpec, load_dataset,
                           make_splits, save_dataset, synth_dataset)
@@ -51,6 +53,18 @@ def workdir(tmp_path, monkeypatch):
 
 def run(*argv):
     return main(list(argv))
+
+
+def record_augmentation(monkeypatch, module=training):
+    """The AugConfig of every hda_batch call ``module`` makes, as a list."""
+    configs = []
+
+    def record(traces, labels, cfg, rng):
+        configs.append(cfg)
+        return hda_batch(traces, labels, cfg, rng)
+
+    monkeypatch.setattr(module, "hda_batch", record)
+    return configs
 
 
 def synth_here():
@@ -135,9 +149,8 @@ class TestAugment:
     def test_preview_arrays(self, workdir):
         synth_here()
         extra = workdir / "aug.cfg"
-        extra.write_text("aug.enable.rotation = true\n"
-                         "aug.enable.mixing = true\n"
-                         "aug.r_max = 5\n", encoding="utf-8")
+        extra.write_text("aug.r_max = 5\naug.alpha = 0.1\n",
+                         encoding="utf-8")
         assert run("augment", "--manifest", "exp.cfg", "--manifest",
                    "aug.cfg", "--seed", "3", "--out", "aug") == 0
         x = np.load(workdir / "aug" / "augmented_x.npy")
@@ -148,7 +161,7 @@ class TestAugment:
     def test_label_above_cap_is_an_error(self, workdir, capsys):
         (workdir / "data.txt").write_text("0\t1 -1\n1000000000000\t-1 1\n",
                                           encoding="utf-8")
-        (workdir / "aug.cfg").write_text("aug.enable.rotation = true\n",
+        (workdir / "aug.cfg").write_text("aug.r_max = 5\n",
                                          encoding="utf-8")
         assert run("augment", "--manifest", "exp.cfg", "--manifest",
                    "aug.cfg", "--seed", "3", "--out", "aug") == 1
@@ -158,8 +171,7 @@ class TestAugment:
     def test_rerun_identical(self, workdir):
         synth_here()
         extra = workdir / "aug.cfg"
-        extra.write_text("aug.enable.masking = true\naug.m_len = 10\n",
-                         encoding="utf-8")
+        extra.write_text("aug.m_len = 10\n", encoding="utf-8")
         args = ("augment", "--manifest", "exp.cfg", "--manifest", "aug.cfg",
                 "--seed", "3", "--out", "aug")
         assert run(*args) == 0
@@ -170,7 +182,35 @@ class TestAugment:
     def test_nothing_enabled_fails(self, workdir, capsys):
         synth_here()
         assert run("augment", "--manifest", "exp.cfg", "--out", "aug") == 1
-        assert "aug.enable" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: no operators enabled; set aug.r_max, aug.m_len or "
+            "aug.alpha\n")
+
+    def test_enable_key_is_unknown(self, workdir, capsys):
+        synth_here()
+        (workdir / "old.cfg").write_text(
+            "aug.r_max = 5\naug.enable.rotation = true\n", encoding="utf-8")
+        assert run("augment", "--manifest", "exp.cfg", "--manifest",
+                   "old.cfg", "--out", "aug") == 1
+        assert capsys.readouterr().err == (
+            "error: old.cfg:2: unknown key 'aug.enable.rotation'\n")
+        assert not (workdir / "aug").exists()
+
+    def test_preview_and_training_apply_one_order(self, workdir,
+                                                  monkeypatch):
+        # without aug.order both derive the order from the seed
+        synth_here()
+        (workdir / "aug.cfg").write_text("aug.alpha = 0.1\n",
+                                         encoding="utf-8")
+        previewed = record_augmentation(monkeypatch, cli)
+        trained = record_augmentation(monkeypatch)
+        argv = ("--manifest", "exp.cfg", "--manifest", "aug.cfg",
+                "--seed", "0")
+        assert run("augment", *argv, "--out", "aug") == 0
+        assert run("train", *argv, "--out", "run") == 0
+        assert previewed and trained
+        assert {cfg.order for cfg in previewed + trained} == {
+            ("mixing", "rotation", "masking")}
 
 
 class TestTune:
@@ -180,13 +220,32 @@ class TestTune:
                    "--budget", "1", "--out", "tuned") == 0
         fragment = parse_manifest_text(
             (workdir / "tuned" / "aug_params.cfg").read_text(), "fragment")
-        assert {"aug.r_max", "aug.m_len", "aug.alpha", "aug.order",
-                "aug.enable.rotation", "aug.enable.masking",
-                "aug.enable.mixing"} == set(fragment)
+        assert {"aug.r_max", "aug.m_len", "aug.alpha",
+                "aug.order"} == set(fragment)
         assert int(fragment["aug.m_len"]) < 48
         rows = (workdir / "tuned" / "tune_trials.csv").read_text().splitlines()
         assert rows[0] == ",".join(TRIAL_LOG_HEADER)
         assert len(rows) == 1 + 3  # one trial per parameter
+
+    def test_fragment_builds_the_config_train_uses(self, workdir,
+                                                   monkeypatch):
+        # the tuned values reach training as run_experiment would set them
+        synth_here()
+        chosen = []
+
+        def record_tune(*args):
+            params, log = tune_augmentation(*args)
+            chosen.append(AugConfig.from_params(params, order=args[4].order))
+            return params, log
+
+        monkeypatch.setattr(cli, "tune_augmentation", record_tune)
+        assert run("tune", "--manifest", "exp.cfg", "--seed", "4",
+                   "--budget", "1", "--out", "tuned") == 0
+        used = record_augmentation(monkeypatch)
+        assert run("train", "--manifest", "exp.cfg", "--manifest",
+                   "tuned/aug_params.cfg", "--seed", "4", "--out", "run") == 0
+        assert len(chosen) == 1 and used and all(
+            cfg == chosen[0] for cfg in used)
 
     def test_mode_flag_accepted(self, workdir):
         synth_here()
@@ -257,6 +316,16 @@ class TestTrainEvalReport:
         assert payload["world"] == "closed"
         assert 0.0 <= payload["metrics"]["test_accuracy"] <= 1.0
         assert payload["seed"] == 0
+
+    def test_m_len_alone_trains_with_masking(self, workdir, monkeypatch):
+        synth_here()
+        (workdir / "mask.cfg").write_text("aug.m_len = 10\n",
+                                          encoding="utf-8")
+        used = record_augmentation(monkeypatch)
+        assert run("train", "--manifest", "exp.cfg", "--manifest",
+                   "mask.cfg", "--seed", "0", "--out", "run0") == 0
+        assert used and all((cfg.r_max, cfg.m_len, cfg.alpha) ==
+                            (None, 10, None) for cfg in used)
 
     def test_report_aggregates_runs(self, workdir):
         synth_here()
@@ -385,10 +454,8 @@ class TestTrainEvalReport:
         pytest.param("train.lr = inf", "lr", id="lr-inf"),
         pytest.param("train.momentum = nan\ntrain.optimizer = sgd-momentum",
                      "momentum", id="momentum-nan"),
-        pytest.param("aug.alpha = nan\naug.enable.mixing = true", "alpha",
-                     id="alpha-nan"),
-        pytest.param("aug.alpha = inf\naug.enable.mixing = true", "alpha",
-                     id="alpha-inf"),
+        pytest.param("aug.alpha = nan", "alpha", id="alpha-nan"),
+        pytest.param("aug.alpha = inf", "alpha", id="alpha-inf"),
     ])
     def test_non_finite_hyperparameter_fails_before_training(
             self, workdir, capsys, lines, field):

@@ -447,6 +447,23 @@ class TestRunExperiment:
                 "recall_tuned_threshold"} <= set(report.mean)
         assert all(v == 0.0 for v in report.std.values())
 
+    def test_empty_test_split_fails_before_training(self, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr(evaluate, "train", no_training)
+        ds = synth_dataset(3, 12, 64, 0.0, seed=7)
+        cfg = ExperimentConfig(model=TINY, train=FAST, split=SplitSpec(6, 3, 0))
+        with pytest.raises(ValueError, match="^split.test_per_class = 0 "
+                                             "leaves no test traces to "
+                                             "evaluate$"):
+            run_experiment(ds, cfg, seeds=(0, 1))
+
+    def test_aug_and_tune_are_exclusive(self):
+        with pytest.raises(ValueError, match="^aug and tune are exclusive"):
+            ExperimentConfig(model=TINY, train=FAST, split=SplitSpec(6, 3, 3),
+                             aug=AugConfig(r_max=3), tune=TuneSpec())
+
     def test_empty_seeds_rejected(self):
         ds = synth_dataset(3, 12, 64, 0.0, seed=7)
         cfg = ExperimentConfig(model=TINY, train=FAST, split=SplitSpec(6, 3, 3))

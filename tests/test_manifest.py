@@ -1,6 +1,8 @@
 """Manifest parsing, typed access and config-building tests."""
 
+import re
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from wfaug.evaluate import TuneSpec, fit_spaces_to_length
 from wfaug.manifest import (KNOWN_KEYS, Manifest, ManifestError,
                             aug_config_from_manifest, format_manifest,
                             load_manifest_file, model_config_from_manifest,
-                            parse_manifest_text, parse_operator_order,
+                            operator_order, parse_manifest_text,
+                            parse_operator_order,
                             split_spec_from_manifest,
                             train_config_from_manifest,
                             tune_spec_from_manifest)
@@ -61,27 +64,18 @@ class TestTypedAccess:
     def manifest(self, **values):
         return Manifest({k: str(v) for k, v in values.items()})
 
-    def test_int_float_bool_str(self):
+    def test_int_float_str(self):
         m = self.manifest(**{"split.shots": 5, "train.lr": "1e-2",
-                             "aug.enable.rotation": "true",
                              "tpe.mode": "sequential"})
         assert m.get("split.shots") == 5
         assert m.get("train.lr") == 0.01
-        assert m.get("aug.enable.rotation") is True
         assert m.get("tpe.mode") == "sequential"
-
-    @pytest.mark.parametrize("raw,expect", [("true", True), ("1", True),
-                                            ("FALSE", False), ("0", False)])
-    def test_bool_spellings(self, raw, expect):
-        m = Manifest({"aug.enable.mixing": raw})
-        assert m.get("aug.enable.mixing") is expect
 
     def test_bad_value_names_key(self):
         with pytest.raises(ManifestError, match="'split.shots'.*'five'"):
             self.manifest(**{"split.shots": "five"}).get("split.shots")
-        with pytest.raises(ManifestError, match="'aug.enable.mixing'"):
-            self.manifest(**{"aug.enable.mixing": "yes"}).get(
-                "aug.enable.mixing")
+        with pytest.raises(ManifestError, match="'aug.alpha'.*'yes'"):
+            self.manifest(**{"aug.alpha": "yes"}).get("aug.alpha")
 
     def test_missing_required_names_key(self):
         with pytest.raises(ManifestError, match="'data.path'"):
@@ -102,7 +96,7 @@ class TestTypedAccess:
 class TestRoundTrip:
     def test_format_then_parse(self):
         values = {"data.path": "d.txt", "split.shots": "5",
-                  "aug.enable.mixing": "true"}
+                  "aug.alpha": "0.2"}
         assert parse_manifest_text(format_manifest(values)) == values
 
     def test_registry_order(self):
@@ -130,39 +124,49 @@ class TestOperatorOrder:
 
 class TestAugConfig:
     def test_all_disabled_is_none(self):
-        assert aug_config_from_manifest(Manifest({}), 100) is None
+        m = Manifest({"aug.order": "mixing,rotation,masking"})
+        assert aug_config_from_manifest(m, 100, seed=0) is None
+        assert aug_config_from_manifest(Manifest({}), 100, seed=0) is None
 
-    def test_enabled_with_defaults(self):
-        m = Manifest({"aug.enable.rotation": "true"})
-        cfg = aug_config_from_manifest(m, 1000)
-        assert (cfg.r_max, cfg.m_len, cfg.alpha) == (20, None, None)
-        assert cfg.order == OPERATORS
+    def test_r_max_alone_is_rotation_only(self):
+        cfg = aug_config_from_manifest(Manifest({"aug.r_max": "5"}), 1000,
+                                       seed=0)
+        assert (cfg.r_max, cfg.m_len, cfg.alpha) == (5, None, None)
 
     def test_explicit_values_and_order(self):
-        m = Manifest({"aug.enable.rotation": "true",
-                      "aug.enable.masking": "true",
-                      "aug.enable.mixing": "true",
-                      "aug.r_max": "6", "aug.m_len": "12",
+        m = Manifest({"aug.r_max": "6", "aug.m_len": "12",
                       "aug.alpha": "0.4",
                       "aug.order": "masking,mixing,rotation"})
-        cfg = aug_config_from_manifest(m, 64)
+        cfg = aug_config_from_manifest(m, 64, seed=0)
         assert (cfg.r_max, cfg.m_len, cfg.alpha) == (6, 12, 0.4)
         assert cfg.order == (MASKING, MIXING, ROTATION)
 
+    def test_order_without_key_derives_from_seed(self):
+        # the augmentation config and the tuning spec read one order
+        m = Manifest({"aug.alpha": "0.4"})
+        orders = {seed: aug_config_from_manifest(m, 64, seed).order
+                  for seed in range(6)}
+        assert orders == {seed: operator_order(m, seed) for seed in range(6)}
+        assert orders == {seed: tune_spec_from_manifest(m, seed).order
+                          for seed in range(6)}
+        assert all(sorted(o) == sorted(OPERATORS) for o in orders.values())
+        assert len(set(orders.values())) > 1
+
     def test_mask_longer_than_trace_names_key(self):
-        m = Manifest({"aug.enable.masking": "true", "aug.m_len": "64"})
+        m = Manifest({"aug.m_len": "64"})
         with pytest.raises(ManifestError, match="aug.m_len"):
-            aug_config_from_manifest(m, 64)
+            aug_config_from_manifest(m, 64, seed=0)
 
     def test_rotation_beyond_trace_names_key(self):
-        m = Manifest({"aug.enable.rotation": "true", "aug.r_max": "65"})
+        m = Manifest({"aug.r_max": "65"})
         with pytest.raises(ManifestError, match="aug.r_max"):
-            aug_config_from_manifest(m, 64)
+            aug_config_from_manifest(m, 64, seed=0)
 
-    def test_disabled_operator_value_not_length_checked(self):
-        # only active operators constrain the trace length
-        m = Manifest({"aug.enable.rotation": "true", "aug.m_len": "500"})
-        assert aug_config_from_manifest(m, 64).m_len is None
+    def test_set_value_always_length_checked(self):
+        # a set value switches its operator on, so it always meets the rule
+        m = Manifest({"aug.r_max": "5", "aug.m_len": "500"})
+        with pytest.raises(ManifestError, match="^aug.m_len = 500 must"):
+            aug_config_from_manifest(m, 64, seed=0)
 
 
 class TestOneRulePerFact:
@@ -173,22 +177,20 @@ class TestOneRulePerFact:
     def test_length_rule_agrees_everywhere(self, trace_len):
         limits = length_limits(trace_len)
         assert limits == {"m_len": trace_len - 1, "r_max": trace_len}
-        keys = {"m_len": "masking", "r_max": "rotation"}
         for name, limit in limits.items():
             values = tuple(range(1, trace_len + 3))
             fitted = fit_spaces_to_length(
                 {name: SearchSpace(name, values)}, trace_len)
             assert max(fitted[name].grid) == limit
             for value, fits in ((limit, True), (limit + 1, False)):
-                m = Manifest({f"aug.enable.{keys[name]}": "true",
-                              f"aug.{name}": str(value)})
+                m = Manifest({f"aug.{name}": str(value)})
                 if fits:
-                    assert getattr(aug_config_from_manifest(m, trace_len),
+                    assert getattr(aug_config_from_manifest(m, trace_len, 0),
                                    name) == value
                 else:
                     with pytest.raises(ManifestError,
                                        match=f"^aug.{name} = {value} must"):
-                        aug_config_from_manifest(m, trace_len)
+                        aug_config_from_manifest(m, trace_len, 0)
         rng = np.random.default_rng(0)
         # the longest mask fits at the first or the second cell
         assert set(sample_mask(limits["m_len"], trace_len, rng,
@@ -198,12 +200,12 @@ class TestOneRulePerFact:
             sample_mask(limits["m_len"] + 1, trace_len, rng, 1)
 
     def test_manifest_length_messages_unchanged(self):
-        for key, value, text in (("masking", "aug.m_len = 64", "<"),
-                                 ("rotation", "aug.r_max = 65", "<=")):
+        for value, text in (("aug.m_len = 64", "<"),
+                            ("aug.r_max = 65", "<=")):
             name, _, number = value.partition(" = ")
-            m = Manifest({f"aug.enable.{key}": "true", name: number})
+            m = Manifest({name: number})
             with pytest.raises(ManifestError) as err:
-                aug_config_from_manifest(m, 64)
+                aug_config_from_manifest(m, 64, seed=0)
             assert str(err.value) == f"{value} must be {text} trace length 64"
 
     @pytest.mark.parametrize("order", [(ROTATION, MASKING),
@@ -252,12 +254,12 @@ class TestConfigBuilders:
         # flag precedence: test_cli.py TestTune::test_flags_beat_tpe_keys
         m = Manifest({"tpe.mode": "independent", "tpe.budget_per_param": "4",
                       "tpe.proxy_epochs": "2", "tpe.gamma": "0.5"})
-        spec = tune_spec_from_manifest(m, OPERATORS)
+        spec = tune_spec_from_manifest(m, 0)
         assert (spec.mode, spec.budget_per_param, spec.proxy_epochs,
                 spec.gamma) == ("independent", 4, 2, 0.5)
 
     def test_tune_spec_empty_manifest(self):
-        spec = tune_spec_from_manifest(Manifest({}), OPERATORS)
+        spec = tune_spec_from_manifest(Manifest({}), 0)
         assert spec.mode == "sequential"
         assert spec.budget_per_param is None
         assert spec.proxy_epochs == 30
@@ -266,9 +268,9 @@ class TestConfigBuilders:
     @pytest.mark.parametrize("section,cls,build,values", [
         ("split", SplitSpec, lambda m: split_spec_from_manifest(m, seed=0),
          {"shots": 4, "val_per_class": 2, "test_per_class": 6}),
-        ("aug", AugConfig, lambda m: aug_config_from_manifest(m, 1000),
+        ("aug", AugConfig, lambda m: aug_config_from_manifest(m, 1000, 0),
          {"r_max": 7, "m_len": 9, "alpha": 0.7}),
-        ("tpe", TuneSpec, lambda m: tune_spec_from_manifest(m, OPERATORS),
+        ("tpe", TuneSpec, lambda m: tune_spec_from_manifest(m, 0),
          {"mode": "independent", "budget_per_param": 4, "proxy_epochs": 2,
           "gamma": 0.5, "n_startup": 3, "n_candidates": 7}),
         ("train", TrainConfig, lambda m: train_config_from_manifest(m, 0),
@@ -284,7 +286,6 @@ class TestConfigBuilders:
             assert by_name[name].default in (MISSING, None) or \
                 value != by_name[name].default
         raw = {f"{section}.{name}": str(v) for name, v in values.items()}
-        raw.update({f"aug.enable.{op}": "true" for op in OPERATORS})
         cfg = build(Manifest(parse_manifest_text(format_manifest(raw))))
         assert {name: getattr(cfg, name) for name in values} == values
 
@@ -331,8 +332,7 @@ class TestModelConfig:
             "split.shots": "int", "split.val_per_class": "int",
             "split.test_per_class": "int", "aug.r_max": "int",
             "aug.m_len": "int", "aug.alpha": "float", "aug.order": "str",
-            "aug.enable.rotation": "bool", "aug.enable.masking": "bool",
-            "aug.enable.mixing": "bool", "tpe.gamma": "float",
+            "tpe.gamma": "float",
             "tpe.n_startup": "int", "tpe.n_candidates": "int",
             "tpe.budget_per_param": "int", "tpe.mode": "str",
             "tpe.proxy_epochs": "int", "model.blocks": "str",
@@ -342,8 +342,30 @@ class TestModelConfig:
 
     def test_registry_covers_spec_pinned_keys(self):
         pinned = {"aug.r_max", "aug.m_len", "aug.alpha", "aug.order",
-                  "aug.enable.rotation", "aug.enable.masking",
-                  "aug.enable.mixing", "tpe.gamma", "tpe.n_startup",
+                  "tpe.gamma", "tpe.n_startup",
                   "tpe.n_candidates", "tpe.budget_per_param", "tpe.mode",
                   "tpe.proxy_epochs"}
         assert pinned <= set(KNOWN_KEYS)
+
+
+def readme_manifests() -> list:
+    """The manifest text in README.md: every fenced block without a language
+    tag, and the body of every ``<<'EOF'`` here-document."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    # prose, tag, block, closing tag, prose, tag, block, ...
+    parts = re.split(r"^```(.*)\n", text, flags=re.M)
+    bare = [block for tag, block in zip(parts[1::4], parts[2::4]) if not tag]
+    return bare + re.findall(r"<<'EOF'\n(.*?)^EOF$", text, flags=re.M | re.S)
+
+
+class TestReadme:
+    def test_every_manifest_block_parses(self):
+        blocks = readme_manifests()
+        assert len(blocks) == 2
+        for text in blocks:
+            assert parse_manifest_text(text, "README.md")
+        merged = Manifest(*(parse_manifest_text(t) for t in blocks))
+        cfg = aug_config_from_manifest(merged, merged.get("data.trace_len"),
+                                       seed=0)
+        assert cfg == AugConfig(r_max=20, m_len=180, alpha=0.1)
