@@ -179,8 +179,13 @@ class MaxPool2(Layer):
         keep = 2 * dy.shape[2]
         left_wins, self._left_wins = self._left_wins, None
         dx = np.zeros(dy.shape[:2] + (self._len,), dy.dtype)
-        dx[..., 0:keep:2] = np.where(left_wins, dy, 0.0)
-        dx[..., 1:keep:2] = np.where(left_wins, 0.0, dy)
+        # np.where(left_wins, dy, 0) and its complement as masks on the
+        # bits: every dy (-0.0, inf and NaN too) is copied as it is, at a
+        # fraction of np.where's time
+        bits = np.dtype(f"u{dy.itemsize}")
+        dy_bits, left = dy.view(bits), dx[..., 0:keep:2].view(bits)
+        np.bitwise_and(dy_bits, np.negative(left_wins, dtype=bits), out=left)
+        np.bitwise_xor(dy_bits, left, out=dx[..., 1:keep:2].view(bits))
         return dx
 
 

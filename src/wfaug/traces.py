@@ -88,6 +88,11 @@ MAX_LABEL = 65535
 # length asks for terabytes or loops for minutes; at this cap a row is 64 KiB.
 MAX_TRACE_LEN = 1 << 16
 
+# Most cells (classes x traces per class x trace_len) synth_dataset makes.
+# The traces take a byte each, and the written file about two, so at this
+# cap the array is 256 MiB; a larger request is refused before allocating.
+MAX_SYNTH_CELLS = 1 << 28
+
 # _FOLLOWS[a, b]: byte b may follow byte a in " " + directions + " ", which
 # holds exactly when the directions are "1"/"-1" tokens, one space apart
 _FOLLOWS = np.zeros((256, 256), dtype=bool)
@@ -159,17 +164,51 @@ def load_dataset(path, trace_len: int) -> Dataset:
     return Dataset(traces, labels, num_classes, {"source": str(path)})
 
 
+def _check_savable(traces: np.ndarray) -> np.ndarray:
+    """Per-row count of directions; raises, naming the first row, when a row
+    is all padding or has a zero before its last direction."""
+    nonzero = traces != 0
+    count = np.count_nonzero(nonzero, axis=1)
+    # one past the last direction: the row length less the trailing zeros
+    end = (traces.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
+           if traces.shape[1] else count)
+    bad = np.flatnonzero((count == 0) | (count < end))
+    if len(bad):
+        row = int(bad[0])
+        what = ("an all-padding trace" if count[row] == 0
+                else "a trace with interior zeros")
+        raise ValueError(f"cannot save {what} (row {row})")
+    return count
+
+
+# an int8 direction's byte, 0x01 or 0xff, as the token the file holds
+_TOKEN_1 = bytes.maketrans(b"\x01", b"1")
+# rows of at most this many cells are written at a time
+_WRITE_CELLS = 1 << 18
+
+
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write a dataset in the load format. Trailing padding zeros are dropped."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for trace, label in zip(dataset.traces, dataset.labels):
-            nz = np.nonzero(trace)[0]
-            if len(nz) == 0:
-                raise ValueError("cannot save an all-padding trace")
-            body = trace[: nz[-1] + 1]
-            if np.any(body == 0):
-                raise ValueError("cannot save a trace with interior zeros")
-            fh.write(f"{label}\t{' '.join([_TOKENS[v] for v in body.tolist()])}\n")
+    """Write a dataset in the load format. Trailing padding zeros are dropped.
+
+    Every row is checked before ``path`` is opened, so a refused dataset
+    leaves an existing file as it was.
+    """
+    traces = dataset.traces
+    count = _check_savable(traces)
+    step = max(1, _WRITE_CELLS // max(1, traces.shape[1]))
+    with open(path, "wb") as fh:
+        for start in range(0, len(traces), step):
+            rows = slice(start, start + step)
+            n = count[rows]
+            # directions one byte apart, each row's text ending in a newline
+            text = np.full((len(n), 2 * traces.shape[1]), ord(" "),
+                           dtype=np.uint8)
+            text[:, 0::2] = traces[rows].view(np.uint8)
+            text[np.arange(len(n)), 2 * n - 1] = ord("\n")
+            lines = b"".join(
+                b"%d\t%s" % (label, line[:2 * k].tobytes()) for line, label, k
+                in zip(text, dataset.labels[rows].tolist(), n.tolist()))
+            fh.write(lines.translate(_TOKEN_1).replace(b"\xff", b"-1"))
 
 
 def make_splits(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
@@ -217,17 +256,25 @@ def one_hot_labels(labels: np.ndarray, num_classes: int,
     return out
 
 
-def _render_runs(run_lengths: list[int], trace_len: int) -> np.ndarray:
-    out = np.zeros(trace_len, dtype=np.int8)
-    pos, sign = 0, 1
-    for run in run_lengths:
-        if pos >= trace_len:
-            break
-        end = min(pos + run, trace_len)
-        out[pos:end] = sign
-        pos = end
-        sign = -sign
-    return out
+def _signs(num_runs: int) -> np.ndarray:
+    """Alternating run signs, +1 first."""
+    signs = np.ones(num_runs, dtype=np.int8)
+    signs[1::2] = -1
+    return signs
+
+
+def _run_bounds(runs: list[int], trace_len: int) -> np.ndarray:
+    """0 and each run's end, cut at ``trace_len``."""
+    return np.minimum(np.concatenate([[0], np.cumsum(runs, dtype=np.int64)]),
+                      trace_len)
+
+
+def _render(bounds: np.ndarray, signs: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``[bounds[i], bounds[i + 1])`` of the zeroed row ``out`` with
+    ``signs[i]``; ``bounds`` starts at 0, never decreases and ends at most at
+    ``len(out)``. An empty run still uses up its sign, and the cells past the
+    last bound stay padding."""
+    out[:bounds[-1]] = np.repeat(signs, bounds[1:] - bounds[:-1])
 
 
 def synth_template_runs(num_classes: int, trace_len: int, seed: int) -> list[list[int]]:
@@ -250,8 +297,10 @@ def synth_template_runs(num_classes: int, trace_len: int, seed: int) -> list[lis
 def synth_templates(num_classes: int, trace_len: int, seed: int) -> np.ndarray:
     """Rendered (num_classes, trace_len) template traces; the oracle targets
     for nearest-template classification."""
-    runs = synth_template_runs(num_classes, trace_len, seed)
-    return np.stack([_render_runs(r, trace_len) for r in runs])
+    out = np.zeros((num_classes, trace_len), dtype=np.int8)
+    for row, runs in zip(out, synth_template_runs(num_classes, trace_len, seed)):
+        _render(_run_bounds(runs, trace_len), _signs(len(runs)), row)
+    return out
 
 
 def synth_dataset(num_classes: int, samples_per_class: int, trace_len: int,
@@ -261,40 +310,46 @@ def synth_dataset(num_classes: int, samples_per_class: int, trace_len: int,
     Each sample jitters the template's run boundaries by up to 10% of each run
     length and flips each cell's sign independently with probability
     ``noise_rate``. With ``noise_rate == 0`` samples replicate the template
-    exactly. Fully deterministic given ``seed``.
+    exactly. Fully deterministic given ``seed``. At most MAX_LABEL + 1
+    classes (the labels a trace file holds) and MAX_SYNTH_CELLS cells.
     """
-    if num_classes < 2:
-        raise ValueError("num_classes must be >= 2")
+    if not 2 <= num_classes <= MAX_LABEL + 1:
+        raise ValueError(f"num_classes must be in [2, {MAX_LABEL + 1}], "
+                         f"got {num_classes}")
     if not 0.0 <= noise_rate < 0.5:
         raise ValueError("noise_rate must be in [0, 0.5)")
     if samples_per_class < 1:
         raise ValueError("samples_per_class must be >= 1")
     _check_trace_len(trace_len)
-    template_runs = synth_template_runs(num_classes, trace_len, seed)
-    traces = np.empty((num_classes * samples_per_class, trace_len), dtype=np.int8)
-    labels = np.empty(num_classes * samples_per_class, dtype=np.int64)
-    row = 0
-    for cid in range(num_classes):
-        runs = template_runs[cid]
-        bounds = np.concatenate([[0], np.cumsum(runs)])
+    cells = num_classes * samples_per_class * trace_len
+    if cells > MAX_SYNTH_CELLS:
+        raise ValueError(
+            f"{num_classes} classes x {samples_per_class} traces x "
+            f"{trace_len} directions is {cells} cells, more than "
+            f"MAX_SYNTH_CELLS = {MAX_SYNTH_CELLS}")
+    traces = np.zeros((num_classes, samples_per_class, trace_len), dtype=np.int8)
+    flips = np.empty((samples_per_class, trace_len), dtype=bool)
+    for cid, runs in enumerate(synth_template_runs(num_classes, trace_len, seed)):
+        bounds, signs = _run_bounds(runs, trace_len), _signs(len(runs))
+        if noise_rate == 0.0:
+            _render(bounds, signs, traces[cid, 0])
+            traces[cid, 1:] = traces[cid, 0]
+            continue
+        # each boundary moves by at most 10% of the run it ends (no
+        # cumulative drift); Python's round and np.round both round half
+        # to even
+        width = np.maximum(1, np.round(0.1 * np.asarray(runs))).astype(np.int64)
         for k in range(samples_per_class):
-            if noise_rate == 0.0:
-                trace = _render_runs(runs, trace_len)
-            else:
-                rng = derive_rng(seed, "sample", cid, k)
-                # jitter each run boundary locally (no cumulative drift)
-                jittered = bounds.copy()
-                for b in range(1, len(bounds)):
-                    d = max(1, int(round(0.1 * runs[b - 1])))
-                    jittered[b] = min(bounds[b] + int(rng.integers(-d, d + 1)), trace_len)
-                jittered = np.maximum.accumulate(jittered)
-                trace = _render_runs(np.diff(jittered).tolist(), trace_len)
-                flip = rng.random(trace_len) < noise_rate
-                trace = np.where(flip, -trace, trace).astype(np.int8)
-            traces[row] = trace
-            labels[row] = cid
-            row += 1
-    return Dataset(traces, labels, num_classes, {
+            rng = derive_rng(seed, "sample", cid, k)
+            # one draw per boundary, the stream of one scalar call each
+            jittered = bounds.copy()
+            jittered[1:] = np.minimum(
+                bounds[1:] + rng.integers(-width, width + 1), trace_len)
+            _render(np.maximum.accumulate(jittered), signs, traces[cid, k])
+            flips[k] = rng.random(trace_len) < noise_rate
+        np.negative(traces[cid], out=traces[cid], where=flips)
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
+    return Dataset(traces.reshape(-1, trace_len), labels, num_classes, {
         "source": "synth", "seed": int(seed), "num_classes": int(num_classes),
         "samples_per_class": int(samples_per_class), "trace_len": int(trace_len),
         "noise_rate": float(noise_rate),

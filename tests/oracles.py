@@ -193,3 +193,75 @@ def load_dataset_per_token(path, trace_len: int):
     monitored = labels[labels != BACKGROUND]
     num_classes = int(monitored.max()) + 1 if len(monitored) else 0
     return Dataset(np.stack(traces), labels, num_classes, {"source": str(path)})
+
+
+def render_runs_loop(run_lengths, trace_len: int) -> np.ndarray:
+    """Alternating +1/-1 runs, one Python step per run, cut at ``trace_len``."""
+    out = np.zeros(trace_len, dtype=np.int8)
+    pos, sign = 0, 1
+    for run in run_lengths:
+        if pos >= trace_len:
+            break
+        end = min(pos + run, trace_len)
+        out[pos:end] = sign
+        pos = end
+        sign = -sign
+    return out
+
+
+def synth_dataset_per_boundary(num_classes: int, samples_per_class: int,
+                               trace_len: int, noise_rate: float, seed: int):
+    """Synthesizer that draws one jitter per ``rng.integers`` call and renders
+    runs in a Python loop.
+
+    The reference for ``wfaug.traces.synth_dataset``, without its argument
+    checks: same templates, streams and bytes.
+    """
+    from wfaug.seeding import derive_rng
+    from wfaug.traces import Dataset, synth_template_runs
+
+    template_runs = synth_template_runs(num_classes, trace_len, seed)
+    traces = np.empty((num_classes * samples_per_class, trace_len), dtype=np.int8)
+    labels = np.empty(num_classes * samples_per_class, dtype=np.int64)
+    row = 0
+    for cid in range(num_classes):
+        runs = template_runs[cid]
+        bounds = np.concatenate([[0], np.cumsum(runs)])
+        for k in range(samples_per_class):
+            if noise_rate == 0.0:
+                trace = render_runs_loop(runs, trace_len)
+            else:
+                rng = derive_rng(seed, "sample", cid, k)
+                jittered = bounds.copy()
+                for b in range(1, len(bounds)):
+                    d = max(1, int(round(0.1 * runs[b - 1])))
+                    jittered[b] = min(bounds[b] + int(rng.integers(-d, d + 1)),
+                                      trace_len)
+                jittered = np.maximum.accumulate(jittered)
+                trace = render_runs_loop(np.diff(jittered).tolist(), trace_len)
+                flip = rng.random(trace_len) < noise_rate
+                trace = np.where(flip, -trace, trace).astype(np.int8)
+            traces[row] = trace
+            labels[row] = cid
+            row += 1
+    return Dataset(traces, labels, num_classes, {
+        "source": "synth", "seed": int(seed), "num_classes": int(num_classes),
+        "samples_per_class": int(samples_per_class), "trace_len": int(trace_len),
+        "noise_rate": float(noise_rate),
+    })
+
+
+def save_dataset_per_token(dataset, path) -> None:
+    """Trace-file writer that spells one token at a time, checking each row
+    as it goes. The reference for the bytes ``wfaug.traces.save_dataset``
+    writes."""
+    tokens = {1: "1", -1: "-1"}
+    with open(path, "w", encoding="utf-8") as fh:
+        for trace, label in zip(dataset.traces, dataset.labels):
+            nz = np.nonzero(trace)[0]
+            if len(nz) == 0:
+                raise ValueError("cannot save an all-padding trace")
+            body = trace[: nz[-1] + 1]
+            if np.any(body == 0):
+                raise ValueError("cannot save a trace with interior zeros")
+            fh.write(f"{label}\t{' '.join([tokens[v] for v in body.tolist()])}\n")

@@ -112,6 +112,27 @@ class TestSynth:
         assert capsys.readouterr().err.startswith("error: trace_len must be")
         assert not (workdir / "data.txt").exists()
 
+    def test_more_classes_than_labels_fails(self, workdir, capsys):
+        assert run("synth", "--manifest", "exp.cfg", "--classes", "70000",
+                   "--out", "data.txt") == 1
+        assert capsys.readouterr().err == (
+            "error: num_classes must be in [2, 65536], got 70000\n")
+        assert not (workdir / "data.txt").exists()
+
+    def test_huge_array_fails_before_allocating(self, workdir, capsys,
+                                                monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before refusing")
+
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        assert run("synth", "--manifest", "exp.cfg", "--len", "100",
+                   "--per-class", str(10 ** 12), "--out", "data.txt") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 3 classes x 1000000000000 traces x 100 "
+                              "directions is 300000000000000 cells, more "
+                              "than MAX_SYNTH_CELLS")
+        assert not (workdir / "data.txt").exists()
+
 
 class TestSplit:
     def test_writes_three_partitions(self, workdir):

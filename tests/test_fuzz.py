@@ -5,7 +5,9 @@ returns a value or raises its own documented error (TraceFormatError,
 ManifestError, CheckpointError), never anything else. The trace parser also
 reads every file the way a token-at-a-time reference does. Whatever the
 eval.json files hold, ``wfaug report`` exits 0, or 1 with an ``error:``
-line. Examples are derandomized so that every run tries the same inputs.
+line. The synthesizer and the trace writer make the bytes of their
+one-boundary-at-a-time and one-token-at-a-time references. Examples are
+derandomized so that every run tries the same inputs.
 """
 
 import contextlib
@@ -13,6 +15,8 @@ import io
 import json
 import struct
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,8 +25,10 @@ from wfaug.manifest import KNOWN_KEYS, ManifestError, load_manifest_file
 from wfaug.nn import (CheckpointError, ConvBlock, Model, ModelConfig,
                       load_checkpoint, save_checkpoint)
 from wfaug.nn.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
-from oracles import load_dataset_per_token
-from wfaug.traces import MAX_LABEL, Dataset, TraceFormatError, load_dataset
+from oracles import (load_dataset_per_token, save_dataset_per_token,
+                     synth_dataset_per_boundary)
+from wfaug.traces import (MAX_LABEL, Dataset, TraceFormatError, load_dataset,
+                          save_dataset, synth_dataset)
 
 FUZZ = settings(max_examples=300, derandomize=True, deadline=None)
 
@@ -61,6 +67,17 @@ TRACE_RECORDS = st.lists(st.tuples(
     min_size=1, max_size=6).map(
         lambda recs: "".join(f"{label}\t{' '.join(toks)}\n"
                              for label, toks in recs).encode())
+
+# synth_dataset arguments: classes, traces per class, length, noise, seed
+SYNTH_ARGS = st.tuples(
+    st.integers(2, 5), st.integers(1, 4), st.integers(1, 300),
+    st.just(0.0) | st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    st.integers(-2 ** 63, 2 ** 64 - 1))
+# (N, L) direction arrays, with zeros anywhere, and labels for them
+DIRECTION_ROWS = st.integers(1, 12).flatmap(lambda length: st.lists(
+    st.lists(st.sampled_from([1, -1, 1, -1, 0]), min_size=length,
+             max_size=length), min_size=1, max_size=6))
+LABELS = st.integers(-1, 5) | st.just(MAX_LABEL)
 
 
 def write(tmp_path_factory, raw, name):
@@ -199,3 +216,51 @@ def test_report_exits_zero_or_with_an_error_line(tmp_path_factory, bodies):
     with contextlib.redirect_stderr(err):
         code = main(["report", *runs, "--out", str(root / "summary")])
     assert code == 0 or (code == 1 and err.getvalue().startswith("error: "))
+
+
+def assert_saved_as_reference(tmp_path_factory, dataset):
+    """``save_dataset`` writes the bytes of its per-token reference, and they
+    load back as ``dataset``; or both refuse, and ``save_dataset`` names the
+    row at which the reference stopped writing."""
+    tmp = tmp_path_factory.mktemp("save")
+    got, want = tmp / "got.txt", tmp / "want.txt"
+    try:
+        save_dataset_per_token(dataset, want)
+    except ValueError as exc:
+        row = want.read_bytes().count(b"\n")
+        with pytest.raises(ValueError) as err:
+            save_dataset(dataset, got)
+        assert str(err.value) == f"{exc} (row {row})"
+        assert not got.exists()
+        return
+    save_dataset(dataset, got)
+    assert got.read_bytes() == want.read_bytes()
+    back = load_dataset(got, dataset.trace_len)
+    assert back.traces.tobytes() == dataset.traces.tobytes()
+    assert back.labels.tobytes() == dataset.labels.tobytes()
+
+
+@FUZZ
+@given(args=SYNTH_ARGS)
+def test_synth_dataset_writes_as_the_per_boundary_reference(tmp_path_factory,
+                                                            args):
+    got, want = synth_dataset(*args), synth_dataset_per_boundary(*args)
+    assert got.traces.dtype == want.traces.dtype == np.int8
+    assert got.traces.shape == want.traces.shape
+    assert got.traces.tobytes() == want.traces.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert (got.num_classes, got.provenance) == (want.num_classes,
+                                                 want.provenance)
+    # a short trace can jitter down to all padding, which both refuse
+    assert_saved_as_reference(tmp_path_factory, got)
+
+
+@FUZZ
+@given(rows=DIRECTION_ROWS, labels=st.lists(LABELS, min_size=6, max_size=6))
+def test_save_dataset_writes_as_the_per_token_reference(tmp_path_factory,
+                                                        rows, labels):
+    labels = np.array(labels[:len(rows)])
+    monitored = labels[labels >= 0]
+    assert_saved_as_reference(tmp_path_factory, Dataset(
+        np.array(rows), labels,
+        int(monitored.max()) + 1 if len(monitored) else 0))

@@ -1,5 +1,6 @@
 """Manifest parsing, typed access and config-building tests."""
 
+import hashlib
 import re
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from wfaug.augment import (MASKING, MIXING, OPERATORS, ROTATION, AugConfig,
                            check_order, length_limits, sample_mask)
+from wfaug.cli import main
 from wfaug.evaluate import TuneSpec, fit_spaces_to_length
 from wfaug.manifest import (KNOWN_KEYS, Manifest, ManifestError,
                             aug_config_from_manifest, format_manifest,
@@ -369,3 +371,17 @@ class TestReadme:
         cfg = aug_config_from_manifest(merged, merged.get("data.trace_len"),
                                        seed=0)
         assert cfg == AugConfig(r_max=20, m_len=180, alpha=0.1)
+
+    def test_synth_data_is_pinned(self, tmp_path, monkeypatch):
+        """The README's data file, byte for byte: a change to the synthesis
+        streams shows here and has to be declared."""
+        monkeypatch.chdir(tmp_path)
+        text = next(t for t in readme_manifests() if "data.classes" in t)
+        data = {k: v for k, v in parse_manifest_text(text).items()
+                if k.startswith("data.")}
+        (tmp_path / "exp.cfg").write_text(format_manifest(data),
+                                          encoding="utf-8")
+        assert main(["synth", "--manifest", "exp.cfg", "--seed", "7",
+                     "--out", "data.txt"]) == 0
+        assert hashlib.sha256((tmp_path / "data.txt").read_bytes()).hexdigest() \
+            == "d7b336aed207842f9090a07f027e797877656457606bfd054746bfd0cf58555e"

@@ -242,6 +242,23 @@ class TestPoolingLayers:
         assert pool.forward(x, train=True).tobytes() == want_y.tobytes()
         assert pool.backward(dy).tobytes() == want_dx.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maxpool_backward_copies_every_gradient_bit(self, dtype):
+        """Signed zeros, infinities and NaNs reach the winning slot as they
+        are, and a losing slot holds +0.0, as with np.where."""
+        rng = np.random.default_rng(3)
+        x = rng.choice(np.array([-1.0, 0.0, -0.0, 1.0, np.nan]),
+                       size=(2, 3, 41)).astype(dtype)
+        dy = rng.choice(np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -2.5,
+                                  1e-45]), size=(2, 3, 20)).astype(dtype)
+        _, idx = maxpool2_forward_argmax(x.astype(np.float64))
+        want = maxpool2_backward_argmax(dy.astype(np.float64), idx, 41)
+        pool = MaxPool2()
+        pool.forward(x, train=True)
+        dx = pool.backward(dy)
+        assert dx.dtype == dtype
+        assert dx.tobytes() == want.astype(dtype).tobytes()
+
     def test_gap_mean_and_backward(self):
         gap = GlobalAvgPool()
         x = np.arange(12.0).reshape(1, 3, 4)
@@ -501,6 +518,21 @@ class TestBackward:
         assert (len(x), 1, 66) in built
         model.forward(x, train=True)
         assert first.backward(np.ones((len(x), 8, 64))) is None
+
+    def test_non_finite_pool_gradient_raises(self):
+        """A non-finite gradient into MaxPool2 reaches the conv below it,
+        whose weight gradient the check then refuses."""
+        model = Model(TINY, seed=0)
+        assert [layer.name for layer in model.layers[1:4]] == [
+            "relu", "maxpool2", "conv1"]
+        x = np.random.default_rng(0).normal(size=(2, 64))
+        probs, _ = model.forward(x, train=True)
+        # set after the forward pass: the loss stays finite, and conv1's
+        # input gradient, which MaxPool2 receives, is not
+        model.layers[3].params["w"][...] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(FloatingPointError, match="conv0"):
+                model.backward(probs, np.eye(3)[[0, 1]])
 
     def test_non_finite_gradient_names_layer(self):
         model = Model(TINY, seed=0)

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import nearest_template_labels
+from oracles import nearest_template_labels, render_runs_loop
 from wfaug.traces import (
     BACKGROUND,
     MAX_LABEL,
+    MAX_SYNTH_CELLS,
     MAX_TRACE_LEN,
     Dataset,
     SplitSpec,
@@ -139,6 +140,51 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="interior zeros"):
             save_dataset(d, "/dev/null")
 
+    @pytest.mark.parametrize("bad_row, what", [
+        ([1, 0, -1, 0], "a trace with interior zeros"),
+        ([0, 0, 0, 0], "an all-padding trace"),
+    ], ids=["interior-zero", "all-padding"])
+    def test_refused_save_leaves_existing_file_untouched(self, tmp_path,
+                                                         bad_row, what):
+        path = write(tmp_path, "0\t1 1 -1\n1\t-1\n")
+        before = path.read_bytes()
+        traces = np.array([[1, 1, 0, 0], [-1, 1, 0, 0], bad_row, [0, 0, 0, 0]])
+        d = Dataset(traces, np.array([0, 1, 0, 1]), 2)
+        with pytest.raises(ValueError) as err:
+            save_dataset(d, path)
+        assert str(err.value) == f"cannot save {what} (row 2)"
+        assert path.read_bytes() == before
+        with pytest.raises(ValueError):
+            save_dataset(d, tmp_path / "new.txt")
+        assert not (tmp_path / "new.txt").exists()
+
+    def test_writes_in_bounded_chunks(self, tmp_path, monkeypatch):
+        d = synth_dataset(3, 5, 40, 0.2, seed=4)
+        whole = tmp_path / "whole.txt"
+        save_dataset(d, whole)
+        writes = []
+
+        class Recording:
+            def __init__(self, *args, **kwargs):
+                self.fh = open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                writes.append(len(data))
+                return self.fh.write(data)
+
+        # two rows of 40 cells per write
+        monkeypatch.setattr("wfaug.traces._WRITE_CELLS", 2 * 40)
+        monkeypatch.setattr("wfaug.traces.open", Recording, raising=False)
+        save_dataset(d, tmp_path / "chunked.txt")
+        assert len(writes) == 8 and sum(writes) == whole.stat().st_size
+        assert (tmp_path / "chunked.txt").read_bytes() == whole.read_bytes()
+
 
 class TestSplits:
     def make(self, per_class=100, classes=3, with_background=False, seed=1):
@@ -230,6 +276,34 @@ class TestSynth:
         for bad in (0, MAX_TRACE_LEN + 1):
             with pytest.raises(ValueError, match="trace_len"):
                 synth_dataset(2, 1, bad, 0.05, seed=0)
+
+    def test_class_count_capped_at_label_range(self):
+        with pytest.raises(ValueError, match=r"num_classes must be in "
+                                             rf"\[2, {MAX_LABEL + 1}\]"):
+            synth_dataset(MAX_LABEL + 2, 1, 1, 0.0, seed=0)
+
+    @pytest.mark.parametrize("classes, per_class, trace_len", [
+        (20, 10 ** 12, 100),
+        # one trace over the cap
+        (2, MAX_SYNTH_CELLS // (2 * MAX_TRACE_LEN) + 1, MAX_TRACE_LEN),
+    ])
+    def test_cell_count_capped_before_allocating(self, monkeypatch, classes,
+                                                 per_class, trace_len):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before refusing")
+
+        monkeypatch.setattr("wfaug.traces.synth_template_runs", no_allocation)
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        with pytest.raises(ValueError, match="more than MAX_SYNTH_CELLS"):
+            synth_dataset(classes, per_class, trace_len, 0.1, seed=0)
+
+    def test_templates_render_runs_in_turn(self):
+        from wfaug.traces import synth_template_runs
+        for seed, trace_len in ((0, 1), (3, 2), (5, 128), (7, 1000)):
+            runs = synth_template_runs(4, trace_len, seed)
+            want = [render_runs_loop(r, trace_len) for r in runs]
+            assert synth_templates(4, trace_len, seed).tobytes() == (
+                np.stack(want).tobytes())
 
 
 class TestOutputWidth:
