@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 ROTATION = "rotation"
 MASKING = "masking"
@@ -84,17 +85,24 @@ def _check_alpha(alpha: float) -> None:
 
 
 def rotate_batch(x: np.ndarray, shifts) -> np.ndarray:
-    """Shift row b of (B, L) ``x`` circularly by shifts[b]; keeps the dtype."""
-    pos = np.arange(x.shape[1])[None, :]
-    cols = (pos - np.asarray(shifts)[:, None]) % x.shape[1]
-    return x[np.arange(len(x))[:, None], cols]
+    """Shift row b of (B, L) ``x`` circularly by shifts[b]; keeps the dtype.
+
+    Row b of the result is the L-cell window of row b written twice end to
+    end that starts at cell (-shifts[b]) mod L, taken in one gather.
+    """
+    length = x.shape[1]
+    windows = sliding_window_view(np.concatenate([x, x], axis=1), length,
+                                  axis=1)
+    return windows[np.arange(len(x)), -np.asarray(shifts) % length]
 
 
 def mask_batch(x: np.ndarray, starts, length: int) -> np.ndarray:
-    """Zero positions [starts[b], starts[b] + length) of row b; keeps dtype."""
-    pos = np.arange(x.shape[1])[None, :]
-    starts = np.asarray(starts)[:, None]
-    return np.where((pos >= starts) & (pos < starts + length), 0, x)
+    """Zero positions [starts[b], starts[b] + length) of row b of a copy of
+    (B, L) ``x``, for starts in [0, L - length]; keeps the dtype."""
+    out = np.array(x)
+    windows = sliding_window_view(out, length, axis=1, writeable=True)
+    windows[np.arange(len(out)), np.asarray(starts)] = 0
+    return out
 
 
 def mix_batch(x: np.ndarray, y: np.ndarray, partners,

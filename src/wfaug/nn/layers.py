@@ -7,10 +7,11 @@ once it has used it, so no step's activations outlive the step.
 
 Convolutions are computed one kernel tap at a time over a strided slice of
 the zero-padded input, so both directions stay plain BLAS calls with a fixed
-reduction order. Each tap's product goes into one buffer reused across taps
-and is added into the output. With a single input channel (the first layer)
-a tap is a broadcast multiply instead of a K=1 matmul: every output is then
-one product, rounded once either way. Each weight-gradient tap is one GEMM of
+reduction order. The first tap's product is the output array itself; each
+later tap's product goes into one buffer reused across taps and is added into
+the output. With a single input channel (the first layer) a tap is a
+broadcast multiply instead of a K=1 matmul: every output is then one product,
+rounded once either way. Each weight-gradient tap is one GEMM of
 the (out_ch, batch * length) rows of the output gradient, built once per
 call, with the tap's (batch * length, in_ch) rows. ``Model`` marks its first
 conv ``input_grad = False``: nothing uses the gradient of the network's
@@ -97,15 +98,17 @@ class Conv1D(Layer):
         xp[:, :, self.pad_l + length:] = 0
         xp[:, :, self.pad_l:self.pad_l + length] = x
         w = self.params["w"]
-        y = np.zeros((batch, self.out_ch, l_out), np.result_type(x, w))
-        prod = np.empty_like(y)
         # with one input channel each tap output is a single product, which
-        # matmul and multiply round alike; a -0.0 product loses its sign on
-        # the add into y, which starts at +0.0
+        # matmul and multiply round alike
         tap_product = np.multiply if self.in_ch == 1 else np.matmul
-        for t in range(self.kernel):
+        y = tap_product(w[:, :, 0], xp[:, :, self._tap(0, l_out)])
+        prod = np.empty_like(y)
+        for t in range(1, self.kernel):
             y += tap_product(w[:, :, t], xp[:, :, self._tap(t, l_out)],
                              out=prod)
+        # a sum started at +0.0 differs from this one only by a -0.0 where
+        # this one has -0.0 and that one +0.0; adding a bias that is not
+        # -0.0 (training never makes one) gives both the same bits
         y += self.params["b"][None, :, None]
         if train:
             self._cache = (xp, l_out)
@@ -138,13 +141,17 @@ class Conv1D(Layer):
 
 
 class ReLU(Layer):
+    """max(x, 0), written over its input: in a ``Model`` that input is
+    always the fresh output of a conv or dense layer, which nothing else
+    holds, so no array is allocated for the result."""
+
     name = "relu"
     _mask = None
 
     def forward(self, x, train=False):
         if train:
             self._mask = x > 0
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=x)
 
     def backward(self, dy):
         mask, self._mask = self._mask, None

@@ -4,9 +4,12 @@ The network consumes (batch, length) real-valued direction sequences and
 returns per-class probabilities plus the pooled feature vectors. Its body
 (parameters, activations, gradients, optimizer state) runs in ``DTYPE``; the
 logits are cast to float64 for the softmax, so probabilities, the loss and
-every threshold decision are float64. A versioned checkpoint holds a JSON
-header (architecture, seed, tensor table, training data) and every parameter
-tensor as little-endian float32.
+every threshold decision are float64. A model keeps all its parameters in one
+vector, ``Model.params``, and every layer's tensors are views of it in
+``param_items`` order; the gradients of a backward pass are gathered into a
+second vector, ``Model.grads``, in the same order. A versioned checkpoint
+holds a JSON header (architecture, seed, tensor table, training data) and the
+parameter vector as little-endian float32.
 """
 
 from __future__ import annotations
@@ -174,10 +177,17 @@ class Model:
             if j < len(cfg.fc) - 1:
                 self.layers.append(ReLU())
             width = out
-        # layers draw their parameters in float64
-        for layer in self.layers:
-            for key, arr in layer.params.items():
-                layer.params[key] = arr.astype(self.dtype)
+        # layers draw their parameters in float64; the vector holds them
+        # cast once, in param_items order, and each becomes a view of it
+        drawn = [(layer.params, key, arr) for layer in self.layers
+                 for key, arr in layer.params.items()]
+        self.params = np.concatenate(
+            [arr.ravel() for _, _, arr in drawn]).astype(self.dtype)
+        self.grads = np.zeros_like(self.params)
+        lo = 0
+        for params, key, arr in drawn:
+            params[key] = self.params[lo:lo + arr.size].reshape(arr.shape)
+            lo += arr.size
         # conv multiply-adds per input row decide whether inference tiles
         # are worth a thread each
         length, macs = cfg.input_len, 0
@@ -235,14 +245,21 @@ class Model:
         return softmax(logits.astype(np.float64)), features
 
     def backward(self, probs: np.ndarray, targets: np.ndarray) -> None:
-        """Backpropagate mean cross-entropy; gradients land in each layer."""
+        """Backpropagate mean cross-entropy. Each layer keeps its gradients,
+        and ``grads`` gathers them in ``param_items`` order; a non-finite one
+        raises FloatingPointError naming the first such tensor in backward
+        order."""
         d = ((probs - targets) / len(probs)).astype(self.dtype)
         for layer in reversed(self.layers):
             d = layer.backward(d)
-            for key, g in layer.grads.items():
-                if not np.all(np.isfinite(g)):
-                    raise FloatingPointError(
-                        f"non-finite gradient in {layer.name}.{key}")
+        np.concatenate([g.ravel() for _, _, g in self.param_grad_items()],
+                       out=self.grads)
+        if not np.isfinite(self.grads).all():
+            for layer in reversed(self.layers):
+                for key, g in layer.grads.items():
+                    if not np.isfinite(g).all():
+                        raise FloatingPointError(
+                            f"non-finite gradient in {layer.name}.{key}")
 
     def param_items(self):
         for layer in self.layers:
@@ -254,12 +271,13 @@ class Model:
             for key, arr in layer.params.items():
                 yield f"{layer.name}.{key}", arr, layer.grads[key]
 
-    def state_copy(self) -> dict:
-        return {name: arr.copy() for name, arr in self.param_items()}
+    def state_copy(self) -> np.ndarray:
+        """A copy of the parameter vector."""
+        return self.params.copy()
 
-    def load_state(self, state: dict) -> None:
-        for name, arr in self.param_items():
-            arr[...] = state[name]
+    def load_state(self, state: np.ndarray) -> None:
+        """Set every parameter from a ``state_copy`` of a like model."""
+        self.params[...] = state
 
 
 def decide(probs: np.ndarray):
@@ -327,8 +345,9 @@ def _param_count(cfg: ModelConfig) -> int:
 
 def save_checkpoint(model: Model, path) -> None:
     """Magic, ``<II`` version and header length, a sorted-key JSON header,
-    then every ``param_items`` tensor as ``<f4`` bytes, back to back. Only a
-    float32 model is saved, so the file holds its values exactly."""
+    then the parameter vector (every ``param_items`` tensor, back to back) as
+    ``<f4`` bytes. Only a float32 model is saved, so the file holds its values
+    exactly."""
     if model.dtype != np.float32:
         raise ValueError(f"checkpoints hold float32 tensors; this model is "
                          f"{model.dtype}")
@@ -338,8 +357,7 @@ def save_checkpoint(model: Model, path) -> None:
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC + struct.pack(
             "<II", CHECKPOINT_VERSION, len(header)) + header.encode("ascii"))
-        for _, arr in model.param_items():
-            fh.write(arr.astype("<f4").tobytes())
+        fh.write(model.params.astype("<f4", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> Model:
@@ -378,6 +396,5 @@ def load_checkpoint(path) -> Model:
         model.trained_on = header["trained_on"]
         if header["tensors"] != _tensor_table(model):
             raise CheckpointError("tensor table does not match the config")
-        for _, arr in model.param_items():
-            arr.flat[:] = np.frombuffer(fh.read(4 * arr.size), "<f4")
+        model.params[...] = np.frombuffer(fh.read(need), "<f4")
     return model

@@ -88,6 +88,13 @@ MAX_LABEL = 65535
 # length asks for terabytes or loops for minutes; at this cap a row is 64 KiB.
 MAX_TRACE_LEN = 1 << 16
 
+# Shortest trace synth_dataset makes. A class template holds int(L * u)
+# cells, u in [0.70, 0.95): none at L=1, and at L=2 one cell, which a -1
+# jitter of its one boundary leaves empty. From L=3 a template holds at least
+# two cells, and its last boundary moves by less than that, so every trace
+# keeps a direction and can be written to a trace file.
+MIN_SYNTH_LEN = 3
+
 # Most cells (classes x traces per class x trace_len) synth_dataset makes.
 # The traces take a byte each, and the written file about two, so at this
 # cap the array is 256 MiB; a larger request is refused before allocating.
@@ -311,7 +318,8 @@ def synth_dataset(num_classes: int, samples_per_class: int, trace_len: int,
     length and flips each cell's sign independently with probability
     ``noise_rate``. With ``noise_rate == 0`` samples replicate the template
     exactly. Fully deterministic given ``seed``. At most MAX_LABEL + 1
-    classes (the labels a trace file holds) and MAX_SYNTH_CELLS cells.
+    classes (the labels a trace file holds) and MAX_SYNTH_CELLS cells, and
+    at least MIN_SYNTH_LEN directions per trace.
     """
     if not 2 <= num_classes <= MAX_LABEL + 1:
         raise ValueError(f"num_classes must be in [2, {MAX_LABEL + 1}], "
@@ -320,7 +328,10 @@ def synth_dataset(num_classes: int, samples_per_class: int, trace_len: int,
         raise ValueError("noise_rate must be in [0, 0.5)")
     if samples_per_class < 1:
         raise ValueError("samples_per_class must be >= 1")
-    _check_trace_len(trace_len)
+    if not MIN_SYNTH_LEN <= trace_len <= MAX_TRACE_LEN:
+        raise ValueError(f"trace_len must be in [{MIN_SYNTH_LEN}, "
+                         f"{MAX_TRACE_LEN}] for synthetic traces, got "
+                         f"{trace_len}")
     cells = num_classes * samples_per_class * trace_len
     if cells > MAX_SYNTH_CELLS:
         raise ValueError(

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import conv1d_backward_per_tap, conv1d_forward_per_tap
-from wfaug import evaluate
-from wfaug.nn import Conv1D
+from oracles import (AdamPerTensor, SgdMomentumPerTensor, backward_per_layer,
+                     conv1d_backward_per_tap, conv1d_forward_per_tap,
+                     mask_batch_by_where, rotate_batch_by_index)
+from wfaug import augment, evaluate
+from wfaug.nn import Conv1D, Model, optim
 
 
 @pytest.fixture
@@ -51,3 +53,20 @@ def per_tap_conv(monkeypatch):
 
     monkeypatch.setattr(Conv1D, "forward", forward)
     monkeypatch.setattr(Conv1D, "backward", backward)
+
+
+@pytest.fixture
+def per_tensor_step(monkeypatch):
+    """Training without the parameter vector: the per-tensor optimizers
+    ``oracles.AdamPerTensor``/``SgdMomentumPerTensor``, ``Model.backward``
+    as ``oracles.backward_per_layer`` and the index-arithmetic rotation and
+    masking of ``oracles.rotate_batch_by_index``/``mask_batch_by_where``.
+
+    Used like ``per_tap_conv``: the same training with and without it must
+    give the same bytes.
+    """
+    monkeypatch.setattr(optim, "Adam", AdamPerTensor)
+    monkeypatch.setattr(optim, "SgdMomentum", SgdMomentumPerTensor)
+    monkeypatch.setattr(Model, "backward", backward_per_layer)
+    monkeypatch.setattr(augment, "rotate_batch", rotate_batch_by_index)
+    monkeypatch.setattr(augment, "mask_batch", mask_batch_by_where)

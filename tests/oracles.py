@@ -5,7 +5,9 @@ rotation and masking are realized as explicit matrix products over small
 traces, so kernel implementations can be checked exactly. The per-tap
 convolution is the one ``Conv1D`` used before its fast path (``np.pad``, one
 matmul per tap, ``tensordot`` weight gradients): the layer must write the
-same bytes.
+same bytes. So must the per-tensor optimizers and per-layer finite check
+that came before the parameter vector, and the index-arithmetic rotation
+and masking that came before the window views.
 """
 
 from __future__ import annotations
@@ -33,6 +35,22 @@ def rotation_matrix(n: int, n_step: int, direction: str) -> np.ndarray:
 
 def rotate_by_matrix(x: np.ndarray, n_step: int, direction: str) -> np.ndarray:
     return rotation_matrix(len(x), n_step, direction) @ np.asarray(x, dtype=np.float64)
+
+
+def rotate_batch_by_index(x, shifts):
+    """Row b of (B, L) ``x`` shifted circularly by shifts[b], through a
+    (B, L) array of source columns ``(i - shift) % L``."""
+    pos = np.arange(x.shape[1])[None, :]
+    cols = (pos - np.asarray(shifts)[:, None]) % x.shape[1]
+    return x[np.arange(len(x))[:, None], cols]
+
+
+def mask_batch_by_where(x, starts, length):
+    """Positions [starts[b], starts[b] + length) of row b zeroed through
+    ``np.where`` over a (B, L) window test."""
+    pos = np.arange(x.shape[1])[None, :]
+    starts = np.asarray(starts)[:, None]
+    return np.where((pos >= starts) & (pos < starts + length), 0, x)
 
 
 def masking_matrix(n: int, start: int, length: int) -> np.ndarray:
@@ -127,6 +145,59 @@ def conv1d_backward_per_tap(xp, w, dy, dilation=1, stride=1, pad_l=0,
         dw[:, :, t] = np.tensordot(dy, xp[:, :, tap], axes=([0, 2], [0, 2]))
         dxp[:, :, tap] += np.matmul(w[:, :, t].T, dy)
     return dw, dy.sum(axis=(0, 2)), dxp[:, :, pad_l: xp.shape[2] - pad_r]
+
+
+def backward_per_layer(model, probs, targets):
+    """``Model.backward`` checking each layer's gradients for non-finite
+    values as soon as that layer has run, tensor by tensor."""
+    d = ((probs - targets) / len(probs)).astype(model.dtype)
+    for layer in reversed(model.layers):
+        d = layer.backward(d)
+        for key, g in layer.grads.items():
+            if not np.all(np.isfinite(g)):
+                raise FloatingPointError(
+                    f"non-finite gradient in {layer.name}.{key}")
+
+
+class AdamPerTensor:
+    """Adam keeping one moment pair per parameter tensor and updating the
+    tensors one at a time from the layers' own gradients."""
+
+    def __init__(self, model, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.model = model
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {name: np.zeros_like(p) for name, p in model.param_items()}
+        self.v = {name: np.zeros_like(p) for name, p in model.param_items()}
+
+    def step(self):
+        self.t += 1
+        correct1 = 1.0 - self.beta1 ** self.t
+        correct2 = 1.0 - self.beta2 ** self.t
+        for name, p, g in self.model.param_grad_items():
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
+
+
+class SgdMomentumPerTensor:
+    """SGD with momentum, one velocity per parameter tensor."""
+
+    def __init__(self, model, lr=1e-3, momentum=0.9):
+        self.model = model
+        self.lr, self.momentum = lr, momentum
+        self.vel = {name: np.zeros_like(p) for name, p in model.param_items()}
+
+    def step(self):
+        for name, p, g in self.model.param_grad_items():
+            vel = self.vel[name]
+            vel *= self.momentum
+            vel -= self.lr * g
+            p += vel
 
 
 def maxpool2_forward_argmax(x):

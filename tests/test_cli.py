@@ -112,6 +112,14 @@ class TestSynth:
         assert capsys.readouterr().err.startswith("error: trace_len must be")
         assert not (workdir / "data.txt").exists()
 
+    def test_too_short_length_fails_before_writing(self, workdir, capsys):
+        assert run("synth", "--manifest", "exp.cfg", "--len", "1",
+                   "--out", "data.txt") == 1
+        assert capsys.readouterr().err == (
+            "error: trace_len must be in [3, 65536] for synthetic traces, "
+            "got 1\n")
+        assert not (workdir / "data.txt").exists()
+
     def test_more_classes_than_labels_fails(self, workdir, capsys):
         assert run("synth", "--manifest", "exp.cfg", "--classes", "70000",
                    "--out", "data.txt") == 1

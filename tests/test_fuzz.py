@@ -25,10 +25,12 @@ from wfaug.manifest import KNOWN_KEYS, ManifestError, load_manifest_file
 from wfaug.nn import (CheckpointError, ConvBlock, Model, ModelConfig,
                       load_checkpoint, save_checkpoint)
 from wfaug.nn.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
-from oracles import (load_dataset_per_token, save_dataset_per_token,
+from oracles import (load_dataset_per_token, mask_batch_by_where,
+                     rotate_batch_by_index, save_dataset_per_token,
                      synth_dataset_per_boundary)
-from wfaug.traces import (MAX_LABEL, Dataset, TraceFormatError, load_dataset,
-                          save_dataset, synth_dataset)
+from wfaug.augment import mask_batch, rotate_batch
+from wfaug.traces import (MAX_LABEL, MIN_SYNTH_LEN, Dataset, TraceFormatError,
+                          load_dataset, save_dataset, synth_dataset)
 
 FUZZ = settings(max_examples=300, derandomize=True, deadline=None)
 
@@ -244,6 +246,11 @@ def assert_saved_as_reference(tmp_path_factory, dataset):
 @given(args=SYNTH_ARGS)
 def test_synth_dataset_writes_as_the_per_boundary_reference(tmp_path_factory,
                                                             args):
+    if args[2] < MIN_SYNTH_LEN:
+        with pytest.raises(ValueError, match=rf"trace_len must be in "
+                                             rf"\[{MIN_SYNTH_LEN}, "):
+            synth_dataset(*args)
+        return
     got, want = synth_dataset(*args), synth_dataset_per_boundary(*args)
     assert got.traces.dtype == want.traces.dtype == np.int8
     assert got.traces.shape == want.traces.shape
@@ -251,7 +258,7 @@ def test_synth_dataset_writes_as_the_per_boundary_reference(tmp_path_factory,
     assert got.labels.tobytes() == want.labels.tobytes()
     assert (got.num_classes, got.provenance) == (want.num_classes,
                                                  want.provenance)
-    # a short trace can jitter down to all padding, which both refuse
+    assert (got.traces != 0).any(axis=1).all()
     assert_saved_as_reference(tmp_path_factory, got)
 
 
@@ -264,3 +271,28 @@ def test_save_dataset_writes_as_the_per_token_reference(tmp_path_factory,
     assert_saved_as_reference(tmp_path_factory, Dataset(
         np.array(rows), labels,
         int(monitored.max()) + 1 if len(monitored) else 0))
+
+
+@FUZZ
+@given(batch=st.integers(1, 19), length=st.integers(1, 299),
+       dtype=st.sampled_from(["float32", "float64", "int8"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rotation_and_masking_write_as_the_index_reference(batch, length,
+                                                           dtype, seed):
+    """The window-view kernels give the bytes of the index-arithmetic ones,
+    signed zeros included, for shifts up to one turn either way and every
+    window length up to the whole trace, and leave their input as it was."""
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-1.5, -1.0, -0.0, 0.0, 1.0, 2.25],
+                   size=(batch, length)).astype(dtype)
+    before = x.tobytes()
+    shifts = rng.integers(-length, length + 1, batch)
+    m_len = int(rng.integers(0, length + 1))
+    starts = rng.integers(0, length - m_len + 1, batch)
+    for got, want in ((rotate_batch(x, shifts),
+                       rotate_batch_by_index(x, shifts)),
+                      (mask_batch(x, starts, m_len),
+                       mask_batch_by_where(x, starts, m_len))):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert x.tobytes() == before

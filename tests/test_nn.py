@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -531,7 +532,8 @@ class TestBackward:
         # input gradient, which MaxPool2 receives, is not
         model.layers[3].params["w"][...] = np.inf
         with np.errstate(invalid="ignore", over="ignore"):
-            with pytest.raises(FloatingPointError, match="conv0"):
+            with pytest.raises(FloatingPointError,
+                               match=r"^non-finite gradient in conv0\.w$"):
                 model.backward(probs, np.eye(3)[[0, 1]])
 
     def test_non_finite_gradient_names_layer(self):
@@ -540,7 +542,10 @@ class TestBackward:
         x = np.ones((2, 64))
         with np.errstate(invalid="ignore"):
             probs, _ = model.forward(x, train=True)
-            with pytest.raises(FloatingPointError, match="fc0"):
+            # every gradient is NaN: fc0.w comes first in the backward pass
+            # and last in the parameter vector
+            with pytest.raises(FloatingPointError,
+                               match=r"^non-finite gradient in fc0\.w$"):
                 model.backward(probs, np.eye(3)[[0, 1]])
 
 
@@ -565,15 +570,11 @@ class TestPredict:
 
 class TestOptimizers:
     class OneTensor:
+        """A model whose parameter vector is one three-element tensor."""
+
         def __init__(self, grad):
-            self.p = np.array([1.0, -2.0, 3.0])
-            self.g = np.asarray(grad, dtype=np.float64)
-
-        def param_items(self):
-            yield "p", self.p
-
-        def param_grad_items(self):
-            yield "p", self.p, self.g
+            self.params = self.p = np.array([1.0, -2.0, 3.0])
+            self.grads = np.asarray(grad, dtype=np.float64)
 
     def test_sgd_first_step_is_lr_times_grad(self):
         holder = self.OneTensor([0.5, -1.0, 0.0])
@@ -742,6 +743,55 @@ class TestSameBitsAsPerTapConv:
                       synth_dataset(4, 8, 128, 0.05, seed=6), None)
 
 
+class TestSameBitsAsPerTensorStep(TestSameBitsAsPerTapConv):
+    """The same trainings give the bytes of per-tensor optimizer steps, a
+    per-layer finite check and index-arithmetic rotation and masking (the
+    ``per_tensor_step`` fixture)."""
+
+    def run_both(self, request, tmp_path, *args):
+        fast = self.trained_bytes(tmp_path, *args)
+        request.getfixturevalue("per_tensor_step")
+        assert self.trained_bytes(tmp_path, *args) == fast
+
+    def test_stock_model_sgd_momentum_with_hda(self, request, tmp_path):
+        self.run_both(request, tmp_path, default_model_config(128, 4),
+                      TrainConfig(epochs=2, batch_size=16, optimizer=
+                                  "sgd-momentum", lr=1e-2, seed=7),
+                      synth_dataset(4, 8, 128, 0.05, seed=8),
+                      AugConfig(r_max=9, m_len=12, alpha=None))
+
+
+class TestParameterVector:
+    """A model's parameters live in one vector, its gradients in another."""
+
+    def test_layer_tensors_are_views_in_table_order(self):
+        model = Model(default_model_config(128, 4), seed=7)
+        model.params[...] = np.arange(model.params.size)
+        flat = np.concatenate([p.ravel() for _, p in model.param_items()])
+        assert flat.tobytes() == model.params.tobytes()
+        assert model.grads.shape == model.params.shape
+
+    def test_backward_gathers_the_layer_gradients(self):
+        model = Model(TINY, seed=1)
+        train_set, _, _ = tiny_task()
+        probs, _ = model.forward(train_set.traces, train=True)
+        model.backward(probs, np.eye(3)[train_set.labels])
+        want = np.concatenate([g.ravel() for _, _, g in
+                               model.param_grad_items()])
+        assert model.grads.tobytes() == want.tobytes()
+
+    def test_state_copy_round_trip(self):
+        model = Model(TINY, seed=2)
+        before = [(name, p.tobytes()) for name, p in model.param_items()]
+        state = model.state_copy()
+        assert not np.shares_memory(state, model.params)
+        model.params[...] = 0.5
+        model.load_state(state)
+        state[...] = 0.0
+        assert [(name, p.tobytes()) for name, p in model.param_items()] == \
+            before
+
+
 class TestDtypes:
     """The network body keeps its dtype end to end; probabilities are
     float64 whatever it is."""
@@ -771,9 +821,10 @@ class TestDtypes:
         optimizer.step()
         for name, p, g in model.param_grad_items():
             seen += [(name, p.dtype), (f"{name} grad", g.dtype)]
+        seen += [("params", model.params.dtype), ("grads", model.grads.dtype)]
         for attr in ("m", "v", "vel"):
-            for name, state in getattr(optimizer, attr, {}).items():
-                seen.append((f"{attr} {name}", state.dtype))
+            if hasattr(optimizer, attr):
+                seen.append((attr, getattr(optimizer, attr).dtype))
         return seen
 
     @pytest.mark.parametrize("kind", ["adam", "sgd-momentum"])
@@ -782,8 +833,9 @@ class TestDtypes:
         model = Model(TINY, seed=0, dtype=dtype)
         seen = self.step_dtypes(model, make_optimizer(kind, model, lr=1e-2))
         # 7 layer outputs, 6 input gradients (not conv0's), the features,
-        # 6 parameters with their gradients and 6 or 12 state tensors
-        assert len(seen) == 7 + 6 + 1 + 12 + (12 if kind == "adam" else 6)
+        # 6 parameters with their gradients, the parameter and gradient
+        # vectors and 1 or 2 state vectors
+        assert len(seen) == 7 + 6 + 1 + 12 + 2 + (2 if kind == "adam" else 1)
         assert {d for _, d in seen} == {np.dtype(dtype)}, seen
 
     def test_default_model_is_float32(self):
@@ -832,6 +884,17 @@ class TestCheckpoint:
             assert n1 == n2 and np.array_equal(p1, p2)
         x = np.random.default_rng(8).choice([-1.0, 1.0], size=(4, 64))
         assert np.array_equal(model.forward(x)[0], loaded.forward(x)[0])
+
+    def test_stock_checkpoint_is_pinned(self, tmp_path):
+        """A seeded stock model's checkpoint, byte for byte: a change to the
+        parameter layout or the file format shows here and has to be
+        declared."""
+        model = Model(default_model_config(128, 4), seed=7)
+        model.trained_on = {"source": "synth", "seed": 7}
+        path, loaded = self.roundtrip(tmp_path, model)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "a94f20c47d223f19fc41c15bc85bd778c87405ee9013487e4e2931e9eede7fed")
+        assert loaded.params.tobytes() == model.params.tobytes()
 
     def test_save_is_canonical(self, tmp_path):
         model = Model(TINY, seed=9)

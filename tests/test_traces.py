@@ -9,6 +9,7 @@ from wfaug.traces import (
     MAX_LABEL,
     MAX_SYNTH_CELLS,
     MAX_TRACE_LEN,
+    MIN_SYNTH_LEN,
     Dataset,
     SplitSpec,
     TraceFormatError,
@@ -276,6 +277,18 @@ class TestSynth:
         for bad in (0, MAX_TRACE_LEN + 1):
             with pytest.raises(ValueError, match="trace_len"):
                 synth_dataset(2, 1, bad, 0.05, seed=0)
+
+    def test_lengths_that_can_jitter_to_padding_refused(self):
+        """Below MIN_SYNTH_LEN a trace can come out all padding, which no
+        trace file holds; from it up, none does."""
+        assert MIN_SYNTH_LEN == 3
+        for short in (1, 2):
+            with pytest.raises(ValueError, match=r"trace_len must be in "
+                                                 r"\[3, 65536\] for synthetic"):
+                synth_dataset(2, 4, short, 0.1, seed=0)
+        for seed in range(100):
+            d = synth_dataset(2, 4, MIN_SYNTH_LEN, 0.1, seed=seed)
+            assert (d.traces != 0).any(axis=1).all()
 
     def test_class_count_capped_at_label_range(self):
         with pytest.raises(ValueError, match=r"num_classes must be in "
