@@ -109,11 +109,21 @@ def mix_batch(x: np.ndarray, y: np.ndarray, partners,
               lams) -> tuple[np.ndarray, np.ndarray]:
     """Row b becomes lams[b] * row b + (1 - lams[b]) * row partners[b], for
     traces ``x`` and soft labels ``y`` alike, in float64."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    # a + t*(b - a) keeps the self-mix case exact
     t = (1.0 - np.asarray(lams, dtype=np.float64))[:, None]
-    return x + t * (x[partners] - x), y + t * (y[partners] - y)
+    return (_toward(np.asarray(x, dtype=np.float64), partners, t),
+            _toward(np.asarray(y, dtype=np.float64), partners, t))
+
+
+def _toward(a: np.ndarray, partners, t: np.ndarray) -> np.ndarray:
+    """a + t * (a[partners] - a), computed in place in the gathered copy:
+    the same correctly rounded steps on the same operands, so the same bits,
+    with two temporaries fewer. a + t*(b - a) keeps the self-mix case
+    exact."""
+    d = a[partners]
+    d -= a
+    d *= t
+    d += a
+    return d
 
 
 def sample_rotation(r_max: int, rng: np.random.Generator,

@@ -11,11 +11,15 @@ reduction order. The first tap's product is the output array itself; each
 later tap's product goes into one buffer reused across taps and is added into
 the output. With a single input channel (the first layer) a tap is a
 broadcast multiply instead of a K=1 matmul: every output is then one product,
-rounded once either way. Each weight-gradient tap is one GEMM of
-the (out_ch, batch * length) rows of the output gradient, built once per
-call, with the tap's (batch * length, in_ch) rows. ``Model`` marks its first
-conv ``input_grad = False``: nothing uses the gradient of the network's
-input, so that layer does not compute it.
+rounded once either way. ``Conv1D.backward`` runs its two parts one after
+the other. ``weight_grad_jobs`` returns the bias sum and one GEMM per weight
+tap as separate jobs; each GEMM takes the (out_ch, batch * length) rows of
+the output gradient, built once per call, and the tap's (batch * length,
+in_ch) rows. ``input_grads`` gives each row's input gradient from that row
+alone. A tiled training step (see ``Model``) calls ``backward`` once per row
+tile, each with its thread's share of one whole-batch set of jobs. ``Model``
+marks its first conv ``input_grad = False``: nothing uses the gradient of
+the network's input, so that layer does not compute it.
 
 Every array a layer allocates takes the dtype of its input and parameters,
 so a network whose parameters ``Model`` casts to float32 stays float32
@@ -23,6 +27,8 @@ through forward and backward.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -84,7 +90,10 @@ class Conv1D(Layer):
         start = t * self.dilation
         return slice(start, start + self.stride * (l_out - 1) + 1, self.stride)
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, xp=None):
+        """The convolution of ``x``. The zero-padded input goes into ``xp``
+        when given (an array of that shape and ``x``'s dtype), else into a
+        new array."""
         if x.ndim != 3 or x.shape[1] != self.in_ch:
             raise ValueError(f"{self.name}: expected (B, {self.in_ch}, L) input,"
                              f" got {x.shape}")
@@ -92,8 +101,9 @@ class Conv1D(Layer):
         if l_out < 1:
             raise ValueError(f"{self.name}: input shorter than kernel span")
         batch, length = x.shape[0], x.shape[2]
-        xp = np.empty((batch, self.in_ch, self.pad_l + length + self.pad_r),
-                      x.dtype)
+        if xp is None:
+            xp = np.empty((batch, self.in_ch,
+                           self.pad_l + length + self.pad_r), x.dtype)
         xp[:, :, :self.pad_l] = 0
         xp[:, :, self.pad_l + length:] = 0
         xp[:, :, self.pad_l:self.pad_l + length] = x
@@ -111,26 +121,47 @@ class Conv1D(Layer):
         # -0.0 (training never makes one) gives both the same bits
         y += self.params["b"][None, :, None]
         if train:
-            self._cache = (xp, l_out)
+            self._cache = xp
         return y
 
-    def backward(self, dy):
-        (xp, l_out), self._cache = self._cache, None
-        w = self.params["w"]
-        dw = np.empty_like(w)
+    def backward(self, dy, jobs=None):
+        """Run ``jobs``, then return the input gradient (None when
+        ``input_grad`` is off). The jobs are by default this batch's
+        ``weight_grad_jobs``; a tiled training step passes each of its
+        threads' share of the whole batch's."""
+        xp, self._cache = self._cache, None
+        for job in self.weight_grad_jobs(xp, dy) if jobs is None else jobs:
+            job()
+        return self.input_grads(xp, dy) if self.input_grad else None
+
+    def weight_grad_jobs(self, xp, dy):
+        """The weight and bias gradients of a batch as independent jobs, from
+        its padded input ``xp`` and output gradient ``dy``: the bias sum,
+        then one GEMM per weight tap. The jobs write ``grads`` and may run in
+        any order and on any thread."""
+        l_out = dy.shape[2]
+        rows = dy.shape[0] * l_out
+        dw = self.grads["w"] = np.empty_like(self.params["w"])
         # the same reshapes a tensordot of dy and the tap over batch and
         # length makes, so each dw tap is that GEMM call on those operands
         # and keeps its bits; dy's operand is made once for all taps
-        rows = dy.shape[0] * l_out
         dy_rows = dy.transpose(1, 0, 2).reshape(self.out_ch, rows)
-        for t in range(self.kernel):
-            tap = xp[:, :, self._tap(t, l_out)]
-            dw[:, :, t] = np.dot(dy_rows, tap.transpose(0, 2, 1).reshape(
-                rows, self.in_ch))
-        self.grads["w"] = dw
-        self.grads["b"] = dy.sum(axis=(0, 2))
-        if not self.input_grad:
-            return None
+
+        def bias():
+            self.grads["b"] = dy.sum(axis=(0, 2))
+
+        def tap(t):
+            cols = xp[:, :, self._tap(t, l_out)].transpose(0, 2, 1)
+            dw[:, :, t] = np.dot(dy_rows, cols.reshape(rows, self.in_ch))
+
+        return [bias] + [functools.partial(tap, t) for t in range(self.kernel)]
+
+    def input_grads(self, xp, dy):
+        """The gradient of the unpadded input, from the padded input ``xp``
+        and the output gradient ``dy`` of the same rows; each row's depends on
+        that row alone."""
+        w = self.params["w"]
+        l_out = dy.shape[2]
         dxp = np.zeros_like(xp)
         prod = np.empty((dy.shape[0], self.in_ch, l_out),
                         np.result_type(w, dy))

@@ -14,6 +14,9 @@ parameter vector as little-endian float32.
 
 from __future__ import annotations
 
+import contextvars
+import copy
+import functools
 import json
 import os
 import struct
@@ -137,6 +140,71 @@ def _run(layers, h: np.ndarray, train: bool) -> np.ndarray:
     return h
 
 
+def _run_tile(layers, h, padded, rows):
+    """Training forward pass of ``h[rows]``; each conv writes its padded
+    input into ``rows`` of its array in ``padded`` (keyed by layer index)."""
+    h = h[rows]
+    for i, layer in enumerate(layers):
+        h = (layer.forward(h, train=True, xp=padded[i][rows]) if i in padded
+             else layer.forward(h, train=True))
+    return h
+
+
+def _submit(pool, fn, *args):
+    """``pool.submit`` running ``fn`` in a copy of this thread's context, so
+    the worker keeps the caller's numpy error state (a context variable)."""
+    return pool.submit(contextvars.copy_context().run, fn, *args)
+
+
+def _in_both(pool, here, there):
+    """(here(), there()), with ``there`` run on the pool while this thread
+    runs ``here``."""
+    later = _submit(pool, there)
+    return here(), later.result()
+
+
+def _backward_tile(layers, d, jobs):
+    """One thread's part of a tiled backward phase: its tile's gradient
+    ``d`` back through ``layers``. A conv among them (only ever the top
+    layer) runs ``jobs``, this thread's share of its weight-gradient jobs."""
+    for layer in reversed(layers):
+        d = (layer.backward(d, jobs) if isinstance(layer, Conv1D)
+             else layer.backward(d))
+    return d
+
+
+def _backward_tiles(stacks, split, padded, d):
+    """Backpropagate ``d`` through the conv stack a tiled forward pass ran:
+    rows ``[:split]`` through ``stacks[0]`` in this thread and the others
+    through ``stacks[1]`` on a worker; ``padded`` holds each conv's padded
+    input for the whole batch.
+
+    Each phase takes both tiles down to the output gradient of the next conv.
+    There the two are joined in row order, so the conv's weight-gradient
+    jobs see the arrays a whole-batch backward gives them. In the next phase
+    the threads share those jobs, each running its half in its tile's
+    ``Conv1D.backward`` before that tile's input gradient; the joined arrays
+    and tile caches are dropped once that phase has run.
+    """
+    stack = stacks[0]
+    convs = [i for i, layer in enumerate(stack) if isinstance(layer, Conv1D)]
+    ds, jobs, hi = (d[:split], d[split:]), [], len(stack)
+    with ThreadPoolExecutor(1) as pool:
+        for lo in reversed([-1] + convs):
+            ds = _in_both(pool, *[functools.partial(
+                _backward_tile, stacks[i][lo + 1:hi], ds[i], jobs[i::2])
+                for i in (0, 1)])
+            if lo < 0:
+                return
+            # the last conv's arrays go before this one's are joined; the
+            # tiles go on with views, so only the joined arrays are kept
+            jobs = dy = None
+            dy = np.concatenate(ds)
+            ds = (dy[:split], dy[split:])
+            jobs = stack[lo].weight_grad_jobs(padded.pop(lo), dy)
+            hi = lo + 1
+
+
 def _cpu_count() -> int:
     """CPUs this process may run on."""
     try:
@@ -191,13 +259,20 @@ class Model:
         # conv multiply-adds per input row decide whether inference tiles
         # are worth a thread each
         length, macs = cfg.input_len, 0
-        for layer in self.layers[:self._gap_index]:
+        # (channels, length) of each conv's padded input, by stack index
+        self._padded_shapes = {}
+        for i, layer in enumerate(self.layers[:self._gap_index]):
             if isinstance(layer, Conv1D):
+                self._padded_shapes[i] = (
+                    layer.in_ch, layer.pad_l + length + layer.pad_r)
                 length = layer.out_len(length)
                 macs += layer.out_ch * layer.in_ch * layer.kernel * length
             elif isinstance(layer, MaxPool2):
                 length //= 2
         self._threaded = macs * (TILE_ROWS // 2) >= PARALLEL_MIN_MACS
+        # ((stack, tile copies), split, padded inputs) of a tiled training
+        # forward pass, until backward takes it; None after a serial one
+        self._tiles = None
 
     def forward(self, x: np.ndarray, train: bool = False):
         """Run the net over (B, L) input; returns (probs, features).
@@ -216,9 +291,16 @@ class Model:
         softmax then run once on the whole batch, in the calling thread: BLAS
         picks its kernel by the number of rows (a matrix-vector product for
         one row), so the logits' last bits can depend on batch size, and the
-        head must see the batch the caller passed. Training runs the whole
-        batch as one tile, because backward needs every layer's cache for the
-        full batch.
+        head must see the batch the caller passed.
+
+        Training runs the conv stack over the whole batch in one pass, or,
+        for such a model with two or more rows and CPUs, as two row tiles:
+        the first ``B // 2`` rows in the calling thread and the rest on one
+        worker thread. The worker's tile goes through shallow copies of the
+        stack's layers, which share the parameter views and hold that tile's
+        caches; each conv writes its padded input into the tile's rows of one
+        whole-batch array, which the weight gradients then read as they are
+        (see ``backward``). The head again sees the whole batch.
         """
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 2 or x.shape[1] != self.cfg.input_len:
@@ -228,7 +310,24 @@ class Model:
         stack = self.layers[:self._gap_index + 1]
         head = self.layers[self._gap_index + 1:]
         if train:
-            features = _run(stack, h, train)
+            self._tiles = None
+            if self._threaded and len(h) > 1 and _cpu_count() > 1:
+                # the second tile gets its own layer objects, and so its own
+                # caches, over the same parameter views; each conv writes its
+                # padded input into the tile's rows of one batch-wide array
+                split = len(h) // 2
+                copies = [copy.copy(layer) for layer in stack]
+                padded = {i: np.empty((len(h),) + shape, self.dtype)
+                          for i, shape in self._padded_shapes.items()}
+                with ThreadPoolExecutor(1) as pool:
+                    features = np.concatenate(_in_both(
+                        pool,
+                        lambda: _run_tile(stack, h, padded, slice(split)),
+                        lambda: _run_tile(copies, h, padded,
+                                          slice(split, None))))
+                self._tiles = ((stack, copies), split, padded)
+            else:
+                features = _run(stack, h, True)
         else:
             rows = TILE_ROWS // 2 if self._threaded else TILE_ROWS
             tiles = [h[lo:lo + rows] for lo in range(0, max(len(h), 1), rows)]
@@ -236,8 +335,8 @@ class Model:
             if workers > 1:
                 # a pool per call: a long-lived one would not survive fork
                 with ThreadPoolExecutor(workers) as pool:
-                    outs = list(pool.map(lambda t: _run(stack, t, False),
-                                         tiles))
+                    outs = [f.result() for f in [
+                        _submit(pool, _run, stack, t, False) for t in tiles]]
             else:
                 outs = [_run(stack, t, False) for t in tiles]
             features = np.concatenate(outs)
@@ -248,10 +347,28 @@ class Model:
         """Backpropagate mean cross-entropy. Each layer keeps its gradients,
         and ``grads`` gathers them in ``param_items`` order; a non-finite one
         raises FloatingPointError naming the first such tensor in backward
-        order."""
+        order.
+
+        After a tiled forward pass the head runs on the whole batch in this
+        thread, and the conv stack goes back tile by tile on two threads (see
+        ``_backward_tiles``). Each row's input gradient depends on that row
+        alone, and each conv's weight and bias gradients are taken over the
+        whole batch from the arrays a serial pass gives them, so the bits are
+        those of the serial pass."""
         d = ((probs - targets) / len(probs)).astype(self.dtype)
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[self._gap_index + 1:]):
             d = layer.backward(d)
+        tiles, self._tiles = self._tiles, None
+        if tiles is None:
+            for layer in reversed(self.layers[:self._gap_index + 1]):
+                d = layer.backward(d)
+        else:
+            _backward_tiles(*tiles, d)
+        self._gather_grads()
+
+    def _gather_grads(self) -> None:
+        """Gather the layer gradients into ``grads``; a non-finite one raises
+        FloatingPointError naming the first such tensor in backward order."""
         np.concatenate([g.ravel() for _, _, g in self.param_grad_items()],
                        out=self.grads)
         if not np.isfinite(self.grads).all():

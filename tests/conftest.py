@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import (AdamPerTensor, SgdMomentumPerTensor, backward_per_layer,
-                     conv1d_backward_per_tap, conv1d_forward_per_tap,
+from oracles import (AdamPerTensor, SgdMomentumPerTensor,
+                     check_grads_per_tensor, conv1d_forward_per_tap,
+                     conv1d_input_grad_per_tap, conv1d_weight_grads_per_tap,
                      mask_batch_by_where, rotate_batch_by_index)
 from wfaug import augment, evaluate
 from wfaug.nn import Conv1D, Model, optim
@@ -29,44 +30,56 @@ def eval_predicts(monkeypatch):
 @pytest.fixture
 def per_tap_conv(monkeypatch):
     """``Conv1D`` running the per-tap reference arithmetic of
-    ``oracles.conv1d_forward_per_tap``/``conv1d_backward_per_tap``.
+    ``oracles.conv1d_forward_per_tap``, ``conv1d_weight_grads_per_tap`` and
+    ``conv1d_input_grad_per_tap``: in ``forward`` and in the two parts that
+    ``backward`` and a tiled training step call.
 
     A change meant to keep the bits trains the same model with and without
     this fixture and compares the outputs byte for byte; both sides run on
     the same machine and BLAS.
     """
-    def forward(self, x, train=False):
-        y, xp = conv1d_forward_per_tap(x, self.params["w"], self.params["b"],
-                                       self.dilation, self.stride,
-                                       self.pad_l, self.pad_r)
+    def geometry(conv):
+        return conv.dilation, conv.stride, conv.pad_l, conv.pad_r
+
+    def forward(self, x, train=False, xp=None):
+        y, padded = conv1d_forward_per_tap(x, self.params["w"],
+                                           self.params["b"], *geometry(self))
+        if xp is not None:
+            xp[...] = padded
+            padded = xp
         if train:
-            self._cache = xp
+            self._cache = padded
         return y
 
-    def backward(self, dy):
-        xp, self._cache = self._cache, None
-        dw, db, dx = conv1d_backward_per_tap(xp, self.params["w"], dy,
-                                             self.dilation, self.stride,
-                                             self.pad_l, self.pad_r)
-        self.grads["w"], self.grads["b"] = dw, db
-        return dx
+    def weight_grad_jobs(self, xp, dy):
+        def job():
+            self.grads["w"], self.grads["b"] = conv1d_weight_grads_per_tap(
+                xp, self.params["w"], dy, *geometry(self))
+        return [job]
+
+    def input_grads(self, xp, dy):
+        return conv1d_input_grad_per_tap(xp, self.params["w"], dy,
+                                         *geometry(self))
 
     monkeypatch.setattr(Conv1D, "forward", forward)
-    monkeypatch.setattr(Conv1D, "backward", backward)
+    monkeypatch.setattr(Conv1D, "weight_grad_jobs", weight_grad_jobs)
+    monkeypatch.setattr(Conv1D, "input_grads", input_grads)
 
 
 @pytest.fixture
 def per_tensor_step(monkeypatch):
     """Training without the parameter vector: the per-tensor optimizers
-    ``oracles.AdamPerTensor``/``SgdMomentumPerTensor``, ``Model.backward``
-    as ``oracles.backward_per_layer`` and the index-arithmetic rotation and
-    masking of ``oracles.rotate_batch_by_index``/``mask_batch_by_where``.
+    ``oracles.AdamPerTensor``/``SgdMomentumPerTensor``, the per-tensor
+    finite check ``oracles.check_grads_per_tensor`` in place of the gather
+    and check at the end of ``Model.backward`` (serial or tiled), and the
+    index-arithmetic rotation and masking of
+    ``oracles.rotate_batch_by_index``/``mask_batch_by_where``.
 
     Used like ``per_tap_conv``: the same training with and without it must
     give the same bytes.
     """
     monkeypatch.setattr(optim, "Adam", AdamPerTensor)
     monkeypatch.setattr(optim, "SgdMomentum", SgdMomentumPerTensor)
-    monkeypatch.setattr(Model, "backward", backward_per_layer)
+    monkeypatch.setattr(Model, "_gather_grads", check_grads_per_tensor)
     monkeypatch.setattr(augment, "rotate_batch", rotate_batch_by_index)
     monkeypatch.setattr(augment, "mask_batch", mask_batch_by_where)

@@ -5,9 +5,10 @@ rotation and masking are realized as explicit matrix products over small
 traces, so kernel implementations can be checked exactly. The per-tap
 convolution is the one ``Conv1D`` used before its fast path (``np.pad``, one
 matmul per tap, ``tensordot`` weight gradients): the layer must write the
-same bytes. So must the per-tensor optimizers and per-layer finite check
-that came before the parameter vector, and the index-arithmetic rotation
-and masking that came before the window views.
+same bytes. So must the per-tensor optimizers and finite check that came
+before the parameter vector, and the index-arithmetic rotation
+and masking that came before the window views, and the one-expression
+mixing that came before the in-place steps.
 """
 
 from __future__ import annotations
@@ -51,6 +52,15 @@ def mask_batch_by_where(x, starts, length):
     pos = np.arange(x.shape[1])[None, :]
     starts = np.asarray(starts)[:, None]
     return np.where((pos >= starts) & (pos < starts + length), 0, x)
+
+
+def mix_batch_by_expression(x, y, partners, lams):
+    """``augment.mix_batch`` as one expression per array, before its in-place
+    steps: ``x + t * (x[partners] - x)`` with t = 1 - lams, in float64."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    t = (1.0 - np.asarray(lams, dtype=np.float64))[:, None]
+    return x + t * (x[partners] - x), y + t * (y[partners] - y)
 
 
 def masking_matrix(n: int, start: int, length: int) -> np.ndarray:
@@ -135,24 +145,41 @@ def conv1d_forward_per_tap(x, w, b, dilation=1, stride=1, pad_l=0, pad_r=0):
 def conv1d_backward_per_tap(xp, w, dy, dilation=1, stride=1, pad_l=0,
                             pad_r=0):
     """Per-tap gradients of ``conv1d_forward_per_tap`` from its padded input:
-    ``tensordot`` over batch and length for each dw tap, a ``w.T @ dy``
-    matmul added into a zeroed padded input gradient. Returns (dw, db, dx)."""
+    ``conv1d_weight_grads_per_tap`` and ``conv1d_input_grad_per_tap``.
+    Returns (dw, db, dx)."""
+    args = (dilation, stride, pad_l, pad_r)
+    return (*conv1d_weight_grads_per_tap(xp, w, dy, *args),
+            conv1d_input_grad_per_tap(xp, w, dy, *args))
+
+
+def conv1d_weight_grads_per_tap(xp, w, dy, dilation=1, stride=1, pad_l=0,
+                                pad_r=0):
+    """``tensordot`` over batch and length for each weight tap, and the bias
+    gradient summed over batch and length. Returns (dw, db)."""
     l_out = dy.shape[2]
     dw = np.empty_like(w)
-    dxp = np.zeros_like(xp)
     for t in range(w.shape[2]):
         tap = _tap(t, dilation, stride, l_out)
         dw[:, :, t] = np.tensordot(dy, xp[:, :, tap], axes=([0, 2], [0, 2]))
-        dxp[:, :, tap] += np.matmul(w[:, :, t].T, dy)
-    return dw, dy.sum(axis=(0, 2)), dxp[:, :, pad_l: xp.shape[2] - pad_r]
+    return dw, dy.sum(axis=(0, 2))
 
 
-def backward_per_layer(model, probs, targets):
-    """``Model.backward`` checking each layer's gradients for non-finite
-    values as soon as that layer has run, tensor by tensor."""
-    d = ((probs - targets) / len(probs)).astype(model.dtype)
+def conv1d_input_grad_per_tap(xp, w, dy, dilation=1, stride=1, pad_l=0,
+                              pad_r=0):
+    """A ``w.T @ dy`` matmul per tap added into a zeroed padded input
+    gradient, with the padding cut off."""
+    l_out = dy.shape[2]
+    dxp = np.zeros_like(xp)
+    for t in range(w.shape[2]):
+        dxp[:, :, _tap(t, dilation, stride, l_out)] += np.matmul(w[:, :, t].T,
+                                                                 dy)
+    return dxp[:, :, pad_l: xp.shape[2] - pad_r]
+
+
+def check_grads_per_tensor(model):
+    """The finite check of ``Model.backward`` without the gradient vector:
+    each layer's gradients in backward order, tensor by tensor."""
     for layer in reversed(model.layers):
-        d = layer.backward(d)
         for key, g in layer.grads.items():
             if not np.all(np.isfinite(g)):
                 raise FloatingPointError(

@@ -651,6 +651,34 @@ class TestDeterminism:
             written.append((workdir / out / "eval.json").read_bytes())
         assert written[0] == written[1]
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs CPU affinity")
+    def test_train_same_bytes_on_one_cpu_and_all(self, workdir):
+        # the stock model at L=200 trains on two row tiles, one on a worker
+        # thread, wherever the process has two CPUs
+        assert Model(default_model_config(200, 4), seed=0)._threaded
+        manifest = {key: value for key, value in BASE.items()
+                    if key != "model.blocks"}
+        manifest.update({"data.trace_len": "200", "data.classes": "4",
+                         "train.epochs": "2"})
+        (workdir / "exp.cfg").write_text(format_manifest(manifest),
+                                         encoding="utf-8")
+        synth_here()
+        # one BLAS thread in both runs, so only the tile threads differ
+        env = dict(os.environ, PYTHONPATH=str(Path(wfaug.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        one_cpu = min(os.sched_getaffinity(0))
+        written = []
+        for out, pin in (("one", lambda: os.sched_setaffinity(0, {one_cpu})),
+                         ("all", None)):
+            subprocess.run(
+                [sys.executable, "-m", "wfaug.cli", "train", "--manifest",
+                 "exp.cfg", "--seed", "0", "--out", out],
+                cwd=workdir, env=env, preexec_fn=pin, check=True)
+            written.append({name: (workdir / out / name).read_bytes()
+                            for name in ("model.ckpt", "history.csv")})
+        assert written[0] == written[1]
 
     def test_train_and_eval_same_bytes_at_one_and_two_blas_threads(
             self, workdir):

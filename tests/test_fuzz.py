@@ -26,9 +26,9 @@ from wfaug.nn import (CheckpointError, ConvBlock, Model, ModelConfig,
                       load_checkpoint, save_checkpoint)
 from wfaug.nn.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 from oracles import (load_dataset_per_token, mask_batch_by_where,
-                     rotate_batch_by_index, save_dataset_per_token,
-                     synth_dataset_per_boundary)
-from wfaug.augment import mask_batch, rotate_batch
+                     mix_batch_by_expression, rotate_batch_by_index,
+                     save_dataset_per_token, synth_dataset_per_boundary)
+from wfaug.augment import mask_batch, mix_batch, rotate_batch
 from wfaug.traces import (MAX_LABEL, MIN_SYNTH_LEN, Dataset, TraceFormatError,
                           load_dataset, save_dataset, synth_dataset)
 
@@ -296,3 +296,30 @@ def test_rotation_and_masking_write_as_the_index_reference(batch, length,
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     assert x.tobytes() == before
+
+
+@FUZZ
+@given(batch=st.integers(1, 19), length=st.integers(1, 299),
+       classes=st.integers(1, 9),
+       dtype=st.sampled_from(["float32", "float64", "int8"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mixing_writes_as_the_expression_reference(batch, length, classes,
+                                                   dtype, seed):
+    """The in-place mixing steps give the bytes of the one-expression form
+    for traces and soft labels, signed zeros and weights 0 and 1 included,
+    and leave their inputs as they were."""
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-1.5, -1.0, -0.0, 0.0, 1.0, 2.25],
+                   size=(batch, length)).astype(dtype)
+    y = rng.dirichlet(np.ones(classes), batch)
+    y[rng.random(batch) < 0.3] = -0.0
+    before = x.tobytes(), y.tobytes()
+    partners = rng.integers(0, batch, batch)
+    lams = np.where(rng.random(batch) < 0.3, rng.integers(0, 2, batch),
+                    rng.beta(0.2, 0.2, batch))
+    got, want = (mix_batch(x, y, partners, lams),
+                 mix_batch_by_expression(x, y, partners, lams))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    assert (x.tobytes(), y.tobytes()) == before

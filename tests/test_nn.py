@@ -3,6 +3,7 @@ import json
 import math
 import struct
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
@@ -710,22 +711,163 @@ class TestTraining:
         assert lines[2] == "1,0.75,0.5"
 
 
+def force_tiled_training(monkeypatch, cpus):
+    """Make every model threaded and ``cpus`` CPUs visible; returns the
+    worker counts of the thread pools models start from then on (a training
+    step's pools have one worker)."""
+    monkeypatch.setattr(model_mod, "PARALLEL_MIN_MACS", 1)
+    monkeypatch.setattr(model_mod, "_cpu_count", lambda: cpus)
+    pools = []
+    monkeypatch.setattr(model_mod, "ThreadPoolExecutor",
+                        lambda workers: pools.append(workers)
+                        or ThreadPoolExecutor(workers))
+    return pools
+
+
+def trained_bytes(tmp_path, model_cfg, train_cfg, data, aug):
+    """Weight bytes per tensor and ``history.csv`` bytes of one training on
+    a 5-shot, 3-validation split of ``data``."""
+    train_set, val_set, _ = make_splits(data, SplitSpec(5, 3, 0, seed=0))
+    model, history = train(model_cfg, train_cfg, train_set, val_set, aug)
+    path = tmp_path / "history.csv"
+    write_history(path, history)
+    return ([(name, p.tobytes()) for name, p in model.param_items()],
+            path.read_bytes())
+
+
+class TestThreadedTraining:
+    """A threaded model trains its conv stack as two row tiles, one in the
+    calling thread and one on a worker, with the weight gradients taken over
+    the whole batch: the bytes of the serial step, whatever the CPU count
+    and however often the interpreter switches threads."""
+
+    STOCK = default_model_config(64, 4)
+
+    @pytest.mark.parametrize("train_cfg, aug", [
+        (TrainConfig(epochs=2, batch_size=16, lr=3e-3, seed=3),
+         AugConfig(r_max=5, m_len=6, alpha=0.2)),
+        (TrainConfig(epochs=2, batch_size=16, optimizer="sgd-momentum",
+                     lr=1e-2, seed=4), None),
+        (TrainConfig(epochs=1, batch_size=3, seed=5),
+         AugConfig(r_max=None, m_len=None, alpha=0.5)),
+        (TrainConfig(epochs=1, batch_size=1, seed=6), None),
+    ], ids=["adam-hda-16", "sgd-momentum-16", "adam-mix-3", "adam-1"])
+    def test_same_bytes_as_the_serial_step(self, monkeypatch, tmp_path,
+                                           train_cfg, aug):
+        # 4 classes x 5 shots = 20 training traces, so batches of 16 and 3
+        # end with a partial one
+        data = synth_dataset(4, 8, 64, 0.05, seed=9)
+        written = {}
+        # switching threads as often as the interpreter allows would show
+        # any state the tiles share
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 8):
+                pools = force_tiled_training(monkeypatch, cpus)
+                written[cpus] = trained_bytes(tmp_path, self.STOCK,
+                                              train_cfg, data, aug)
+                # one-worker pools are training steps; a batch of one row
+                # is never tiled
+                assert (1 in pools) == (cpus > 1 and train_cfg.batch_size > 1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert written[2] == written[1] and written[8] == written[1]
+
+    def test_bench_model_never_starts_threads(self, monkeypatch):
+        cfg = ModelConfig(1000, 6, tuple(
+            ConvBlock(ch, stride=2) for ch in (8, 12, 16, 24, 32, 32, 32)),
+            fc=(6,))
+        assert not Model(cfg, seed=0)._threaded
+
+        def refuse(workers):
+            raise AssertionError("thread pool constructed")
+
+        monkeypatch.setattr(model_mod, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(model_mod, "_cpu_count", lambda: 2)
+        train_set, val_set, _ = make_splits(synth_dataset(6, 8, 1000, 0.05,
+                                                          seed=4),
+                                            SplitSpec(5, 3, 0, seed=0))
+        train(cfg, TrainConfig(epochs=1, batch_size=16, seed=3), train_set,
+              val_set, AugConfig(r_max=20, m_len=36, alpha=0.1))
+
+    def tiled_step(self, monkeypatch, seed=0):
+        """A threaded stock model after a tiled training forward pass of 6
+        rows, with its targets."""
+        pools = force_tiled_training(monkeypatch, cpus=2)
+        model = Model(self.STOCK, seed=seed)
+        rng = np.random.default_rng(seed)
+        x = rng.choice([-1.0, 1.0], size=(6, 64))
+        probs, _ = model.forward(x, train=True)
+        assert pools == [1] and model._tiles is not None
+        return model, probs, np.eye(4)[rng.integers(0, 4, 6)]
+
+    def test_backward_releases_every_tile_cache(self, monkeypatch):
+        model, probs, targets = self.tiled_step(monkeypatch)
+        (stack, copies), split, padded = model._tiles
+        assert split == 3 and len(copies) == len(stack)
+        assert all(c is not s for c, s in zip(copies, stack))
+        model.backward(probs, targets)
+        assert model._tiles is None and padded == {}
+        for layer in model.layers + copies:
+            for attr in ("_cache", "_mask", "_left_wins", "_x"):
+                assert getattr(layer, attr, None) is None, (layer.name, attr)
+
+    def worker_input_grads(self, monkeypatch, conv, spoil):
+        """``Conv1D.input_grads`` with ``spoil`` applied to what layer
+        ``conv`` returns on a thread other than the main one."""
+        input_grads = Conv1D.input_grads
+
+        def spoiled(self, xp, dy):
+            dx = input_grads(self, xp, dy)
+            if (self.name == conv and threading.current_thread()
+                    is not threading.main_thread()):
+                dx = spoil(dx)
+            return dx
+
+        monkeypatch.setattr(Conv1D, "input_grads", spoiled)
+
+    def test_non_finite_worker_gradient_reaches_the_caller(self,
+                                                           monkeypatch):
+        model, probs, targets = self.tiled_step(monkeypatch)
+        # conv1's input gradient reaches conv0's weight gradient only
+        self.worker_input_grads(monkeypatch, "conv1",
+                                lambda dx: np.full_like(dx, np.inf))
+        threads = threading.active_count()
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(FloatingPointError,
+                               match=r"^non-finite gradient in conv0\.w$"):
+                model.backward(probs, targets)
+        assert threading.active_count() == threads
+
+    def test_worker_runtime_warning_reaches_the_caller(self, monkeypatch):
+        model, probs, targets = self.tiled_step(monkeypatch)
+        self.worker_input_grads(monkeypatch, "conv2",
+                                lambda dx: dx / np.zeros_like(dx))
+        threads = threading.active_count()
+        # tier-1 turns every RuntimeWarning into an error (pyproject.toml)
+        with pytest.raises(RuntimeWarning, match="encountered in divide"):
+            model.backward(probs, targets)
+        assert threading.active_count() == threads
+
+    def test_worker_keeps_the_callers_error_state(self, monkeypatch):
+        model, probs, targets = self.tiled_step(monkeypatch)
+        self.worker_input_grads(monkeypatch, "conv2",
+                                lambda dx: dx / np.zeros_like(dx))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError,
+                               match=r"^non-finite gradient in conv1\.w$"):
+                model.backward(probs, targets)
+
+
 class TestSameBitsAsPerTapConv:
     """Training through ``Conv1D`` gives the bytes the per-tap reference
     convolution (the ``per_tap_conv`` fixture) gives on the same machine."""
 
-    def trained_bytes(self, tmp_path, model_cfg, train_cfg, data, aug):
-        train_set, val_set, _ = make_splits(data, SplitSpec(5, 3, 0, seed=0))
-        model, history = train(model_cfg, train_cfg, train_set, val_set, aug)
-        path = tmp_path / "history.csv"
-        write_history(path, history)
-        return ([(name, p.tobytes()) for name, p in model.param_items()],
-                path.read_bytes())
-
     def run_both(self, request, tmp_path, *args):
-        fast = self.trained_bytes(tmp_path, *args)
+        fast = trained_bytes(tmp_path, *args)
         request.getfixturevalue("per_tap_conv")
-        reference = self.trained_bytes(tmp_path, *args)
+        reference = trained_bytes(tmp_path, *args)
         assert fast == reference
 
     def test_bench_model_shape_with_hda(self, request, tmp_path):
@@ -742,6 +884,14 @@ class TestSameBitsAsPerTapConv:
                       TrainConfig(epochs=1, batch_size=16, seed=5),
                       synth_dataset(4, 8, 128, 0.05, seed=6), None)
 
+    def test_stock_model_threaded(self, request, tmp_path, monkeypatch):
+        pools = force_tiled_training(monkeypatch, cpus=2)
+        self.run_both(request, tmp_path, default_model_config(128, 4),
+                      TrainConfig(epochs=1, batch_size=16, seed=5),
+                      synth_dataset(4, 8, 128, 0.05, seed=6),
+                      AugConfig(r_max=9, m_len=12, alpha=0.2))
+        assert 1 in pools
+
 
 class TestSameBitsAsPerTensorStep(TestSameBitsAsPerTapConv):
     """The same trainings give the bytes of per-tensor optimizer steps, a
@@ -749,9 +899,9 @@ class TestSameBitsAsPerTensorStep(TestSameBitsAsPerTapConv):
     ``per_tensor_step`` fixture)."""
 
     def run_both(self, request, tmp_path, *args):
-        fast = self.trained_bytes(tmp_path, *args)
+        fast = trained_bytes(tmp_path, *args)
         request.getfixturevalue("per_tensor_step")
-        assert self.trained_bytes(tmp_path, *args) == fast
+        assert trained_bytes(tmp_path, *args) == fast
 
     def test_stock_model_sgd_momentum_with_hda(self, request, tmp_path):
         self.run_both(request, tmp_path, default_model_config(128, 4),
