@@ -32,7 +32,7 @@ from .tpe import (ObjectiveError, SearchSpace, StageTrial, TpeTrial,
                   write_trial_log)
 from .traces import (BACKGROUND, Dataset, SplitSpec, TraceFormatError,
                      load_dataset, make_splits, one_hot_labels, save_dataset,
-                     synth_dataset, synth_templates)
+                     synth_dataset)
 
 __version__ = "0.1.0"
 

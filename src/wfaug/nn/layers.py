@@ -16,10 +16,10 @@ the other. ``weight_grad_jobs`` returns the bias sum and one GEMM per weight
 tap as separate jobs; each GEMM takes the (out_ch, batch * length) rows of
 the output gradient, built once per call, and the tap's (batch * length,
 in_ch) rows. ``input_grads`` gives each row's input gradient from that row
-alone. A tiled training step (see ``Model``) calls ``backward`` once per row
-tile, each with its thread's share of one whole-batch set of jobs. ``Model``
-marks its first conv ``input_grad = False``: nothing uses the gradient of
-the network's input, so that layer does not compute it.
+alone. A training step of several row tiles (see ``Model``) calls
+``backward`` once per tile, each with its share of one whole-batch set of
+jobs. ``Model`` marks its first conv ``input_grad = False``: nothing uses
+the gradient of the network's input, so that layer does not compute it.
 
 Every array a layer allocates takes the dtype of its input and parameters,
 so a network whose parameters ``Model`` casts to float32 stays float32
@@ -127,8 +127,8 @@ class Conv1D(Layer):
     def backward(self, dy, jobs=None):
         """Run ``jobs``, then return the input gradient (None when
         ``input_grad`` is off). The jobs are by default this batch's
-        ``weight_grad_jobs``; a tiled training step passes each of its
-        threads' share of the whole batch's."""
+        ``weight_grad_jobs``; a training step of several tiles passes each
+        tile its share of the whole batch's."""
         xp, self._cache = self._cache, None
         for job in self.weight_grad_jobs(xp, dy) if jobs is None else jobs:
             job()

@@ -14,12 +14,14 @@ parameter vector as little-endian float32.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import copy
 import functools
 import json
 import os
 import struct
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
@@ -38,13 +40,14 @@ CHECKPOINT_VERSION = 3
 
 POOL_KINDS = ("none", "max2")
 
-# Rows per inference tile of the conv stack (see Model.forward). A float32
-# forward of 256 rows through the stock model at L=1000 on a 2-core Xeon
-# (2 MB L2 per core, one BLAS thread; best of 7, over three runs) took
-# 98-123 ms on two threads with the 8-row tiles this gives, 99-140 ms with
-# 12 or 16 rows and 122-162 ms with 24 to 64; serially, 135-168 ms with
-# 4-row tiles, 157-205 ms with 8 and 261-344 ms with 16. At 8 rows its
-# widest activation is 8 x 32 x 1000 float32, 1 MB.
+# Rows per inference tile of a serial model's conv stack, twice the most a
+# threaded model's tiles hold (see Model.forward). A float32 forward of 256
+# rows through the stock model at L=1000 on a 2-core Xeon (2 MB L2 per core,
+# one BLAS thread; best of 7, over three runs) took 98-123 ms on two threads
+# with the 8-row tiles this gives, 99-140 ms with 12 or 16 rows and 122-162
+# ms with 24 to 64; serially, 135-168 ms with 4-row tiles, 157-205 ms with 8
+# and 261-344 ms with 16. At 8 rows its widest activation is 8 x 32 x 1000
+# float32, 1 MB.
 TILE_ROWS = 16
 
 # Conv multiply-adds one inference tile must hold before the tiles of a
@@ -134,73 +137,85 @@ def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
     return float(-np.sum(targets * np.log(np.maximum(probs, EPS))) / len(probs))
 
 
-def _run(layers, h: np.ndarray, train: bool) -> np.ndarray:
-    for layer in layers:
-        h = layer.forward(h, train=train)
-    return h
-
-
-def _run_tile(layers, h, padded, rows):
-    """Training forward pass of ``h[rows]``; each conv writes its padded
-    input into ``rows`` of its array in ``padded`` (keyed by layer index)."""
+def _run(layers, h, train, padded=(), rows=slice(None)):
+    """``layers`` over ``h[rows]``; in a training pass of several tiles each
+    conv writes its padded input into ``rows`` of its array in ``padded``
+    (keyed by layer index)."""
     h = h[rows]
     for i, layer in enumerate(layers):
         h = (layer.forward(h, train=True, xp=padded[i][rows]) if i in padded
-             else layer.forward(h, train=True))
+             else layer.forward(h, train=train))
     return h
 
 
-def _submit(pool, fn, *args):
-    """``pool.submit`` running ``fn`` in a copy of this thread's context, so
-    the worker keeps the caller's numpy error state (a context variable)."""
-    return pool.submit(contextvars.copy_context().run, fn, *args)
+@contextlib.contextmanager
+def _threads(count):
+    """Yields ``run(calls)``: the results of ``calls`` in order. Thread ``t``
+    of ``count`` (this one, then the workers of a pool that lasts the with
+    block; a long-lived one would not survive fork) runs call ``t``, then
+    each next call no thread has taken. Workers run in a copy of this
+    thread's context, keeping its numpy error state; their errors reach it."""
+    def run(calls):
+        out, todo = [None] * len(calls), deque(range(count, len(calls)))
 
+        def take(i):
+            while True:
+                out[i] = calls[i]()
+                try:
+                    i = todo.popleft()
+                except IndexError:
+                    return
 
-def _in_both(pool, here, there):
-    """(here(), there()), with ``there`` run on the pool while this thread
-    runs ``here``."""
-    later = _submit(pool, there)
-    return here(), later.result()
+        later = [pool.submit(contextvars.copy_context().run, take, t)
+                 for t in range(1, count)]
+        take(0)
+        for f in later:
+            f.result()
+        return out
+
+    with (ThreadPoolExecutor(count - 1) if count > 1
+          else contextlib.nullcontext()) as pool:
+        yield run
 
 
 def _backward_tile(layers, d, jobs):
-    """One thread's part of a tiled backward phase: its tile's gradient
-    ``d`` back through ``layers``. A conv among them (only ever the top
-    layer) runs ``jobs``, this thread's share of its weight-gradient jobs."""
+    """One tile's part of a backward phase: its gradient ``d`` back through
+    ``layers``. A conv among them (only ever the top layer) runs ``jobs``,
+    this tile's share of its weight-gradient jobs."""
     for layer in reversed(layers):
         d = (layer.backward(d, jobs) if isinstance(layer, Conv1D)
              else layer.backward(d))
     return d
 
 
-def _backward_tiles(stacks, split, padded, d):
-    """Backpropagate ``d`` through the conv stack a tiled forward pass ran:
-    rows ``[:split]`` through ``stacks[0]`` in this thread and the others
-    through ``stacks[1]`` on a worker; ``padded`` holds each conv's padded
-    input for the whole batch.
-
-    Each phase takes both tiles down to the output gradient of the next conv.
-    There the two are joined in row order, so the conv's weight-gradient
-    jobs see the arrays a whole-batch backward gives them. In the next phase
-    the threads share those jobs, each running its half in its tile's
-    ``Conv1D.backward`` before that tile's input gradient; the joined arrays
-    and tile caches are dropped once that phase has run.
-    """
-    stack = stacks[0]
+def _backward_tiles(stacks, tiles, padded, d):
+    """Backpropagate ``d`` through the conv stack a training forward pass
+    ran: rows ``tiles[t]`` through ``stacks[t]``, with ``padded`` holding
+    each conv's padded input for the whole batch. One tile goes back layer
+    by layer in this thread. More go back in phases, each taking every tile
+    down to the output gradient of the next conv. There the tiles are joined
+    in row order, so the conv's weight-gradient jobs see the arrays of a
+    whole-batch backward; in the next phase tile ``t`` of ``n`` runs
+    ``jobs[t::n]`` in its ``Conv1D.backward`` before its input gradient."""
+    if len(stacks) == 1:
+        for layer in reversed(stacks[0]):
+            d = layer.backward(d)
+        return
+    stack, n = stacks[0], len(stacks)
     convs = [i for i, layer in enumerate(stack) if isinstance(layer, Conv1D)]
-    ds, jobs, hi = (d[:split], d[split:]), [], len(stack)
-    with ThreadPoolExecutor(1) as pool:
+    ds, jobs, hi = [d[rows] for rows in tiles], [], len(stack)
+    with _threads(min(_cpu_count(), n)) as run:
         for lo in reversed([-1] + convs):
-            ds = _in_both(pool, *[functools.partial(
-                _backward_tile, stacks[i][lo + 1:hi], ds[i], jobs[i::2])
-                for i in (0, 1)])
+            ds = run([functools.partial(
+                _backward_tile, layers[lo + 1:hi], dt, jobs[t::n])
+                for t, (layers, dt) in enumerate(zip(stacks, ds))])
             if lo < 0:
                 return
             # the last conv's arrays go before this one's are joined; the
             # tiles go on with views, so only the joined arrays are kept
             jobs = dy = None
             dy = np.concatenate(ds)
-            ds = (dy[:split], dy[split:])
+            ds = [dy[rows] for rows in tiles]
             jobs = stack[lo].weight_grad_jobs(padded.pop(lo), dy)
             hi = lo + 1
 
@@ -256,8 +271,8 @@ class Model:
         for params, key, arr in drawn:
             params[key] = self.params[lo:lo + arr.size].reshape(arr.shape)
             lo += arr.size
-        # conv multiply-adds per input row decide whether inference tiles
-        # are worth a thread each
+        # conv multiply-adds per input row decide whether tiles are worth a
+        # thread each
         length, macs = cfg.input_len, 0
         # (channels, length) of each conv's padded input, by stack index
         self._padded_shapes = {}
@@ -270,8 +285,8 @@ class Model:
             elif isinstance(layer, MaxPool2):
                 length //= 2
         self._threaded = macs * (TILE_ROWS // 2) >= PARALLEL_MIN_MACS
-        # ((stack, tile copies), split, padded inputs) of a tiled training
-        # forward pass, until backward takes it; None after a serial one
+        # (stack per tile, row slices, padded inputs) of a training forward
+        # pass, until backward takes it
         self._tiles = None
 
     def forward(self, x: np.ndarray, train: bool = False):
@@ -280,27 +295,25 @@ class Model:
         The input is cast to the model dtype once; the features keep it, and
         the probabilities are float64.
 
-        Inference runs the conv blocks and global average pooling over tiles
-        of TILE_ROWS rows, which keeps each tile's activations near cache
-        size. Every row those layers output depends on its own input row
-        only, so tiling leaves the bits unchanged. A model whose tile holds
-        PARALLEL_MIN_MACS or more runs tiles of TILE_ROWS // 2 rows on up to
-        one thread per CPU (numpy releases the GIL inside BLAS), so two tiles
-        in flight hold no more than one serial tile; np.concatenate keeps row
-        order, so this too leaves the bits unchanged. The FC head and
-        softmax then run once on the whole batch, in the calling thread: BLAS
-        picks its kernel by the number of rows (a matrix-vector product for
-        one row), so the logits' last bits can depend on batch size, and the
-        head must see the batch the caller passed.
+        The conv blocks and global average pooling run over row tiles; every
+        row they output depends on its own input row only, so tiling leaves
+        the bits unchanged. A threaded model (one whose TILE_ROWS // 2-row
+        tile holds PARALLEL_MIN_MACS or more) cuts every batch into tiles of
+        at most TILE_ROWS // 2 rows, and into two at least when it has two
+        rows, and runs them on up to one thread per CPU, this one among them
+        (numpy releases the GIL inside BLAS). Another model runs inference in
+        TILE_ROWS-row tiles, which keeps activations near cache size, and
+        trains on the whole batch. The FC head and softmax then run on the
+        whole batch in this thread: BLAS picks its kernel by the number of
+        rows, so the logits' last bits can depend on batch size, and the head
+        must see the batch the caller passed.
 
-        Training runs the conv stack over the whole batch in one pass, or,
-        for such a model with two or more rows and CPUs, as two row tiles:
-        the first ``B // 2`` rows in the calling thread and the rest on one
-        worker thread. The worker's tile goes through shallow copies of the
-        stack's layers, which share the parameter views and hold that tile's
-        caches; each conv writes its padded input into the tile's rows of one
-        whole-batch array, which the weight gradients then read as they are
-        (see ``backward``). The head again sees the whole batch.
+        In training each tile after the first has its own shallow copies of
+        the stack's layers (the same parameter views, its own caches), and
+        each conv writes its padded input into the tile's rows of one
+        whole-batch array, which the weight gradients read (see
+        ``backward``). The step is pending for ``backward`` once the whole
+        pass has run.
         """
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 2 or x.shape[1] != self.cfg.input_len:
@@ -308,62 +321,48 @@ class Model:
                              f"got {x.shape}")
         h = x[:, None, :]
         stack = self.layers[:self._gap_index + 1]
-        head = self.layers[self._gap_index + 1:]
+        rows = (min(TILE_ROWS // 2, (len(h) + 1) // 2) if self._threaded
+                else len(h) if train else TILE_ROWS) or 1
+        tiles = [slice(lo, lo + rows) for lo in range(0, len(h) or 1, rows)]
+        stacks, padded = [stack] * len(tiles), {}
         if train:
             self._tiles = None
-            if self._threaded and len(h) > 1 and _cpu_count() > 1:
-                # the second tile gets its own layer objects, and so its own
-                # caches, over the same parameter views; each conv writes its
-                # padded input into the tile's rows of one batch-wide array
-                split = len(h) // 2
-                copies = [copy.copy(layer) for layer in stack]
+            if len(tiles) > 1:
+                stacks[1:] = [[copy.copy(layer) for layer in stack]
+                              for _ in tiles[1:]]
                 padded = {i: np.empty((len(h),) + shape, self.dtype)
                           for i, shape in self._padded_shapes.items()}
-                with ThreadPoolExecutor(1) as pool:
-                    features = np.concatenate(_in_both(
-                        pool,
-                        lambda: _run_tile(stack, h, padded, slice(split)),
-                        lambda: _run_tile(copies, h, padded,
-                                          slice(split, None))))
-                self._tiles = ((stack, copies), split, padded)
-            else:
-                features = _run(stack, h, True)
-        else:
-            rows = TILE_ROWS // 2 if self._threaded else TILE_ROWS
-            tiles = [h[lo:lo + rows] for lo in range(0, max(len(h), 1), rows)]
-            workers = min(_cpu_count(), len(tiles)) if self._threaded else 1
-            if workers > 1:
-                # a pool per call: a long-lived one would not survive fork
-                with ThreadPoolExecutor(workers) as pool:
-                    outs = [f.result() for f in [
-                        _submit(pool, _run, stack, t, False) for t in tiles]]
-            else:
-                outs = [_run(stack, t, False) for t in tiles]
-            features = np.concatenate(outs)
-        logits = _run(head, features, train)
+        with _threads(min(_cpu_count() if self._threaded else 1,
+                          len(tiles))) as run:
+            features = np.concatenate(run(
+                [functools.partial(_run, layers, h, train, padded, tile)
+                 for layers, tile in zip(stacks, tiles)]))
+        logits = _run(self.layers[self._gap_index + 1:], features, train)
+        if train:
+            self._tiles = (stacks, tiles, padded)
         return softmax(logits.astype(np.float64)), features
 
     def backward(self, probs: np.ndarray, targets: np.ndarray) -> None:
-        """Backpropagate mean cross-entropy. Each layer keeps its gradients,
-        and ``grads`` gathers them in ``param_items`` order; a non-finite one
-        raises FloatingPointError naming the first such tensor in backward
-        order.
+        """Backpropagate mean cross-entropy through the pending training
+        step. Each layer keeps its gradients, and ``grads`` gathers them in
+        ``param_items`` order; a non-finite one raises FloatingPointError
+        naming the first such tensor in backward order. With no step pending
+        (no ``forward(..., train=True)`` since the last backward) it raises
+        RuntimeError before any layer runs.
 
-        After a tiled forward pass the head runs on the whole batch in this
-        thread, and the conv stack goes back tile by tile on two threads (see
-        ``_backward_tiles``). Each row's input gradient depends on that row
-        alone, and each conv's weight and bias gradients are taken over the
-        whole batch from the arrays a serial pass gives them, so the bits are
-        those of the serial pass."""
+        The head runs on the whole batch in this thread, and the conv stack
+        goes back over the forward pass's tiles (see ``_backward_tiles``).
+        Each row's input gradient depends on that row alone, and each conv's
+        weight and bias gradients are taken over the whole batch from the
+        arrays an untiled pass gives them: the bits of an untiled pass."""
+        if self._tiles is None:
+            raise RuntimeError("Model.backward needs a forward(..., "
+                               "train=True) first")
+        tiles, self._tiles = self._tiles, None
         d = ((probs - targets) / len(probs)).astype(self.dtype)
         for layer in reversed(self.layers[self._gap_index + 1:]):
             d = layer.backward(d)
-        tiles, self._tiles = self._tiles, None
-        if tiles is None:
-            for layer in reversed(self.layers[:self._gap_index + 1]):
-                d = layer.backward(d)
-        else:
-            _backward_tiles(*tiles, d)
+        _backward_tiles(*tiles, d)
         self._gather_grads()
 
     def _gather_grads(self) -> None:

@@ -301,15 +301,6 @@ def synth_template_runs(num_classes: int, trace_len: int, seed: int) -> list[lis
     return all_runs
 
 
-def synth_templates(num_classes: int, trace_len: int, seed: int) -> np.ndarray:
-    """Rendered (num_classes, trace_len) template traces; the oracle targets
-    for nearest-template classification."""
-    out = np.zeros((num_classes, trace_len), dtype=np.int8)
-    for row, runs in zip(out, synth_template_runs(num_classes, trace_len, seed)):
-        _render(_run_bounds(runs, trace_len), _signs(len(runs)), row)
-    return out
-
-
 def synth_dataset(num_classes: int, samples_per_class: int, trace_len: int,
                   noise_rate: float, seed: int) -> Dataset:
     """Generate a synthetic labeled dataset from seeded burst templates.

@@ -307,6 +307,15 @@ def render_runs_loop(run_lengths, trace_len: int) -> np.ndarray:
     return out
 
 
+def synth_templates(num_classes: int, trace_len: int, seed: int) -> np.ndarray:
+    """Rendered (num_classes, trace_len) template traces, one Python step
+    per run; the targets of nearest-template classification."""
+    from wfaug.traces import synth_template_runs
+
+    return np.stack([render_runs_loop(runs, trace_len) for runs in
+                     synth_template_runs(num_classes, trace_len, seed)])
+
+
 def synth_dataset_per_boundary(num_classes: int, samples_per_class: int,
                                trace_len: int, noise_rate: float, seed: int):
     """Synthesizer that draws one jitter per ``rng.integers`` call and renders

@@ -55,6 +55,16 @@ def tiny_task():
     return make_splits(d, SplitSpec(10, 3, 2, seed=0))
 
 
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """Fail a test, whether it passed or failed, that leaves more threads
+    running than it found: every pool a model makes ends with the pass
+    that made it."""
+    threads = threading.active_count()
+    yield
+    assert threading.active_count() <= threads, threading.enumerate()
+
+
 def lattice_model(cfg, seed=0):
     """Float64 model whose conv parameters sit on a dyadic lattice.
 
@@ -364,7 +374,9 @@ class TestForward:
                     h.astype(np.float64)).tobytes()
         finally:
             sys.setswitchinterval(interval)
-        assert pools == [2, 5]
+        # five 8-row tiles: the caller and one worker at 2 CPUs, the caller
+        # and four workers at 8
+        assert pools == [1, 4]
 
     def test_small_model_never_starts_threads(self, monkeypatch):
         # the shape of criterion 5's BENCH_MODEL: 3.0M multiply-adds per tile
@@ -520,6 +532,33 @@ class TestBackward:
         assert (len(x), 1, 66) in built
         model.forward(x, train=True)
         assert first.backward(np.ones((len(x), 8, 64))) is None
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_backward_needs_a_pending_training_pass(self, monkeypatch,
+                                                    threaded):
+        if threaded:
+            force_tiled_training(monkeypatch, cpus=2)
+        x = np.random.default_rng(0).normal(size=(4, 64))
+        targets = np.eye(3)[[0, 1, 2, 0]]
+        trained, only_inferred = Model(TINY, seed=0), Model(TINY, seed=0)
+        probs, _ = trained.forward(x, train=True)
+        trained.backward(probs, targets)
+        only_inferred.forward(x)
+        ran = []
+        for cls in (Conv1D, ReLU, MaxPool2, GlobalAvgPool, Dense):
+            monkeypatch.setattr(cls, "backward",
+                                lambda self, *args: ran.append(self.name))
+        for model in (trained, only_inferred):
+            with pytest.raises(RuntimeError, match=r"needs a forward\(\.\.\., "
+                                                   r"train=True\) first$"):
+                model.backward(probs, targets)
+        # a training pass that fails in its head leaves no step pending
+        monkeypatch.setattr(Dense, "forward", lambda *args, **kw: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            trained.forward(x, train=True)
+        with pytest.raises(RuntimeError, match="needs a forward"):
+            trained.backward(probs, targets)
+        assert ran == []
 
     def test_non_finite_pool_gradient_raises(self):
         """A non-finite gradient into MaxPool2 reaches the conv below it,
@@ -713,15 +752,20 @@ class TestTraining:
 
 def force_tiled_training(monkeypatch, cpus):
     """Make every model threaded and ``cpus`` CPUs visible; returns the
-    worker counts of the thread pools models start from then on (a training
-    step's pools have one worker)."""
+    worker counts of the thread pools models start from then on, and the
+    tile count of each training step that goes back through the conv
+    stack."""
     monkeypatch.setattr(model_mod, "PARALLEL_MIN_MACS", 1)
     monkeypatch.setattr(model_mod, "_cpu_count", lambda: cpus)
-    pools = []
+    pools, steps = [], []
     monkeypatch.setattr(model_mod, "ThreadPoolExecutor",
                         lambda workers: pools.append(workers)
                         or ThreadPoolExecutor(workers))
-    return pools
+    backward_tiles = model_mod._backward_tiles
+    monkeypatch.setattr(model_mod, "_backward_tiles",
+                        lambda stacks, *rest: steps.append(len(stacks))
+                        or backward_tiles(stacks, *rest))
+    return pools, steps
 
 
 def trained_bytes(tmp_path, model_cfg, train_cfg, data, aug):
@@ -736,43 +780,49 @@ def trained_bytes(tmp_path, model_cfg, train_cfg, data, aug):
 
 
 class TestThreadedTraining:
-    """A threaded model trains its conv stack as two row tiles, one in the
-    calling thread and one on a worker, with the weight gradients taken over
-    the whole batch: the bytes of the serial step, whatever the CPU count
-    and however often the interpreter switches threads."""
+    """A threaded model trains its conv stack over row tiles of at most
+    TILE_ROWS // 2 rows, two at least, on up to one thread per CPU with the
+    calling thread among them, and takes the weight gradients over the whole
+    batch: the bytes of the untiled step, whatever the CPU count and however
+    often the interpreter switches threads."""
 
     STOCK = default_model_config(64, 4)
 
-    @pytest.mark.parametrize("train_cfg, aug", [
+    @pytest.mark.parametrize("train_cfg, aug, tiles", [
         (TrainConfig(epochs=2, batch_size=16, lr=3e-3, seed=3),
-         AugConfig(r_max=5, m_len=6, alpha=0.2)),
+         AugConfig(r_max=5, m_len=6, alpha=0.2), 2),
         (TrainConfig(epochs=2, batch_size=16, optimizer="sgd-momentum",
-                     lr=1e-2, seed=4), None),
+                     lr=1e-2, seed=4), None, 2),
         (TrainConfig(epochs=1, batch_size=3, seed=5),
-         AugConfig(r_max=None, m_len=None, alpha=0.5)),
-        (TrainConfig(epochs=1, batch_size=1, seed=6), None),
-    ], ids=["adam-hda-16", "sgd-momentum-16", "adam-mix-3", "adam-1"])
+         AugConfig(r_max=None, m_len=None, alpha=0.5), 2),
+        (TrainConfig(epochs=1, batch_size=1, seed=6), None, 1),
+        (TrainConfig(epochs=2, batch_size=32, lr=3e-3, seed=7),
+         AugConfig(r_max=5, m_len=6, alpha=0.2), 3),
+    ], ids=["adam-hda-16", "sgd-momentum-16", "adam-mix-3", "adam-1",
+            "adam-hda-32"])
     def test_same_bytes_as_the_serial_step(self, monkeypatch, tmp_path,
-                                           train_cfg, aug):
+                                           train_cfg, aug, tiles):
         # 4 classes x 5 shots = 20 training traces, so batches of 16 and 3
-        # end with a partial one
+        # end with a partial one, and a batch of 32 is one of 20 rows in
+        # tiles of 8, 8 and 4
         data = synth_dataset(4, 8, 64, 0.05, seed=9)
-        written = {}
+        assert not Model(self.STOCK, seed=0)._threaded
+        serial = trained_bytes(tmp_path, self.STOCK, train_cfg, data, aug)
         # switching threads as often as the interpreter allows would show
         # any state the tiles share
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for cpus in (1, 2, 8):
-                pools = force_tiled_training(monkeypatch, cpus)
-                written[cpus] = trained_bytes(tmp_path, self.STOCK,
-                                              train_cfg, data, aug)
-                # one-worker pools are training steps; a batch of one row
-                # is never tiled
-                assert (1 in pools) == (cpus > 1 and train_cfg.batch_size > 1)
+                pools, steps = force_tiled_training(monkeypatch, cpus)
+                assert trained_bytes(tmp_path, self.STOCK, train_cfg, data,
+                                     aug) == serial, cpus
+                assert max(steps) == tiles
+                # one thread per CPU and tile at most, the caller's among
+                # them; validation passes run 12 rows as two tiles
+                assert max(pools, default=0) == min(cpus, max(tiles, 2)) - 1
         finally:
             sys.setswitchinterval(interval)
-        assert written[2] == written[1] and written[8] == written[1]
 
     def test_bench_model_never_starts_threads(self, monkeypatch):
         cfg = ModelConfig(1000, 6, tuple(
@@ -792,21 +842,26 @@ class TestThreadedTraining:
               val_set, AugConfig(r_max=20, m_len=36, alpha=0.1))
 
     def tiled_step(self, monkeypatch, seed=0):
-        """A threaded stock model after a tiled training forward pass of 6
-        rows, with its targets."""
-        pools = force_tiled_training(monkeypatch, cpus=2)
+        """A threaded stock model at 2 CPUs after a training forward pass of
+        20 rows, with its targets. Of its tiles of 8, 8 and 4 rows the first
+        runs in the calling thread, the second on a worker and the third on
+        whichever of them is free first, in every phase."""
+        pools, _ = force_tiled_training(monkeypatch, cpus=2)
         model = Model(self.STOCK, seed=seed)
         rng = np.random.default_rng(seed)
-        x = rng.choice([-1.0, 1.0], size=(6, 64))
+        x = rng.choice([-1.0, 1.0], size=(20, 64))
         probs, _ = model.forward(x, train=True)
         assert pools == [1] and model._tiles is not None
-        return model, probs, np.eye(4)[rng.integers(0, 4, 6)]
+        return model, probs, np.eye(4)[rng.integers(0, 4, 20)]
 
     def test_backward_releases_every_tile_cache(self, monkeypatch):
         model, probs, targets = self.tiled_step(monkeypatch)
-        (stack, copies), split, padded = model._tiles
-        assert split == 3 and len(copies) == len(stack)
-        assert all(c is not s for c, s in zip(copies, stack))
+        stacks, tiles, padded = model._tiles
+        assert tiles == [slice(0, 8), slice(8, 16), slice(16, 24)]
+        assert stacks[0] == model.layers[:len(stacks[0])]
+        copies = stacks[1] + stacks[2]
+        assert len({id(layer) for layer in stacks[0] + copies}) == 3 * len(
+            stacks[0])
         model.backward(probs, targets)
         assert model._tiles is None and padded == {}
         for layer in model.layers + copies:
@@ -833,22 +888,18 @@ class TestThreadedTraining:
         # conv1's input gradient reaches conv0's weight gradient only
         self.worker_input_grads(monkeypatch, "conv1",
                                 lambda dx: np.full_like(dx, np.inf))
-        threads = threading.active_count()
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(FloatingPointError,
                                match=r"^non-finite gradient in conv0\.w$"):
                 model.backward(probs, targets)
-        assert threading.active_count() == threads
 
     def test_worker_runtime_warning_reaches_the_caller(self, monkeypatch):
         model, probs, targets = self.tiled_step(monkeypatch)
         self.worker_input_grads(monkeypatch, "conv2",
                                 lambda dx: dx / np.zeros_like(dx))
-        threads = threading.active_count()
         # tier-1 turns every RuntimeWarning into an error (pyproject.toml)
         with pytest.raises(RuntimeWarning, match="encountered in divide"):
             model.backward(probs, targets)
-        assert threading.active_count() == threads
 
     def test_worker_keeps_the_callers_error_state(self, monkeypatch):
         model, probs, targets = self.tiled_step(monkeypatch)
@@ -885,7 +936,7 @@ class TestSameBitsAsPerTapConv:
                       synth_dataset(4, 8, 128, 0.05, seed=6), None)
 
     def test_stock_model_threaded(self, request, tmp_path, monkeypatch):
-        pools = force_tiled_training(monkeypatch, cpus=2)
+        pools, _ = force_tiled_training(monkeypatch, cpus=2)
         self.run_both(request, tmp_path, default_model_config(128, 4),
                       TrainConfig(epochs=1, batch_size=16, seed=5),
                       synth_dataset(4, 8, 128, 0.05, seed=6),

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import nearest_template_labels, render_runs_loop
+from oracles import (nearest_template_labels, render_runs_loop,
+                     synth_templates)
 from wfaug.traces import (
     BACKGROUND,
     MAX_LABEL,
@@ -18,7 +19,7 @@ from wfaug.traces import (
     one_hot_labels,
     save_dataset,
     synth_dataset,
-    synth_templates,
+    synth_template_runs,
 )
 
 
@@ -311,12 +312,14 @@ class TestSynth:
             synth_dataset(classes, per_class, trace_len, 0.1, seed=0)
 
     def test_templates_render_runs_in_turn(self):
-        from wfaug.traces import synth_template_runs
-        for seed, trace_len in ((0, 1), (3, 2), (5, 128), (7, 1000)):
+        # zero-noise rows are the rendered templates; synth_dataset renders
+        # only lengths from MIN_SYNTH_LEN up
+        for seed, trace_len in ((0, MIN_SYNTH_LEN), (3, 4), (5, 128),
+                                (7, 1000)):
             runs = synth_template_runs(4, trace_len, seed)
             want = [render_runs_loop(r, trace_len) for r in runs]
-            assert synth_templates(4, trace_len, seed).tobytes() == (
-                np.stack(want).tobytes())
+            d = synth_dataset(4, 2, trace_len, 0.0, seed)
+            assert d.traces.tobytes() == np.repeat(want, 2, axis=0).tobytes()
 
 
 class TestOutputWidth:
