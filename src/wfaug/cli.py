@@ -155,8 +155,28 @@ def cmd_tune(args, m: Manifest) -> int:
               encoding="utf-8") as fh:
         fh.write(format_manifest(fragment))
     write_trial_log(os.path.join(out, "tune_trials.csv"), log, seed)
+    for note in _unranked_stages(log, len(val_set), dataset.output_width):
+        print(note, file=sys.stderr)
     _note(args, f"chose {params} over {len(log)} trials")
     return 0
+
+
+def _unranked_stages(log, val_traces: int, width: int):
+    """A ``note:`` line for each tune stage whose objectives cannot rank its
+    settings: the best and worst differ by at most one validation trace, or
+    the best is at or below chance (1 / width)."""
+    hits: dict[tuple, list] = {}
+    for trial in log:
+        # an objective is a validation accuracy, so hits / val_traces
+        hits.setdefault((trial.stage, trial.param), []).append(
+            round(trial.objective * val_traces))
+    for (stage, param), counts in hits.items():
+        best, worst = max(counts), min(counts)
+        if best - worst <= 1 or best * width <= val_traces:
+            yield (f"note: tune stage {stage} ({param}) cannot rank its "
+                   f"settings: {worst} to {best} of {val_traces} validation "
+                   f"traces right, chance 1/{width}; try more "
+                   f"tpe.proxy_epochs")
 
 
 def cmd_train(args, m: Manifest) -> int:

@@ -11,7 +11,16 @@ reduction order. The first tap's product is the output array itself; each
 later tap's product goes into one buffer reused across taps and is added into
 the output. With a single input channel (the first layer) a tap is a
 broadcast multiply instead of a K=1 matmul: every output is then one product,
-rounded once either way. ``Conv1D.backward`` runs its two parts one after
+rounded once either way. Each call hands BLAS operands it takes as they
+are, which numpy would otherwise copy inside every tap's matmul:
+``forward`` takes the taps of one contiguous (kernel, out, in) copy of the
+weights and, in a strided conv, contiguous copies of the input taps;
+``input_grads`` takes the transposed weight taps as F-ordered views, since
+a C-ordered copy rounds otherwise. A matmul tap product with a dimension
+of 1 (one input or output channel, or one output position) keeps strided
+views of both, because on contiguous operands numpy takes its vector path,
+which rounds otherwise; the one-channel broadcast multiply rounds alike
+whatever the layout. ``Conv1D.backward`` runs its two parts one after
 the other. ``weight_grad_jobs`` returns the bias sum and one GEMM per weight
 tap as separate jobs; each GEMM takes the (out_ch, batch * length) rows of
 the output gradient, built once per call, and the tap's (batch * length,
@@ -90,10 +99,22 @@ class Conv1D(Layer):
         start = t * self.dilation
         return slice(start, start + self.stride * (l_out - 1) + 1, self.stride)
 
+    def _weight_taps(self, contiguous):
+        """The weights as (kernel, out, in) taps: a contiguous copy, or
+        strided views of ``params["w"]``."""
+        w = self.params["w"].transpose(2, 0, 1)
+        return w.copy() if contiguous else w
+
     def forward(self, x, train=False, xp=None):
         """The convolution of ``x``. The zero-padded input goes into ``xp``
         when given (an array of that shape and ``x``'s dtype), else into a
-        new array."""
+        new array.
+
+        Each tap's product takes a contiguous (out, in) weight tap and, at a
+        stride above 1, a contiguous copy of its input tap (at stride 1 the
+        input tap's rows are already unit-stride); a matmul with one output
+        channel or position keeps strided views (see the module
+        docstring)."""
         if x.ndim != 3 or x.shape[1] != self.in_ch:
             raise ValueError(f"{self.name}: expected (B, {self.in_ch}, L) input,"
                              f" got {x.shape}")
@@ -107,15 +128,21 @@ class Conv1D(Layer):
         xp[:, :, :self.pad_l] = 0
         xp[:, :, self.pad_l + length:] = 0
         xp[:, :, self.pad_l:self.pad_l + length] = x
-        w = self.params["w"]
         # with one input channel each tap output is a single product, which
-        # matmul and multiply round alike
+        # matmul and multiply round alike, whatever the operands' layout
         tap_product = np.multiply if self.in_ch == 1 else np.matmul
-        y = tap_product(w[:, :, 0], xp[:, :, self._tap(0, l_out)])
+        contiguous = self.in_ch == 1 or min(self.out_ch, l_out) > 1
+        taps = self._weight_taps(contiguous)
+        copy_in = contiguous and self.stride > 1
+
+        def tap_input(t):
+            view = xp[:, :, self._tap(t, l_out)]
+            return view.copy() if copy_in else view
+
+        y = tap_product(taps[0], tap_input(0))
         prod = np.empty_like(y)
         for t in range(1, self.kernel):
-            y += tap_product(w[:, :, t], xp[:, :, self._tap(t, l_out)],
-                             out=prod)
+            y += tap_product(taps[t], tap_input(t), out=prod)
         # a sum started at +0.0 differs from this one only by a -0.0 where
         # this one has -0.0 and that one +0.0; adding a bias that is not
         # -0.0 (training never makes one) gives both the same bits
@@ -159,14 +186,19 @@ class Conv1D(Layer):
     def input_grads(self, xp, dy):
         """The gradient of the unpadded input, from the padded input ``xp``
         and the output gradient ``dy`` of the same rows; each row's depends on
-        that row alone."""
-        w = self.params["w"]
+        that row alone.
+
+        Each tap's matmul takes the transpose of a contiguous (out, in)
+        weight tap, an F-ordered view that BLAS reads as a transposed
+        operand; one with one input or output channel, or one output
+        position, keeps strided views (see the module docstring)."""
         l_out = dy.shape[2]
+        taps = self._weight_taps(min(self.in_ch, self.out_ch, l_out) > 1)
         dxp = np.zeros_like(xp)
         prod = np.empty((dy.shape[0], self.in_ch, l_out),
-                        np.result_type(w, dy))
+                        np.result_type(taps, dy))
         for t in range(self.kernel):
-            dxp[:, :, self._tap(t, l_out)] += np.matmul(w[:, :, t].T, dy,
+            dxp[:, :, self._tap(t, l_out)] += np.matmul(taps[t].T, dy,
                                                         out=prod)
         return dxp[:, :, self.pad_l: xp.shape[2] - self.pad_r]
 

@@ -52,10 +52,12 @@ class HistoryRow:
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss went non-finite; ``history`` holds the completed epochs."""
+    """Loss or parameters went non-finite; ``history`` holds the completed
+    epochs."""
 
     def __init__(self, epoch: int, history):
-        super().__init__(f"training diverged (non-finite loss) in epoch {epoch}")
+        super().__init__(f"training diverged (non-finite loss or parameters)"
+                         f" in epoch {epoch}")
         self.epoch = epoch
         self.history = list(history)
 
@@ -111,6 +113,10 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: Dataset,
             model.backward(probs, yb)
             optimizer.step()
             total += batch_loss * len(sel)
+        # the loss check sees a step's overflow only at the next batch, so
+        # an epoch's last step is checked here, before it can be kept
+        if not np.isfinite(model.params).all():
+            raise TrainingDiverged(epoch, history)
         val_acc = dataset_accuracy(model, val_set)
         history.append(HistoryRow(epoch, total / n, val_acc))
         if val_acc > best_acc:

@@ -22,7 +22,7 @@ from wfaug.cli import build_parser, main
 from wfaug.evaluate import tune_augmentation
 from wfaug.manifest import KNOWN_KEYS, format_manifest, parse_manifest_text
 from wfaug.nn import Model, default_model_config, save_checkpoint, training
-from wfaug.tpe import TRIAL_LOG_HEADER
+from wfaug.tpe import TRIAL_LOG_HEADER, StageTrial
 from wfaug.traces import (BACKGROUND, Dataset, SplitSpec, load_dataset,
                           make_splits, save_dataset, synth_dataset)
 
@@ -300,6 +300,42 @@ class TestTune:
         assert [(spec.mode, spec.budget_per_param) for spec in specs] == [
             ("independent", 4), ("sequential", 2)]
 
+    def test_notes_stages_that_cannot_rank(self, workdir, capsys,
+                                           monkeypatch):
+        # 3 classes x 3 validation traces: one trace is 1/9, chance is 3/9
+        synth_here()
+        log = [StageTrial(0, "r_max", 1, 4 / 9, 0),
+               StageTrial(0, "r_max", 2, 6 / 9, 1),
+               StageTrial(1, "m_len", 5, 5 / 9, 0),
+               StageTrial(1, "m_len", 9, 6 / 9, 1),
+               StageTrial(2, "alpha", 0.1, 1 / 9, 0),
+               StageTrial(2, "alpha", 0.2, 3 / 9, 1)]
+        monkeypatch.setattr(cli, "tune_augmentation",
+                            lambda *args: ({"r_max": 2}, log))
+        assert run("tune", "--manifest", "exp.cfg", "--out", "tuned") == 0
+        notes = capsys.readouterr().err.splitlines()
+        assert notes == [
+            "note: tune stage 1 (m_len) cannot rank its settings: 5 to 6 of"
+            " 9 validation traces right, chance 1/3; try more"
+            " tpe.proxy_epochs",
+            "note: tune stage 2 (alpha) cannot rank its settings: 1 to 3 of"
+            " 9 validation traces right, chance 1/3; try more"
+            " tpe.proxy_epochs"]
+
+    def test_notes_leave_the_artifacts_alone(self, workdir, capsys):
+        # one-epoch proxies on this data score every setting at chance
+        synth_here()
+        capsys.readouterr()
+        outputs = []
+        for verbose in ((), ("--verbose",)):
+            assert run("tune", "--manifest", "exp.cfg", "--seed", "0",
+                       "--budget", "2", "--out", "tuned", *verbose) == 0
+            err = capsys.readouterr().err.splitlines()
+            assert [line for line in err if line.startswith("note: tune")]
+            outputs.append([(workdir / "tuned" / name).read_bytes() for name
+                            in ("aug_params.cfg", "tune_trials.csv")])
+        assert outputs[0] == outputs[1]
+
     def test_zero_budget_fails_before_work(self, workdir, capsys):
         synth_here()
         assert run("tune", "--manifest", "exp.cfg", "--budget", "0",
@@ -477,6 +513,19 @@ class TestTrainEvalReport:
                        "wild.cfg", "--seed", "0", "--out", "wild") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_last_epoch_overflow_writes_no_checkpoint(self, workdir, capsys):
+        synth_here()
+        (workdir / "wild.cfg").write_text(
+            "train.lr = 1e300\ntrain.optimizer = sgd-momentum\n"
+            "train.epochs = 1\n", encoding="utf-8")
+        with np.errstate(all="ignore"):
+            assert run("train", "--manifest", "exp.cfg", "--manifest",
+                       "wild.cfg", "--seed", "0", "--out", "wild") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (workdir / "wild" / "model.ckpt").exists()
 
     @pytest.mark.parametrize("lines,field", [
         pytest.param("train.lr = nan", "lr", id="lr-nan"),

@@ -104,6 +104,36 @@ def assert_conv_matches_per_tap(conv, draw, batch, length, rng):
 # signed zeros next to +-1 reach the sign of every zero product
 CONV_LATTICE = (-1.0, -0.0, 0.0, 1.0)
 
+BENCH_MODEL_1000 = ModelConfig(1000, 20, tuple(
+    ConvBlock(ch, stride=2) for ch in (8, 12, 16, 24, 32, 32, 32)),
+    fc=(20,))
+
+
+def model_conv_shapes(cfg):
+    """(in, out, kernel, dilation, stride, causal, input length) of every
+    conv of ``cfg``'s model."""
+    length = cfg.input_len
+    for layer in Model(cfg, 0).layers:
+        if isinstance(layer, Conv1D):
+            yield (layer.in_ch, layer.out_ch, layer.kernel, layer.dilation,
+                   layer.stride, layer.causal, length)
+            length = layer.out_len(length)
+        elif isinstance(layer, MaxPool2):
+            length //= 2
+
+
+# every conv the benchmark shape and the stock model run, where OpenBLAS
+# picks its kernels by width, and the shapes where a tap product has a
+# dimension of 1: one input channel with its input gradient on, one output
+# channel, and one or two output positions
+MODEL_CONV_SHAPES = sorted(
+    set(model_conv_shapes(BENCH_MODEL_1000))
+    | set(model_conv_shapes(default_model_config(1000, 20)))
+    | set(model_conv_shapes(default_model_config(128, 20)))
+    | {(32, 1, 3, 1, 1, True, 40), (1, 1, 3, 2, 2, True, 40),
+       (32, 32, 3, 1, 2, True, 2), (32, 32, 3, 1, 2, True, 4),
+       (24, 16, 3, 4, 1, False, 1), (16, 24, 3, 4, 1, False, 2)})
+
 
 def fd_worst_rel_err(model, x, targets, n_coords, eps, probe_seed):
     probs, _ = model.forward(x, train=True)
@@ -192,6 +222,22 @@ class TestConvLayer:
         # the padding is one short of the kernel span, so every length
         # gives at least one output position
         assert_conv_matches_per_tap(conv, draw, batch, length, rng)
+
+    @pytest.mark.parametrize(
+        "in_ch,out_ch,kernel,dilation,stride,causal,length",
+        MODEL_CONV_SHAPES)
+    def test_model_widths_same_bytes_as_per_tap_oracle(
+            self, in_ch, out_ch, kernel, dilation, stride, causal, length):
+        rng = np.random.default_rng(in_ch * 1000 + out_ch + length)
+        conv = Conv1D("c", in_ch, out_ch, kernel=kernel, dilation=dilation,
+                      stride=stride, causal=causal, rng=rng)
+        conv.params = {k: v.astype(np.float32)
+                       for k, v in conv.params.items()}
+        assert conv.input_grad
+        for batch in (1, 7, 16):
+            assert_conv_matches_per_tap(
+                conv, lambda shape: rng.normal(size=shape).astype(np.float32),
+                batch, length, rng)
 
     def test_causal_outputs_ignore_future_inputs(self):
         rng = np.random.default_rng(2)
@@ -721,6 +767,18 @@ class TestTraining:
             with pytest.raises(TrainingDiverged) as err:
                 train(TINY, cfg, train_set, val_set)
         assert len(err.value.history) == err.value.epoch
+
+    def test_last_step_overflow_aborts(self):
+        # one epoch of one batch: only the parameters show the overflow
+        train_set, val_set, _ = tiny_task()
+        cfg = TrainConfig(epochs=1, batch_size=64, lr=1e155,
+                          optimizer="sgd-momentum", seed=0)
+        one_block = ModelConfig(64, 3, (ConvBlock(8),), fc=(3,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged,
+                               match="non-finite loss or parameters") as err:
+                train(one_block, cfg, train_set, val_set)
+        assert len(err.value.history) == err.value.epoch == 0
 
     def test_rejects_class_count_mismatch(self):
         train_set, val_set, _ = tiny_task()
