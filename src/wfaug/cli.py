@@ -104,11 +104,13 @@ def cmd_synth(args, m: Manifest) -> int:
 
 
 def cmd_split(args, m: Manifest) -> int:
-    seed = _root_seed(m)
-    _, (train_set, val_set, test_set) = _load_splits(m, seed)
+    _, splits = _load_splits(m, _root_seed(m))
+    parts = list(zip(("train", "val", "test"), splits))
+    for name, part in parts:  # all are checked before one is written
+        if not len(part):
+            raise ValueError(f"cannot save an empty {name} split")
     out = _out_dir(m)
-    for name, part in (("train", train_set), ("val", val_set),
-                       ("test", test_set)):
+    for name, part in parts:
         save_dataset(part, os.path.join(out, f"{name}.txt"))
         _note(args, f"{name}: {len(part)} traces")
     return 0
@@ -359,7 +361,8 @@ def main(argv=None) -> int:
         manifest = Manifest.from_files(args.manifest, flags)
         return args.func(args, manifest)
     except (ManifestError, TraceFormatError, CheckpointError, ObjectiveError,
-            TrainingDiverged, FloatingPointError, ValueError, OSError) as exc:
+            TrainingDiverged, FloatingPointError, ValueError, OSError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

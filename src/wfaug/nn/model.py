@@ -137,14 +137,11 @@ def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
     return float(-np.sum(targets * np.log(np.maximum(probs, EPS))) / len(probs))
 
 
-def _run(layers, h, train, padded=(), rows=slice(None)):
-    """``layers`` over ``h[rows]``; in a training pass of several tiles each
-    conv writes its padded input into ``rows`` of its array in ``padded``
-    (keyed by layer index)."""
+def _run(layers, h, train, rows=slice(None)):
+    """``layers`` over ``h[rows]``."""
     h = h[rows]
-    for i, layer in enumerate(layers):
-        h = (layer.forward(h, train=True, xp=padded[i][rows]) if i in padded
-             else layer.forward(h, train=train))
+    for layer in layers:
+        h = layer.forward(h, train=train)
     return h
 
 
@@ -178,36 +175,34 @@ def _threads(count):
         yield run
 
 
-def _backward_tile(layers, d, jobs):
-    """One tile's part of a backward phase: its gradient ``d`` back through
-    ``layers``. A conv among them (only ever the top layer) runs ``jobs``,
-    this tile's share of its weight-gradient jobs."""
+def _run_backward(layers, d, *jobs):
+    """``d`` back through ``layers``. A conv among them runs ``jobs`` when
+    they are passed, a tile's share of its weight-gradient jobs (only the top
+    layer of a backward phase of several tiles is a conv), else its own."""
     for layer in reversed(layers):
-        d = (layer.backward(d, jobs) if isinstance(layer, Conv1D)
+        d = (layer.backward(d, *jobs) if isinstance(layer, Conv1D)
              else layer.backward(d))
     return d
 
 
-def _backward_tiles(stacks, tiles, padded, d):
+def _backward_tiles(stacks, tiles, d):
     """Backpropagate ``d`` through the conv stack a training forward pass
-    ran: rows ``tiles[t]`` through ``stacks[t]``, with ``padded`` holding
-    each conv's padded input for the whole batch. One tile goes back layer
+    ran: rows ``tiles[t]`` through ``stacks[t]``. One tile goes back layer
     by layer in this thread. More go back in phases, each taking every tile
-    down to the output gradient of the next conv. There the tiles are joined
-    in row order, so the conv's weight-gradient jobs see the arrays of a
-    whole-batch backward; in the next phase tile ``t`` of ``n`` runs
-    ``jobs[t::n]`` in its ``Conv1D.backward`` before its input gradient."""
+    down to the output gradient of the next conv. There the conv's
+    weight-gradient jobs take the tiles' gradients and padded inputs in row
+    order, the operands of a whole-batch backward; in the next phase tile
+    ``t`` of ``n`` runs ``jobs[t::n]`` in its ``Conv1D.backward`` before its
+    input gradient."""
     if len(stacks) == 1:
-        for layer in reversed(stacks[0]):
-            d = layer.backward(d)
-        return
+        return _run_backward(stacks[0], d)
     stack, n = stacks[0], len(stacks)
     convs = [i for i, layer in enumerate(stack) if isinstance(layer, Conv1D)]
     ds, jobs, hi = [d[rows] for rows in tiles], [], len(stack)
     with _threads(min(_cpu_count(), n)) as run:
         for lo in reversed([-1] + convs):
             ds = run([functools.partial(
-                _backward_tile, layers[lo + 1:hi], dt, jobs[t::n])
+                _run_backward, layers[lo + 1:hi], dt, jobs[t::n])
                 for t, (layers, dt) in enumerate(zip(stacks, ds))])
             if lo < 0:
                 return
@@ -216,7 +211,8 @@ def _backward_tiles(stacks, tiles, padded, d):
             jobs = dy = None
             dy = np.concatenate(ds)
             ds = [dy[rows] for rows in tiles]
-            jobs = stack[lo].weight_grad_jobs(padded.pop(lo), dy)
+            jobs = stack[lo].weight_grad_jobs(
+                [layers[lo].padded_input for layers in stacks], dy)
             hi = lo + 1
 
 
@@ -239,7 +235,6 @@ class Model:
         # unknown); checkpoints carry it so evaluation can refuse other data
         self.trained_on = {}
         self.layers = []
-        self._gap_index = None
         in_ch = 1
         for i, blk in enumerate(cfg.blocks):
             self.layers.append(Conv1D(
@@ -274,19 +269,15 @@ class Model:
         # conv multiply-adds per input row decide whether tiles are worth a
         # thread each
         length, macs = cfg.input_len, 0
-        # (channels, length) of each conv's padded input, by stack index
-        self._padded_shapes = {}
-        for i, layer in enumerate(self.layers[:self._gap_index]):
+        for layer in self.layers[:self._gap_index]:
             if isinstance(layer, Conv1D):
-                self._padded_shapes[i] = (
-                    layer.in_ch, layer.pad_l + length + layer.pad_r)
                 length = layer.out_len(length)
                 macs += layer.out_ch * layer.in_ch * layer.kernel * length
             elif isinstance(layer, MaxPool2):
                 length //= 2
         self._threaded = macs * (TILE_ROWS // 2) >= PARALLEL_MIN_MACS
-        # (stack per tile, row slices, padded inputs) of a training forward
-        # pass, until backward takes it
+        # (stack per tile, row slices) of a training forward pass, until
+        # backward takes it
         self._tiles = None
 
     def forward(self, x: np.ndarray, train: bool = False):
@@ -308,12 +299,9 @@ class Model:
         rows, so the logits' last bits can depend on batch size, and the head
         must see the batch the caller passed.
 
-        In training each tile after the first has its own shallow copies of
-        the stack's layers (the same parameter views, its own caches), and
-        each conv writes its padded input into the tile's rows of one
-        whole-batch array, which the weight gradients read (see
-        ``backward``). The step is pending for ``backward`` once the whole
-        pass has run.
+        In training each tile after the first runs shallow copies of the
+        stack's layers (the same parameter views, its own caches), and the
+        step is pending for ``backward`` once the whole pass has run.
         """
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 2 or x.shape[1] != self.cfg.input_len:
@@ -324,22 +312,19 @@ class Model:
         rows = (min(TILE_ROWS // 2, (len(h) + 1) // 2) if self._threaded
                 else len(h) if train else TILE_ROWS) or 1
         tiles = [slice(lo, lo + rows) for lo in range(0, len(h) or 1, rows)]
-        stacks, padded = [stack] * len(tiles), {}
+        stacks = [stack] * len(tiles)
         if train:
             self._tiles = None
-            if len(tiles) > 1:
-                stacks[1:] = [[copy.copy(layer) for layer in stack]
-                              for _ in tiles[1:]]
-                padded = {i: np.empty((len(h),) + shape, self.dtype)
-                          for i, shape in self._padded_shapes.items()}
+            stacks[1:] = [[copy.copy(layer) for layer in stack]
+                          for _ in tiles[1:]]
         with _threads(min(_cpu_count() if self._threaded else 1,
                           len(tiles))) as run:
             features = np.concatenate(run(
-                [functools.partial(_run, layers, h, train, padded, tile)
+                [functools.partial(_run, layers, h, train, tile)
                  for layers, tile in zip(stacks, tiles)]))
         logits = _run(self.layers[self._gap_index + 1:], features, train)
         if train:
-            self._tiles = (stacks, tiles, padded)
+            self._tiles = (stacks, tiles)
         return softmax(logits.astype(np.float64)), features
 
     def backward(self, probs: np.ndarray, targets: np.ndarray) -> None:
@@ -360,8 +345,7 @@ class Model:
                                "train=True) first")
         tiles, self._tiles = self._tiles, None
         d = ((probs - targets) / len(probs)).astype(self.dtype)
-        for layer in reversed(self.layers[self._gap_index + 1:]):
-            d = layer.backward(d)
+        d = _run_backward(self.layers[self._gap_index + 1:], d)
         _backward_tiles(*tiles, d)
         self._gather_grads()
 

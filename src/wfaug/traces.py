@@ -172,8 +172,10 @@ def load_dataset(path, trace_len: int) -> Dataset:
 
 
 def _check_savable(traces: np.ndarray) -> np.ndarray:
-    """Per-row count of directions; raises, naming the first row, when a row
-    is all padding or has a zero before its last direction."""
+    """Per-row count of directions; raises if there are no rows or, naming the
+    first, if a row is all padding or has a zero before its last direction."""
+    if not len(traces):
+        raise ValueError("cannot save an empty dataset")
     nonzero = traces != 0
     count = np.count_nonzero(nonzero, axis=1)
     # one past the last direction: the row length less the trailing zeros

@@ -21,7 +21,8 @@ from wfaug.augment import AugConfig, hda_batch
 from wfaug.cli import build_parser, main
 from wfaug.evaluate import tune_augmentation
 from wfaug.manifest import KNOWN_KEYS, format_manifest, parse_manifest_text
-from wfaug.nn import Model, default_model_config, save_checkpoint, training
+from wfaug.nn import (Conv1D, Model, default_model_config, save_checkpoint,
+                      training)
 from wfaug.tpe import TRIAL_LOG_HEADER, StageTrial
 from wfaug.traces import (BACKGROUND, Dataset, SplitSpec, load_dataset,
                           make_splits, save_dataset, synth_dataset)
@@ -172,6 +173,19 @@ class TestSplit:
         err = capsys.readouterr().err
         assert err.startswith("error: trace_len must be")
         assert "Traceback" not in err and not (workdir / "splits").exists()
+
+    @pytest.mark.parametrize("key, part", [("val_per_class", "val"),
+                                           ("test_per_class", "test")])
+    def test_empty_part_fails_before_any_is_written(self, workdir, capsys,
+                                                    key, part):
+        synth_here()
+        (workdir / "none.cfg").write_text(f"split.{key} = 0\n",
+                                          encoding="utf-8")
+        assert run("split", "--manifest", "exp.cfg", "--manifest", "none.cfg",
+                   "--out", "splits") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot save an empty {part} split\n"
+        assert not (workdir / "splits").exists()
 
 
 class TestAugment:
@@ -502,6 +516,22 @@ class TestTrainEvalReport:
         err = capsys.readouterr().err
         assert "3" in err and "4" in err
 
+
+    def test_out_of_memory_is_an_error(self, workdir, capsys, monkeypatch):
+        synth_here()
+        (workdir / "huge.cfg").write_text(
+            "model.blocks = 300000:1,300000:1\n", encoding="utf-8")
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.96 TiB for an array")
+
+        # a model this wide would ask for terabytes; none is allocated here
+        monkeypatch.setattr(Conv1D, "__init__", out_of_memory)
+        assert run("train", "--manifest", "exp.cfg", "--manifest", "huge.cfg",
+                   "--seed", "0", "--out", "huge") == 1
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 1.96 TiB for an array\n"
+        assert not (workdir / "huge" / "model.ckpt").exists()
 
     def test_diverged_training_is_an_error(self, workdir, capsys):
         synth_here()

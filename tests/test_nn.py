@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from oracles import (conv1d_backward_loops, conv1d_backward_per_tap,
                      conv1d_forward_loops, conv1d_forward_per_tap,
-                     maxpool2_backward_argmax, maxpool2_forward_argmax)
+                     conv1d_weight_grads_per_tap, maxpool2_backward_argmax,
+                     maxpool2_forward_argmax)
 from wfaug.nn import (
     CheckpointError,
     Conv1D,
@@ -238,6 +239,61 @@ class TestConvLayer:
             assert_conv_matches_per_tap(
                 conv, lambda shape: rng.normal(size=shape).astype(np.float32),
                 batch, length, rng)
+
+    @pytest.mark.parametrize(
+        "in_ch,out_ch,kernel,stride,causal,length,pieces", [
+            pytest.param(12, 16, 3, 1, True, 37, [1], id="one-row-stride-1"),
+            pytest.param(12, 16, 3, 2, True, 37, [1], id="one-row-stride-2"),
+            pytest.param(12, 16, 3, 2, True, 37, [1, 1], id="1-row-pieces"),
+            pytest.param(12, 16, 3, 1, False, 37, [3, 1, 4], id="3-1-4"),
+            pytest.param(12, 16, 3, 2, True, 37, [1, 6, 1], id="1-6-1"),
+            # kernel 1 pads nothing, so a one-channel tap of a whole batch
+            # reshapes to a view of its padded input: unit-stride at stride
+            # 1, strided at stride 2 when the stride divides the length
+            pytest.param(1, 5, 1, 1, True, 37, [1], id="k1-in1-one-row"),
+            pytest.param(1, 5, 1, 1, True, 37, [2, 1, 3], id="k1-in1-2-1-3"),
+            pytest.param(1, 5, 1, 2, True, 37, [1, 1], id="k1-in1-1-1"),
+            pytest.param(1, 4, 1, 2, True, 100, [2, 3], id="k1-in1-view-2-3"),
+            # one input and one output channel make each tap a dot product
+            # of two vectors, whose bits follow their strides
+            pytest.param(1, 1, 3, 2, True, 100, [1], id="in1-out1-one-row"),
+            pytest.param(1, 1, 1, 2, True, 100, [1], id="k1-in1-out1-one-row"),
+            pytest.param(1, 1, 1, 2, True, 100, [2, 3], id="k1-in1-out1-2-3"),
+            pytest.param(1, 1, 1, 2, True, 100, [1, 1], id="k1-in1-out1-1-1"),
+            # one row of a kernel-1 conv reshapes to an F-ordered view
+            pytest.param(12, 16, 1, 1, True, 100, [1], id="k1-one-row"),
+            pytest.param(8, 1, 3, 1, True, 37, [1], id="out1-one-row"),
+            pytest.param(8, 1, 3, 2, False, 37, [4, 1, 3], id="out1-4-1-3"),
+            pytest.param(12, 16, 3, 2, True, 1, [1], id="lout1-one-row"),
+            pytest.param(12, 16, 3, 2, True, 1, [1, 5, 2], id="lout1-1-5-2"),
+        ])
+    def test_weight_grads_from_row_pieces_same_bytes_as_per_tap_oracle(
+            self, in_ch, out_ch, kernel, stride, causal, length, pieces):
+        """The weight-gradient jobs of a batch whose padded input comes in
+        row pieces, as a tiled training step hands them over, write the
+        bytes the per-tap oracle takes from the whole batch's."""
+        rng = np.random.default_rng(sum(pieces) * 100 + in_ch + stride)
+        conv = Conv1D("c", in_ch, out_ch, kernel=kernel, stride=stride,
+                      causal=causal, rng=rng)
+        conv.params = {k: v.astype(np.float32)
+                       for k, v in conv.params.items()}
+        x = rng.normal(size=(sum(pieces), in_ch, length)).astype(np.float32)
+        xps, lo = [], 0
+        for rows in pieces:
+            conv.forward(x[lo:lo + rows], train=True)
+            xps.append(conv.padded_input)
+            lo += rows
+        dy = rng.normal(size=(len(x), out_ch, conv.out_len(length)))
+        dy = dy.astype(np.float32)
+        for job in conv.weight_grad_jobs(xps, dy):
+            job()
+        args = (1, stride, conv.pad_l, conv.pad_r)
+        _, xp = conv1d_forward_per_tap(x, conv.params["w"], conv.params["b"],
+                                       *args)
+        for got, want in zip((conv.grads["w"], conv.grads["b"]),
+                             conv1d_weight_grads_per_tap(
+                                 xp, conv.params["w"], dy, *args)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_causal_outputs_ignore_future_inputs(self):
         rng = np.random.default_rng(2)
@@ -914,14 +970,14 @@ class TestThreadedTraining:
 
     def test_backward_releases_every_tile_cache(self, monkeypatch):
         model, probs, targets = self.tiled_step(monkeypatch)
-        stacks, tiles, padded = model._tiles
+        stacks, tiles = model._tiles
         assert tiles == [slice(0, 8), slice(8, 16), slice(16, 24)]
         assert stacks[0] == model.layers[:len(stacks[0])]
         copies = stacks[1] + stacks[2]
         assert len({id(layer) for layer in stacks[0] + copies}) == 3 * len(
             stacks[0])
         model.backward(probs, targets)
-        assert model._tiles is None and padded == {}
+        assert model._tiles is None
         for layer in model.layers + copies:
             for attr in ("_cache", "_mask", "_left_wins", "_x"):
                 assert getattr(layer, attr, None) is None, (layer.name, attr)

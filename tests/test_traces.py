@@ -160,6 +160,19 @@ class TestRoundTrip:
             save_dataset(d, tmp_path / "new.txt")
         assert not (tmp_path / "new.txt").exists()
 
+    def test_empty_dataset_cannot_be_saved(self, tmp_path):
+        """A trace file holds one trace at least, so an empty dataset is
+        refused before any file is opened."""
+        path = write(tmp_path, "0\t1 1 -1\n")
+        before = path.read_bytes()
+        empty = Dataset(np.zeros((0, 4), np.int8), np.zeros(0, np.int64), 2)
+        for target in (path, tmp_path / "new.txt"):
+            with pytest.raises(ValueError,
+                               match="^cannot save an empty dataset$"):
+                save_dataset(empty, target)
+        assert path.read_bytes() == before
+        assert not (tmp_path / "new.txt").exists()
+
     def test_writes_in_bounded_chunks(self, tmp_path, monkeypatch):
         d = synth_dataset(3, 5, 40, 0.2, seed=4)
         whole = tmp_path / "whole.txt"
