@@ -363,7 +363,8 @@ def main(argv=None) -> int:
     except (ManifestError, TraceFormatError, CheckpointError, ObjectiveError,
             TrainingDiverged, FloatingPointError, ValueError, OSError,
             MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # an interpreter's MemoryError has no message; its name says enough
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -26,9 +26,9 @@ tap as separate jobs; each GEMM takes the (out_ch, batch * length) rows of
 the output gradient, built once per call, and the tap's (batch * length,
 in_ch) rows. ``input_grads`` gives each row's input gradient from that row
 alone. A training step of several row tiles (see ``Model``) calls
-``backward`` once per tile, each with its share of jobs that read every
-tile's padded input. ``Model`` marks its first conv ``input_grad = False``:
-nothing uses the network's input gradient, so that layer does not compute it.
+``backward`` once per tile, each with its share of one whole-batch set of
+jobs. ``Model`` marks its first conv ``input_grad = False``: nothing uses
+the gradient of the network's input, so that layer does not compute it.
 
 Every array a layer allocates takes the dtype of its input and parameters,
 so a network whose parameters ``Model`` casts to float32 stays float32
@@ -154,7 +154,7 @@ class Conv1D(Layer):
         ``weight_grad_jobs``; a training step of several tiles passes each
         tile its share of the whole batch's."""
         xp, self._cache = self._cache, None
-        for job in self.weight_grad_jobs([xp], dy) if jobs is None else jobs:
+        for job in self.weight_grad_jobs(xp, dy) if jobs is None else jobs:
             job()
         return self.input_grads(xp, dy) if self.input_grad else None
 
@@ -163,31 +163,24 @@ class Conv1D(Layer):
         """The padded input a training pass keeps for ``backward``."""
         return self._cache
 
-    def weight_grad_jobs(self, xps, dy):
+    def weight_grad_jobs(self, xp, dy):
         """The weight and bias gradients of a batch as independent jobs, from
-        the padded inputs ``xps`` of its row tiles, in row order, and its
-        output gradient ``dy``: the bias sum, then one GEMM per weight tap.
-        The jobs write ``grads`` and may run in any order and on any thread."""
-        batch, _, l_out = dy.shape
-        rows = batch * l_out
+        its padded input ``xp`` and output gradient ``dy``: the bias sum,
+        then one GEMM per weight tap. The jobs write ``grads`` and may run in
+        any order and on any thread."""
+        l_out = dy.shape[2]
+        rows = dy.shape[0] * l_out
         dw = self.grads["w"] = np.empty_like(self.params["w"])
         # the same reshapes a tensordot of dy and the tap over batch and
         # length makes, so each dw tap is that GEMM call on those operands
-        # and keeps its bits; dy's operand is made once for all taps. Tiles'
-        # taps join into the copy reshape makes of a batch's tap; one tile's,
-        # or one channel's, may reshape to a view, so those keep one array
+        # and keeps its bits; dy's operand is made once for all taps
         dy_rows = dy.transpose(1, 0, 2).reshape(self.out_ch, rows)
-        if self.in_ch == 1 and len(xps) > 1:
-            xps = [np.concatenate(xps)]
 
         def bias():
             self.grads["b"] = dy.sum(axis=(0, 2))
 
         def tap(t):
-            cols = [xp[:, :, self._tap(t, l_out)].transpose(0, 2, 1)
-                    for xp in xps]
-            cols = cols[0] if len(cols) == 1 else np.concatenate(
-                cols, out=np.empty((batch, l_out, self.in_ch), cols[0].dtype))
+            cols = xp[:, :, self._tap(t, l_out)].transpose(0, 2, 1)
             dw[:, :, t] = np.dot(dy_rows, cols.reshape(rows, self.in_ch))
 
         return [bias] + [functools.partial(tap, t) for t in range(self.kernel)]

@@ -189,11 +189,11 @@ def _backward_tiles(stacks, tiles, d):
     """Backpropagate ``d`` through the conv stack a training forward pass
     ran: rows ``tiles[t]`` through ``stacks[t]``. One tile goes back layer
     by layer in this thread. More go back in phases, each taking every tile
-    down to the output gradient of the next conv. There the conv's
-    weight-gradient jobs take the tiles' gradients and padded inputs in row
-    order, the operands of a whole-batch backward; in the next phase tile
-    ``t`` of ``n`` runs ``jobs[t::n]`` in its ``Conv1D.backward`` before its
-    input gradient."""
+    down to the output gradient of the next conv. There the tiles' output
+    gradients and padded inputs are joined in row order, so the conv's
+    weight-gradient jobs see the arrays of a whole-batch backward; in the
+    next phase tile ``t`` of ``n`` runs ``jobs[t::n]`` in its
+    ``Conv1D.backward`` before its input gradient."""
     if len(stacks) == 1:
         return _run_backward(stacks[0], d)
     stack, n = stacks[0], len(stacks)
@@ -212,7 +212,8 @@ def _backward_tiles(stacks, tiles, d):
             dy = np.concatenate(ds)
             ds = [dy[rows] for rows in tiles]
             jobs = stack[lo].weight_grad_jobs(
-                [layers[lo].padded_input for layers in stacks], dy)
+                np.concatenate([layers[lo].padded_input for layers in stacks]),
+                dy)
             hi = lo + 1
 
 

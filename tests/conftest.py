@@ -48,10 +48,10 @@ def per_tap_conv(monkeypatch):
             self._cache = padded
         return y
 
-    def weight_grad_jobs(self, xps, dy):
+    def weight_grad_jobs(self, xp, dy):
         def job():
             self.grads["w"], self.grads["b"] = conv1d_weight_grads_per_tap(
-                np.concatenate(xps), self.params["w"], dy, *geometry(self))
+                xp, self.params["w"], dy, *geometry(self))
         return [job]
 
     def input_grads(self, xp, dy):

@@ -516,21 +516,26 @@ class TestTrainEvalReport:
         err = capsys.readouterr().err
         assert "3" in err and "4" in err
 
-
-    def test_out_of_memory_is_an_error(self, workdir, capsys, monkeypatch):
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 1.96 TiB for an array"),
+         "Unable to allocate 1.96 TiB for an array"),
+        (MemoryError(), "MemoryError"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_is_an_error(self, workdir, capsys, monkeypatch,
+                                       exc, message):
         synth_here()
         (workdir / "huge.cfg").write_text(
             "model.blocks = 300000:1,300000:1\n", encoding="utf-8")
 
         def out_of_memory(*args, **kwargs):
-            raise MemoryError("Unable to allocate 1.96 TiB for an array")
+            raise exc
 
         # a model this wide would ask for terabytes; none is allocated here
         monkeypatch.setattr(Conv1D, "__init__", out_of_memory)
         assert run("train", "--manifest", "exp.cfg", "--manifest", "huge.cfg",
                    "--seed", "0", "--out", "huge") == 1
         err = capsys.readouterr().err
-        assert err == "error: Unable to allocate 1.96 TiB for an array\n"
+        assert err == f"error: {message}\n"
         assert not (workdir / "huge" / "model.ckpt").exists()
 
     def test_diverged_training_is_an_error(self, workdir, capsys):

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -269,24 +270,24 @@ class TestConvLayer:
         ])
     def test_weight_grads_from_row_pieces_same_bytes_as_per_tap_oracle(
             self, in_ch, out_ch, kernel, stride, causal, length, pieces):
-        """The weight-gradient jobs of a batch whose padded input comes in
-        row pieces, as a tiled training step hands them over, write the
-        bytes the per-tap oracle takes from the whole batch's."""
+        """The weight gradients of a conv whose batch ran as row tiles, as a
+        tiled training step takes them, have the bytes the per-tap oracle
+        takes from the whole batch; one tile goes the serial way."""
         rng = np.random.default_rng(sum(pieces) * 100 + in_ch + stride)
         conv = Conv1D("c", in_ch, out_ch, kernel=kernel, stride=stride,
                       causal=causal, rng=rng)
         conv.params = {k: v.astype(np.float32)
                        for k, v in conv.params.items()}
         x = rng.normal(size=(sum(pieces), in_ch, length)).astype(np.float32)
-        xps, lo = [], 0
-        for rows in pieces:
-            conv.forward(x[lo:lo + rows], train=True)
-            xps.append(conv.padded_input)
+        stacks = [[conv]] + [[copy.copy(conv)] for _ in pieces[1:]]
+        tiles, lo = [], 0
+        for stack, rows in zip(stacks, pieces):
+            tiles.append(slice(lo, lo + rows))
+            stack[0].forward(x[tiles[-1]], train=True)
             lo += rows
         dy = rng.normal(size=(len(x), out_ch, conv.out_len(length)))
         dy = dy.astype(np.float32)
-        for job in conv.weight_grad_jobs(xps, dy):
-            job()
+        model_mod._backward_tiles(stacks, tiles, dy)
         args = (1, stride, conv.pad_l, conv.pad_r)
         _, xp = conv1d_forward_per_tap(x, conv.params["w"], conv.params["b"],
                                        *args)
