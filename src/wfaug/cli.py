@@ -83,7 +83,8 @@ def _trained_on(dataset, m: Manifest, seed: int) -> dict:
     digest = hashlib.sha256(dataset.traces.tobytes()
                             + dataset.labels.tobytes()).hexdigest()
     return {"dataset": digest,
-            "split": asdict(split_spec_from_manifest(m, seed))}
+            "split": dict(sorted(asdict(
+                split_spec_from_manifest(m, seed)).items()))}
 
 
 def _write_json(path, payload: dict) -> None:
@@ -130,7 +131,7 @@ def cmd_augment(args, m: Manifest) -> int:
         raise ManifestError("no operators enabled; set aug.r_max, aug.m_len "
                             "or aug.alpha")
     labels = one_hot_labels(dataset.labels, dataset.num_classes,
-                            background_class=dataset.has_background())
+                            dataset.output_width)
     x, y = hda_batch(dataset.traces.astype(np.float64), labels, cfg,
                      derive_rng(seed, "augment"))
     out = _out_dir(m)

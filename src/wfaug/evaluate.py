@@ -196,18 +196,16 @@ def fit_spaces_to_length(spaces: dict, trace_len: int) -> dict:
 
 def tune_augmentation(train_set: Dataset, val_set: Dataset,
                       model_cfg: ModelConfig, train_cfg: TrainConfig,
-                      spec: TuneSpec, seed: int, spaces=None):
+                      spec: TuneSpec, seed: int):
     """Search augmentation hyperparameters by short proxy trainings.
 
     The objective trains ``spec.proxy_epochs`` epochs with only the operators
     named in the candidate setting enabled and scores validation accuracy of
     the best checkpoint. Returns (chosen params, stage trial log). Repeated
-    settings reuse their first score, so revisits cost nothing. Default
-    search grids are trimmed to the trace length; explicit ``spaces`` are
-    used as given.
+    settings reuse their first score, so revisits cost nothing. The default
+    search grids are trimmed to the trace length.
     """
-    if spaces is None:
-        spaces = fit_spaces_to_length(default_spaces(), train_set.trace_len)
+    spaces = fit_spaces_to_length(default_spaces(), train_set.trace_len)
     param_order = tuple(OPERATOR_PARAMS[op] for op in spec.order)
     proxy_cfg = replace(train_cfg, epochs=spec.proxy_epochs, seed=seed)
     cache: dict[tuple, float] = {}
@@ -365,9 +363,8 @@ def report_table(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: RunReport, json_path, table_path=None) -> None:
+def write_report(report: RunReport, json_path, table_path) -> None:
     with open(json_path, "w", encoding="utf-8") as fh:
         fh.write(report_json(report))
-    if table_path is not None:
-        with open(table_path, "w", encoding="utf-8") as fh:
-            fh.write(report_table(report))
+    with open(table_path, "w", encoding="utf-8") as fh:
+        fh.write(report_table(report))

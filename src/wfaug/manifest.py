@@ -120,7 +120,8 @@ class Manifest:
             return _PARSE[kind](raw)
         except ValueError:
             raise ManifestError(
-                f"manifest key {key!r}: {raw!r} is not a {kind}") from None
+                f"manifest key {key!r}: {raw!r} is not "
+                f"{'an' if kind == 'int' else 'a'} {kind}") from None
 
 
 def format_manifest(values: dict) -> str:

@@ -73,8 +73,8 @@ class Conv1D(Layer):
     input_grad = True
 
     def __init__(self, name: str, in_ch: int, out_ch: int, kernel: int = 3,
-                 dilation: int = 1, stride: int = 1, causal: bool = True,
-                 rng: np.random.Generator | None = None):
+                 dilation: int = 1, stride: int = 1, causal: bool = True, *,
+                 rng: np.random.Generator):
         super().__init__()
         if min(in_ch, out_ch, kernel, dilation, stride) < 1:
             raise ValueError("conv dimensions must be >= 1")
@@ -85,7 +85,6 @@ class Conv1D(Layer):
         reach = (kernel - 1) * dilation
         self.pad_l = reach if causal else reach // 2
         self.pad_r = 0 if causal else reach - self.pad_l
-        rng = rng or np.random.default_rng(0)
         scale = 1.0 / np.sqrt(in_ch * kernel)
         self.params["w"] = rng.uniform(-scale, scale, (out_ch, in_ch, kernel))
         self.params["b"] = np.zeros(out_ch)
@@ -275,13 +274,12 @@ class GlobalAvgPool(Layer):
 
 
 class Dense(Layer):
-    def __init__(self, name: str, in_dim: int, out_dim: int,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, name: str, in_dim: int, out_dim: int, *,
+                 rng: np.random.Generator):
         super().__init__()
         if min(in_dim, out_dim) < 1:
             raise ValueError("dense dimensions must be >= 1")
         self.name = name
-        rng = rng or np.random.default_rng(0)
         scale = 1.0 / np.sqrt(in_dim)
         self.params["w"] = rng.uniform(-scale, scale, (in_dim, out_dim))
         self.params["b"] = np.zeros(out_dim)

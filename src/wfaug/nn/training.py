@@ -70,15 +70,17 @@ def dataset_accuracy(model: Model, ds: Dataset) -> float:
 
 def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: Dataset,
           val_set: Dataset, aug_cfg: AugConfig | None = None):
-    """Train a fresh model; returns (best-validation model, epoch history)."""
+    """Train a fresh model; returns (best-validation model, epoch history).
+
+    Labels are one-hot in the wider split's output width, so background in
+    either split gets the extra output. Traces reach ``hda_batch`` and
+    ``Model.forward`` as stored (int8); ``forward`` casts them."""
     if len(train_set) == 0 or len(val_set) == 0:
         raise ValueError("train and validation sets must be non-empty")
     if train_set.num_classes != val_set.num_classes:
         raise ValueError(f"train set has {train_set.num_classes} classes, "
                          f"validation set {val_set.num_classes}")
-    # background in either split gets the extra output
     width = max(train_set.output_width, val_set.output_width)
-    background = width > train_set.num_classes
     if width != model_cfg.num_classes:
         raise ValueError(f"model outputs {model_cfg.num_classes} classes but "
                          f"the data encodes {width}")
@@ -89,10 +91,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: Dataset,
     model = Model(model_cfg, train_cfg.seed)
     optimizer = make_optimizer(train_cfg.optimizer, model, train_cfg.lr,
                                train_cfg.momentum)
-    # HDA mixing returns float64 traces, which the model casts to its dtype
-    x_all = train_set.traces.astype(model.dtype)
-    y_all = one_hot_labels(train_set.labels, train_set.num_classes,
-                           background_class=background)
+    y_all = one_hot_labels(train_set.labels, train_set.num_classes, width)
     n = len(train_set)
 
     history: list[HistoryRow] = []
@@ -102,7 +101,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: Dataset,
         total = 0.0
         for index, lo in enumerate(range(0, n, train_cfg.batch_size)):
             sel = order[lo:lo + train_cfg.batch_size]
-            xb, yb = x_all[sel], y_all[sel]
+            xb, yb = train_set.traces[sel], y_all[sel]
             if aug_cfg is not None:
                 xb, yb = hda_batch(xb, yb, aug_cfg,
                                    derive_rng(train_cfg.seed, "aug", epoch, index))

@@ -253,13 +253,15 @@ def class_indices(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def one_hot_labels(labels: np.ndarray, num_classes: int,
-                   background_class: bool = False) -> np.ndarray:
-    """One-hot encode labels; BACKGROUND maps to the extra last index when
-    ``background_class`` is enabled."""
-    if not background_class and np.any(np.asarray(labels) == BACKGROUND):
-        raise ValueError("background labels need background_class=True")
+                   width: int) -> np.ndarray:
+    """One-hot encode labels in ``width`` columns (``Dataset.output_width``):
+    class k in column k, BACKGROUND in column ``num_classes``; ValueError for
+    a label the width cannot hold."""
     idx = class_indices(labels, num_classes)
-    width = num_classes + (1 if background_class else 0)
+    bad = (idx < 0) | (idx >= width)
+    if np.any(bad):
+        raise ValueError(f"label(s) {np.unique(np.asarray(labels)[bad])} do "
+                         f"not fit {width} one-hot columns")
     out = np.zeros((len(idx), width), dtype=np.float64)
     out[np.arange(len(idx)), idx] = 1.0
     return out

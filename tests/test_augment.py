@@ -179,7 +179,7 @@ class TestBatchKernels:
     @pytest.mark.parametrize("dtype", [np.int8, np.float64])
     def test_mix_rows_match_convex_combination(self, dtype):
         x = self.rows(dtype)
-        y = one_hot_labels(np.array([0, 1, 2, 3, 1, 0]), 4)
+        y = one_hot_labels(np.array([0, 1, 2, 3, 1, 0]), 4, 4)
         partners = [3, 1, 0, 5, 2, 5]   # rows 1 and 5 mix with themselves
         lams = [0.3, 0.71, 0.0, 1.0, 0.5, 0.02]
         xm, ym = mix_batch(x, y, partners, lams)
@@ -294,7 +294,8 @@ class TestAugConfig:
 def batch_fixture(batch=8, trace_len=64, num_classes=4, seed=3):
     rng = np.random.default_rng(seed)
     traces = rng.choice([-1, 1], size=(batch, trace_len)).astype(np.int8)
-    labels = one_hot_labels(rng.integers(0, num_classes, batch), num_classes)
+    labels = one_hot_labels(rng.integers(0, num_classes, batch), num_classes,
+                            num_classes)
     return traces, labels
 
 
@@ -359,7 +360,7 @@ class TestHdaBatch:
         # the label row must interpolate with that same weight
         batch, num_classes = 6, 6
         traces = np.repeat(np.arange(batch, dtype=np.float64)[:, None], 12, axis=1)
-        labels = one_hot_labels(np.arange(batch), num_classes)
+        labels = one_hot_labels(np.arange(batch), num_classes, num_classes)
         cfg = self.cfg(ops=(MIXING,))
         x, y = hda_batch(traces, labels, cfg, derive_rng(5))
         for i in range(batch):

@@ -7,6 +7,7 @@ same way the determinism guarantees are meant to be used.
 import argparse
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -663,6 +664,9 @@ class TestTrainEvalReport:
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint run0/model.ckpt was trained "
                               f"on {part} ")
+        # both splits print their keys in one order, so the odd field shows
+        trained, this = err.split(f", not this {part} ")
+        assert re.findall(r"'(\w+)':", trained) == re.findall(r"'(\w+)':", this)
         assert not (workdir / "bad").exists()
 
     def test_eval_refuses_checkpoint_without_training_data(self, workdir,

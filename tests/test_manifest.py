@@ -79,6 +79,14 @@ class TestTypedAccess:
         with pytest.raises(ManifestError, match="'aug.alpha'.*'yes'"):
             self.manifest(**{"aug.alpha": "yes"}).get("aug.alpha")
 
+    def test_bad_value_names_its_kind(self):
+        with pytest.raises(ManifestError, match=r"^manifest key 'split\.shots'"
+                           r": '1e3' is not an int$"):
+            self.manifest(**{"split.shots": "1e3"}).get("split.shots")
+        with pytest.raises(ManifestError, match=r"'aug\.alpha': 'yes' is not "
+                           r"a float$"):
+            self.manifest(**{"aug.alpha": "yes"}).get("aug.alpha")
+
     def test_missing_required_names_key(self):
         with pytest.raises(ManifestError, match="'data.path'"):
             Manifest({}).get("data.path")

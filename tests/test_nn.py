@@ -785,6 +785,29 @@ class TestTraining:
         train(TINY, TrainConfig(epochs=2, batch_size=16, seed=1), train_set,
               val_set, aug_cfg=None)
 
+    @pytest.mark.parametrize("aug", [
+        AugConfig(r_max=5, m_len=None, alpha=None),
+        AugConfig(r_max=None, m_len=8, alpha=None),
+        AugConfig(r_max=None, m_len=None, alpha=0.5),
+        AugConfig(r_max=5, m_len=8, alpha=0.5),
+    ], ids=["rotation", "masking", "mixing", "all"])
+    def test_int8_feed_same_bytes_as_float32_feed(self, tmp_path, monkeypatch,
+                                                  aug):
+        # traces reach hda_batch as int8; a feed cast to float32 first, the
+        # model dtype, trains the same bytes
+        args = (tmp_path, TINY, TrainConfig(epochs=3, batch_size=8, seed=4),
+                synth_dataset(3, 9, 64, 0.05, seed=11), aug)
+        hda_batch, fed = training.hda_batch, set()
+
+        def float32_feed(x, *rest):
+            fed.add(x.dtype)
+            return hda_batch(x.astype(np.float32), *rest)
+
+        int8_feed = trained_bytes(*args)
+        monkeypatch.setattr(training, "hda_batch", float32_feed)
+        assert trained_bytes(*args) == int8_feed
+        assert fed == {np.dtype(np.int8)}
+
     def test_same_seed_is_bitwise_reproducible(self):
         train_set, val_set, _ = tiny_task()
         cfg = TrainConfig(epochs=6, batch_size=16, seed=7)

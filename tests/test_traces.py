@@ -348,13 +348,23 @@ class TestOutputWidth:
 
 class TestOneHot:
     def test_one_hot_from_labels(self):
-        y = one_hot_labels(np.array([0, 2]), 3)
+        y = one_hot_labels(np.array([0, 2]), 3, 3)
         assert y.tolist() == [[1, 0, 0], [0, 0, 1]]
 
     def test_background_maps_to_last_index(self):
-        y = one_hot_labels(np.array([1, BACKGROUND]), 2, background_class=True)
+        y = one_hot_labels(np.array([1, BACKGROUND]), 2, 3)
         assert y.tolist() == [[0, 1, 0], [0, 0, 1]]
 
     def test_background_needs_flag(self):
         with pytest.raises(ValueError):
-            one_hot_labels(np.array([BACKGROUND]), 2)
+            one_hot_labels(np.array([BACKGROUND]), 2, 2)
+
+    @pytest.mark.parametrize("label", [2, 5, -2])
+    def test_label_beyond_width_is_value_error(self, label):
+        with pytest.raises(ValueError, match=rf"\[{label}\] do not fit 2"):
+            one_hot_labels(np.array([0, label]), 2, 2)
+
+    def test_spare_background_column_stays_zero(self):
+        # what train builds when only the validation split holds background
+        y = one_hot_labels(np.array([1, 0]), 2, 3)
+        assert y.tolist() == [[0, 1, 0], [1, 0, 0]]
