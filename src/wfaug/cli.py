@@ -143,8 +143,8 @@ def cmd_augment(args, m: Manifest) -> int:
 
 def cmd_tune(args, m: Manifest) -> int:
     seed = _root_seed(m)
-    dataset, (train_set, val_set, _) = _load_splits(m, seed)
     spec = tune_spec_from_manifest(m, seed)
+    dataset, (train_set, val_set, _) = _load_splits(m, seed)
     model_cfg = model_config_from_manifest(m, dataset.trace_len,
                                            dataset.output_width)
     train_cfg = train_config_from_manifest(m, seed)
@@ -273,12 +273,29 @@ def cmd_report(args, m: Manifest) -> int:
     return 0
 
 
+# command -> (function, help, {flag: the manifest key it sets})
+COMMANDS = {
+    "synth": (cmd_synth, "generate a synthetic labeled trace file",
+              {"--classes": "data.classes", "--per-class": "data.per_class",
+               "--len": "data.trace_len", "--noise": "data.noise"}),
+    "split": (cmd_split, "write train/val/test trace files", {}),
+    "augment": (cmd_augment, "offline augmentation preview as .npy arrays",
+                {}),
+    "tune": (cmd_tune, "search augmentation hyperparameters",
+             {"--mode": "tpe.mode", "--budget": "tpe.budget_per_param"}),
+    "train": (cmd_train, "train a model and save the best checkpoint", {}),
+    "eval": (cmd_eval, "evaluate a checkpoint on the test split", {}),
+    "report": (cmd_report, "aggregate eval.json files into mean +/- std", {}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Flags that set a manifest key keep its text; ``Manifest.get`` reads it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--manifest", action="append", default=[],
                         metavar="FILE",
                         help="manifest file; repeatable, later files win")
-    common.add_argument("--seed", dest="run.seed", type=int,
+    common.add_argument("--seed", dest="run.seed",
                         help="root seed (overrides run.seed, default 0)")
     common.add_argument("--out", dest="out.dir",
                         help="output file or directory (overrides out.dir)")
@@ -291,48 +308,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "harmonious trace augmentation")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
+    for name, (func, text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=text)
+        for flag, key in flags.items():
+            p.add_argument(flag, dest=key, help=f"overrides {key}")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate a synthetic labeled trace file")
-    p.add_argument("--classes", dest="data.classes", type=int)
-    p.add_argument("--per-class", dest="data.per_class", type=int)
-    p.add_argument("--len", dest="data.trace_len", type=int)
-    p.add_argument("--noise", dest="data.noise", type=float)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("split", parents=[common],
-                       help="write train/val/test trace files")
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("augment", parents=[common],
-                       help="offline augmentation preview as .npy arrays")
-    p.set_defaults(func=cmd_augment)
-
-    p = sub.add_parser("tune", parents=[common],
-                       help="search augmentation hyperparameters")
-    p.add_argument("--mode", dest="tpe.mode", help="overrides tpe.mode",
-                   choices=("sequential", "independent"))
-    p.add_argument("--budget", dest="tpe.budget_per_param", type=int,
-                   help="trials per parameter (overrides tpe.budget_per_param)")
-    p.set_defaults(func=cmd_tune)
-
-    p = sub.add_parser("train", parents=[common],
-                       help="train a model and save the best checkpoint")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", parents=[common],
-                       help="evaluate a checkpoint on the test split")
+    p = sub.choices["eval"]
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--open-world", dest="open_world", action="store_true",
                    help="threshold sweep on validation, report both "
                         "operating points on test")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("report", parents=[common],
-                       help="aggregate eval.json files into mean +/- std")
-    p.add_argument("runs", nargs="+",
-                   help="run directories, each holding an eval.json")
-    p.set_defaults(func=cmd_report)
+    sub.choices["report"].add_argument(
+        "runs", nargs="+", help="run directories, each holding an eval.json")
     return parser
 
 
@@ -356,10 +344,12 @@ def main(argv=None) -> int:
     if setter is not None:
         setter(1)
     args = build_parser().parse_args(argv)
-    flags = {key: str(value) for key, value in vars(args).items()
+    flags = {key: value for key, value in vars(args).items()
              if key in KNOWN_KEYS and value is not None}
     try:
         manifest = Manifest.from_files(args.manifest, flags)
+        for key in flags:  # checked even where the command never reads it
+            manifest.get(key)
         return args.func(args, manifest)
     except (ManifestError, TraceFormatError, CheckpointError, ObjectiveError,
             TrainingDiverged, FloatingPointError, ValueError, OSError,

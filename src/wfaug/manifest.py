@@ -6,7 +6,9 @@ is rejected with the offending file and line. Each field of SplitSpec,
 AugConfig, TuneSpec and TrainConfig is a split.*, aug.*, tpe.* or train.* key
 (seed and order have keys of their own); an aug.r_max, aug.m_len or aug.alpha
 value switches its operator on. Later files override earlier ones when
-several are merged, and command-line flags come last.
+several are merged, and command-line flags, whose values are manifest text
+too, come last. ``read_value`` reads every value as the kind KNOWN_KEYS
+gives it.
 """
 
 from __future__ import annotations
@@ -55,8 +57,28 @@ KNOWN_KEYS = {
     **_field_keys("train", TrainConfig),
 }
 
-_PARSE = {"int": int, "float": float, "str": str}
 _MISSING = object()
+
+
+def read_value(raw: str, kind: str, what: str):
+    """``raw`` as a ``kind`` value, or a ManifestError naming ``what``.
+
+    An int is read only as ``str`` writes it (no ``+``, ``_``, spaces,
+    leading zeros, ``-0`` or non-ASCII digits), a float only as ASCII
+    without ``_`` or spaces; a str is taken as is.
+    """
+    if kind == "str":
+        return raw
+    try:
+        value = int(raw) if kind == "int" else float(raw)
+    except ValueError:  # also an int past Python's digit limit
+        value = None
+    if value is not None and (str(value) == raw if kind == "int" else
+                              raw.isascii() and raw == raw.strip()
+                              and "_" not in raw):
+        return value
+    raise ManifestError(f"{what}: {raw!r} is not "
+                        f"{'an' if kind == 'int' else 'a'} {kind}")
 
 
 def parse_manifest_text(text: str, source: str = "<string>") -> dict:
@@ -115,13 +137,7 @@ class Manifest:
             if default is _MISSING:
                 raise ManifestError(f"missing required manifest key {key!r}")
             return default
-        raw = self.values[key]
-        try:
-            return _PARSE[kind](raw)
-        except ValueError:
-            raise ManifestError(
-                f"manifest key {key!r}: {raw!r} is not "
-                f"{'an' if kind == 'int' else 'a'} {kind}") from None
+        return read_value(self.values[key], kind, f"manifest key {key!r}")
 
 
 def format_manifest(values: dict) -> str:
@@ -199,12 +215,9 @@ def _parse_block(item: str, kernel: int) -> ConvBlock:
         raise ManifestError(
             f"model.blocks item {item!r} must be 'channels:dilation' or "
             f"'channels:dilation:pool'")
-    try:
-        out_channels, dilation = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ManifestError(
-            f"model.blocks item {item!r}: channels and dilation must be "
-            f"integers") from None
+    out_channels, dilation = (read_value(part, "int",
+                                         f"model.blocks item {item!r}")
+                              for part in parts[:2])
     pool = parts[2] if len(parts) == 3 else "none"
     try:
         return ConvBlock(out_channels, kernel=kernel, dilation=dilation,
@@ -228,12 +241,8 @@ def model_config_from_manifest(m: Manifest, input_len: int,
     kernel = m.get("model.kernel", 3)
     blocks = tuple(_parse_block(item.strip(), kernel)
                    for item in m.get("model.blocks").split(","))
-    fc_raw = m.get("model.fc", "")
-    try:
-        hidden = tuple(int(w) for w in fc_raw.split(",") if w.strip())
-    except ValueError:
-        raise ManifestError(
-            f"model.fc: {fc_raw!r} must be comma-separated integers") from None
+    hidden = tuple(read_value(w.strip(), "int", "model.fc")
+                   for w in m.get("model.fc", "").split(",") if w.strip())
     try:
         return ModelConfig(input_len=input_len, num_classes=num_classes,
                            blocks=blocks, fc=hidden + (num_classes,))

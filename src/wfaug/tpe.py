@@ -20,8 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from .augment import OPERATOR_PARAMS
-
 GAMMA = 0.25
 N_STARTUP = 5
 N_CANDIDATES = 24

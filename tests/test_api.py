@@ -1,6 +1,8 @@
-"""The package's public name lists."""
+"""The package's public name lists, and no import without a use."""
 
+import ast
 import types
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +29,31 @@ def test_star_import_binds_every_listed_name(package):
 
 def test_top_level_reexports_nn_api():
     assert set(wfaug.nn.__all__) <= set(wfaug.__all__)
+
+
+def imported_but_unused(source: str) -> set:
+    """Names a module binds by import and never reads."""
+    tree = ast.parse(source)
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_unused_import_is_found():
+    assert imported_but_unused(
+        "import os, os.path as p\nfrom __future__ import annotations\n"
+        "from x import y, z as w\nimport a.b\nw(a.b)\n") == {"os", "p", "y"}
+
+
+# an __init__.py imports to re-export, so only the other modules are checked
+@pytest.mark.parametrize("path", sorted(
+    p.relative_to(Path(wfaug.__file__).parent).as_posix()
+    for p in Path(wfaug.__file__).parent.rglob("*.py")
+    if p.name != "__init__.py"))
+def test_module_uses_every_name_it_imports(path):
+    source = (Path(wfaug.__file__).parent / path).read_text(encoding="utf-8")
+    assert imported_but_unused(source) == set()

@@ -809,6 +809,22 @@ class TestManifestPrecedence:
             "data.trace_len", "data.noise", "tpe.mode",
             "tpe.budget_per_param"}
 
+    @pytest.mark.parametrize("argv, err", [
+        (("synth", "--classes", "x", "--out", "x.txt"),
+         "error: manifest key 'data.classes': 'x' is not an int\n"),
+        (("synth", "--manifest", "exp.cfg", "--len", "1_00", "--out", "x.txt"),
+         "error: manifest key 'data.trace_len': '1_00' is not an int\n"),
+        (("tune", "--manifest", "exp.cfg", "--mode", "grid", "--out", "t"),
+         "error: mode must be 'sequential' or 'independent'\n"),
+        (("report", "r", "--seed", "+1", "--out", "s"),
+         "error: manifest key 'run.seed': '+1' is not an int\n")],
+        ids=["classes", "len", "mode", "seed"])
+    def test_bad_flag_value_is_one_error_line(self, workdir, capsys, argv,
+                                              err):
+        assert run(*argv) == 1
+        assert capsys.readouterr() == ("", err)
+        assert not {"x.txt", "t", "s"} & set(os.listdir(workdir))
+
     def test_later_manifest_overrides_earlier(self, workdir):
         synth_here()
         (workdir / "small.cfg").write_text("train.epochs = 2\n",

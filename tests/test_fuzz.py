@@ -21,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfaug.cli import main
-from wfaug.manifest import KNOWN_KEYS, ManifestError, load_manifest_file
+from wfaug.manifest import (KNOWN_KEYS, Manifest, ManifestError,
+                            load_manifest_file)
 from wfaug.nn import (CheckpointError, ConvBlock, Model, ModelConfig,
                       load_checkpoint, save_checkpoint)
 from wfaug.nn.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
@@ -44,6 +45,15 @@ TRACE_BYTES = st.lists(st.sampled_from(
 MANIFEST_BYTES = st.lists(st.sampled_from(
     [b"split.shots", b"train.lr", b"bogus", b" = ", b"=", b"3", b"x",
      b"#", b"\n", b"\r", b"\xe9", b"\xff", b" "])).map(b"".join)
+# well-formed lines of every key, with values in and out of each kind's
+# spelling, digit runs past Python's int limit among them
+MANIFEST_LINES = st.lists(st.tuples(
+    st.sampled_from(sorted(KNOWN_KEYS)),
+    st.lists(st.sampled_from(["1", "0", "-", "+", "_", ".", "e", "x", "nan",
+                              "inf", "\uff15", "9" * 4301]),
+             max_size=4).map("".join)
+    | st.integers().map(str) | st.floats().map(repr)), max_size=4).map(
+        lambda lines: "".join(f"{k} = {v}\n" for k, v in lines).encode())
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 10**13) | st.floats()
     | st.sampled_from(["max2", "none", "", "conv0.w"]),
@@ -140,7 +150,7 @@ def test_trace_file_reads_as_the_per_token_reference(tmp_path_factory, raw,
 
 
 @FUZZ
-@given(raw=st.binary(max_size=200) | MANIFEST_BYTES)
+@given(raw=st.binary(max_size=200) | MANIFEST_BYTES | MANIFEST_LINES)
 def test_manifest_gives_values_or_manifest_error(tmp_path_factory, raw):
     path = write(tmp_path_factory, raw, "m.cfg")
     try:
@@ -148,6 +158,13 @@ def test_manifest_gives_values_or_manifest_error(tmp_path_factory, raw):
     except ManifestError:
         return
     assert set(values) <= set(KNOWN_KEYS)
+    manifest = Manifest(values)
+    for key in values:  # each reads as its kind or is a ManifestError
+        try:
+            value = manifest.get(key)
+        except ManifestError:
+            continue
+        assert type(value).__name__ == KNOWN_KEYS[key]
 
 
 @FUZZ

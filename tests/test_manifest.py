@@ -87,6 +87,22 @@ class TestTypedAccess:
                            r"a float$"):
             self.manifest(**{"aug.alpha": "yes"}).get("aug.alpha")
 
+    @pytest.mark.parametrize("key, raw", [
+        ("split.shots", "1_0"), ("split.shots", "\uff15"),
+        ("split.shots", "+3"), ("split.shots", "007"), ("run.seed", "-0"),
+        ("train.lr", "1_0e-3"), ("train.lr", "\uff10.\uff11")])
+    def test_refuses_spellings_str_does_not_write(self, key, raw):
+        with pytest.raises(ManifestError, match=re.escape(f"'{key}': {raw!r}")):
+            self.manifest(**{key: raw}).get(key)
+
+    @pytest.mark.parametrize("key, raw, want", [
+        ("run.seed", "-3", -3), ("train.lr", ".5", 0.5), ("train.lr", "inf", float("inf"))])
+    def test_reads_what_int_and_float_write(self, key, raw, want):
+        assert self.manifest(**{key: raw}).get(key) == want
+
+    def test_nan_reaches_the_config_checks(self):
+        assert np.isnan(self.manifest(**{"train.lr": "nan"}).get("train.lr"))
+
     def test_missing_required_names_key(self):
         with pytest.raises(ManifestError, match="'data.path'"):
             Manifest({}).get("data.path")
@@ -323,7 +339,8 @@ class TestModelConfig:
         with pytest.raises(ManifestError, match="model.kernel"):
             model_config_from_manifest(Manifest({"model.kernel": "5"}), 64, 3)
 
-    @pytest.mark.parametrize("blocks", ["8", "8:1:max2:zzz", "a:1", "8:1:avg"])
+    @pytest.mark.parametrize("blocks", ["8", "8:1:max2:zzz", "a:1", "8:1:avg",
+                                        "3_2:1", "8:+1"])
     def test_bad_block_items_rejected(self, blocks):
         with pytest.raises(ManifestError, match="model.blocks"):
             model_config_from_manifest(Manifest({"model.blocks": blocks}),
@@ -333,6 +350,16 @@ class TestModelConfig:
         m = Manifest({"model.blocks": "8:1", "model.fc": "32,ten"})
         with pytest.raises(ManifestError, match="model.fc"):
             model_config_from_manifest(m, 64, 3)
+
+    @pytest.mark.parametrize("fc", ["\uff13\uff12", "32, +16"])
+    def test_fc_widths_read_as_str_writes_them(self, fc):
+        m = Manifest({"model.blocks": "8:1", "model.fc": fc})
+        with pytest.raises(ManifestError, match="model.fc"):
+            model_config_from_manifest(m, 64, 3)
+
+    def test_fc_widths_may_have_spaces_around_commas(self):
+        m = Manifest({"model.blocks": "8:1", "model.fc": "32, 16"})
+        assert model_config_from_manifest(m, 64, 3).fc == (32, 16, 3)
 
     def test_registry_keys_and_kinds(self):
         assert KNOWN_KEYS == {

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from wfaug.augment import OPERATOR_PARAMS
 from wfaug.seeding import derive_rng
 from wfaug.tpe import (
-    OPERATOR_PARAMS,
     TRIAL_LOG_HEADER,
     ObjectiveError,
     SearchSpace,
