@@ -1,6 +1,6 @@
 """Deterministic command-line pipeline.
 
-Subcommands: synth, split, augment, tune, train, eval, report. Every command
+Subcommands: synth, split, tune, train, eval, report. Every command
 is a pure function of the merged manifests, its flags and the referenced
 files, so rerunning it reproduces the outputs byte for byte. A flag sets the
 manifest key it names, above every manifest file. All randomness flows from
@@ -28,20 +28,17 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .augment import hda_batch
 from .evaluate import (RunReport, aggregate_metrics, check_test_split,
-                       closed_accuracy, open_world_metrics, tune_augmentation,
-                       write_report)
+                       seed_metrics, tune_augmentation, write_report)
 from .manifest import (KNOWN_KEYS, Manifest, ManifestError,
                        aug_config_from_manifest, format_manifest,
                        model_config_from_manifest, split_spec_from_manifest,
                        train_config_from_manifest, tune_spec_from_manifest)
-from .nn import (CheckpointError, TrainingDiverged, dataset_accuracy,
-                 load_checkpoint, save_checkpoint, train, write_history)
-from .seeding import derive_rng
+from .nn import (CheckpointError, TrainingDiverged, load_checkpoint,
+                 save_checkpoint, train, write_history)
 from .tpe import ObjectiveError, write_trial_log
 from .traces import (TraceFormatError, load_dataset, make_splits,
-                     one_hot_labels, save_dataset, synth_dataset)
+                     save_dataset, synth_dataset)
 
 
 def _note(args, message: str) -> None:
@@ -117,33 +114,9 @@ def cmd_split(args, m: Manifest) -> int:
     return 0
 
 
-def cmd_augment(args, m: Manifest) -> int:
-    """One seeded augmentation pass over the whole file, saved as arrays.
-
-    Mixing produces fractional trace values and soft labels, so the preview
-    is written as float arrays (augmented_x.npy / augmented_y.npy) rather
-    than the integer trace format.
-    """
-    seed = _root_seed(m)
-    dataset = _load_data(m)
-    cfg = aug_config_from_manifest(m, dataset.trace_len, seed)
-    if cfg is None:
-        raise ManifestError("no operators enabled; set aug.r_max, aug.m_len "
-                            "or aug.alpha")
-    labels = one_hot_labels(dataset.labels, dataset.num_classes,
-                            dataset.output_width)
-    x, y = hda_batch(dataset.traces.astype(np.float64), labels, cfg,
-                     derive_rng(seed, "augment"))
-    out = _out_dir(m)
-    np.save(os.path.join(out, "augmented_x.npy"), x)
-    np.save(os.path.join(out, "augmented_y.npy"), y)
-    _note(args, f"augmented {len(x)} traces into {out}")
-    return 0
-
-
 def cmd_tune(args, m: Manifest) -> int:
     seed = _root_seed(m)
-    spec = tune_spec_from_manifest(m, seed)
+    spec = tune_spec_from_manifest(m)
     dataset, (train_set, val_set, _) = _load_splits(m, seed)
     model_cfg = model_config_from_manifest(m, dataset.trace_len,
                                            dataset.output_width)
@@ -185,7 +158,7 @@ def _unranked_stages(log, val_traces: int, width: int):
 def cmd_train(args, m: Manifest) -> int:
     seed = _root_seed(m)
     dataset, (train_set, val_set, _) = _load_splits(m, seed)
-    aug_cfg = aug_config_from_manifest(m, dataset.trace_len, seed)
+    aug_cfg = aug_config_from_manifest(m, dataset.trace_len)
     model_cfg = model_config_from_manifest(m, dataset.trace_len,
                                            dataset.output_width)
     train_cfg = train_config_from_manifest(m, seed)
@@ -215,16 +188,11 @@ def cmd_eval(args, m: Manifest) -> int:
             raise CheckpointError(
                 f"checkpoint {args.checkpoint} was trained on {part} "
                 f"{model.trained_on.get(part)}, not this {part} {value}")
-    if args.open_world:
-        world = "open"
-        metrics = open_world_metrics(model, val_set, test_set)
-    else:
-        if test_set.has_background():
-            raise ManifestError(
-                "dataset contains background traces; use --open-world")
-        world = "closed"
-        metrics = {"val_accuracy": dataset_accuracy(model, val_set),
-                   "test_accuracy": closed_accuracy(model, test_set)}
+    if not args.open_world and test_set.has_background():
+        raise ManifestError(
+            "dataset contains background traces; use --open-world")
+    world = "open" if args.open_world else "closed"
+    metrics = seed_metrics(model, val_set, test_set, args.open_world)
     out = _out_dir(m)
     _write_json(os.path.join(out, "eval.json"),
                 {"seed": seed, "world": world, "metrics": metrics,
@@ -279,8 +247,6 @@ COMMANDS = {
               {"--classes": "data.classes", "--per-class": "data.per_class",
                "--len": "data.trace_len", "--noise": "data.noise"}),
     "split": (cmd_split, "write train/val/test trace files", {}),
-    "augment": (cmd_augment, "offline augmentation preview as .npy arrays",
-                {}),
     "tune": (cmd_tune, "search augmentation hyperparameters",
              {"--mode": "tpe.mode", "--budget": "tpe.budget_per_param"}),
     "train": (cmd_train, "train a model and save the best checkpoint", {}),

@@ -159,6 +159,17 @@ def open_world_metrics(model: Model, val: Dataset, test: Dataset) -> dict:
     return metrics
 
 
+def seed_metrics(model: Model, val: Dataset, test: Dataset,
+                 open_world: bool) -> dict:
+    """One seed's metrics, as ``wfaug eval`` and ``run_experiment`` report
+    them: ``open_world_metrics`` in the open world, else ``val_accuracy``
+    and ``test_accuracy``."""
+    if open_world:
+        return open_world_metrics(model, val, test)
+    return {"val_accuracy": dataset_accuracy(model, val),
+            "test_accuracy": closed_accuracy(model, test)}
+
+
 @dataclass(frozen=True)
 class TuneSpec:
     """How to search augmentation hyperparameters before training."""
@@ -300,10 +311,9 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
                    seeds) -> RunReport:
     """Split, optionally tune, train and evaluate once per seed.
 
-    Closed world (no background in the dataset) reports test accuracy; open
-    world sweeps thresholds on validation and reports test precision/recall
-    at the precision-best and recall-best operating points. Fully
-    deterministic in (dataset, cfg, seeds).
+    Each seed's row is ``seed_metrics`` (open world when the dataset holds
+    background traces), after a ``tuned_<param>`` value per tuned parameter.
+    Fully deterministic in (dataset, cfg, seeds).
     """
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
@@ -322,12 +332,8 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
                                           train_cfg, cfg.tune, seed)
             aug = AugConfig.from_params(params, order=cfg.tune.order)
             metrics.update({f"tuned_{k}": float(v) for k, v in params.items()})
-        model, history = train(cfg.model, train_cfg, train_set, val_set, aug)
-        metrics["val_accuracy"] = max(h.val_acc for h in history)
-        if open_world:
-            metrics.update(open_world_metrics(model, val_set, test_set))
-        else:
-            metrics["test_accuracy"] = closed_accuracy(model, test_set)
+        model, _ = train(cfg.model, train_cfg, train_set, val_set, aug)
+        metrics.update(seed_metrics(model, val_set, test_set, open_world))
         per_seed.append(metrics)
     mean, std = aggregate_metrics(per_seed)
     meta = {"config": config_digest(cfg), "open_world": open_world,

@@ -20,7 +20,6 @@ from .augment import (OPERATOR_PARAMS, AugConfig, OPERATORS, check_order,
                       length_limits)
 from .evaluate import TuneSpec
 from .nn import ConvBlock, ModelConfig, TrainConfig, default_model_config
-from .seeding import derive_rng
 from .traces import SplitSpec
 
 
@@ -65,7 +64,8 @@ def read_value(raw: str, kind: str, what: str):
 
     An int is read only as ``str`` writes it (no ``+``, ``_``, spaces,
     leading zeros, ``-0`` or non-ASCII digits), a float only as ASCII
-    without ``_`` or spaces; a str is taken as is.
+    without ``_`` or spaces; a str is taken as is. The message echoes at
+    most the first 20 characters of a ``raw`` longer than 40.
     """
     if kind == "str":
         return raw
@@ -77,7 +77,9 @@ def read_value(raw: str, kind: str, what: str):
                               raw.isascii() and raw == raw.strip()
                               and "_" not in raw):
         return value
-    raise ManifestError(f"{what}: {raw!r} is not "
+    echo = (repr(raw) if len(raw) <= 40 else
+            f"{raw[:20]!r}... ({len(raw)} characters)")
+    raise ManifestError(f"{what}: {echo} is not "
                         f"{'an' if kind == 'int' else 'a'} {kind}")
 
 
@@ -170,24 +172,22 @@ def _config(m: Manifest, section: str, cls, **given):
     return cls(**values, **given)
 
 
-def operator_order(m: Manifest, seed: int) -> tuple:
-    """aug.order when given, else a permutation derived from ``seed``."""
+def operator_order(m: Manifest) -> tuple:
+    """aug.order when given, else OPERATORS, AugConfig's and TuneSpec's
+    default."""
     if m.has("aug.order"):
         return parse_operator_order(m.get("aug.order"))
-    order = list(OPERATORS)
-    derive_rng(seed, "order").shuffle(order)
-    return tuple(order)
+    return OPERATORS
 
 
-def aug_config_from_manifest(m: Manifest, trace_len: int,
-                             seed: int) -> AugConfig | None:
+def aug_config_from_manifest(m: Manifest, trace_len: int) -> AugConfig | None:
     """The augmentation config running each operator whose aug.r_max,
     aug.m_len or aug.alpha key is set, or None when none is set."""
     params = {name: m.get(f"aug.{name}") for name in OPERATOR_PARAMS.values()
               if m.has(f"aug.{name}")}
     if not params:
         return None
-    cfg = AugConfig.from_params(params, order=operator_order(m, seed))
+    cfg = AugConfig.from_params(params, order=operator_order(m))
     for name, limit in length_limits(trace_len).items():
         value = getattr(cfg, name)
         if value is not None and value > limit:
@@ -205,8 +205,8 @@ def train_config_from_manifest(m: Manifest, seed: int) -> TrainConfig:
     return _config(m, "train", TrainConfig, seed=seed)
 
 
-def tune_spec_from_manifest(m: Manifest, seed: int) -> TuneSpec:
-    return _config(m, "tpe", TuneSpec, order=operator_order(m, seed))
+def tune_spec_from_manifest(m: Manifest) -> TuneSpec:
+    return _config(m, "tpe", TuneSpec, order=operator_order(m))
 
 
 def _parse_block(item: str, kernel: int) -> ConvBlock:

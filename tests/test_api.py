@@ -1,6 +1,7 @@
 """The package's public name lists, and no import without a use."""
 
 import ast
+import re
 import types
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 import wfaug
 import wfaug.nn
+from wfaug import cli
 
 
 @pytest.mark.parametrize("package", [wfaug, wfaug.nn])
@@ -57,3 +59,14 @@ def test_unused_import_is_found():
 def test_module_uses_every_name_it_imports(path):
     source = (Path(wfaug.__file__).parent / path).read_text(encoding="utf-8")
     assert imported_but_unused(source) == set()
+
+
+def test_subcommand_lists_name_the_command_table():
+    # both lists are written by hand: cli's docstring and README's row
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    listed = [re.search(r"^Subcommands: ([a-z, ]+)\.", cli.__doc__, re.M),
+              re.search(r"^\| `wfaug\.cli` \| `wfaug` command: ([a-z, ]+) \|$",
+                        readme, re.M)]
+    for match in listed:
+        assert match and match.group(1).split(", ") == list(cli.COMMANDS)

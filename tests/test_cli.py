@@ -20,8 +20,12 @@ import wfaug
 from wfaug import cli
 from wfaug.augment import AugConfig, hda_batch
 from wfaug.cli import build_parser, main
-from wfaug.evaluate import tune_augmentation
-from wfaug.manifest import KNOWN_KEYS, format_manifest, parse_manifest_text
+from wfaug.evaluate import (ExperimentConfig, TuneSpec, run_experiment,
+                            tune_augmentation)
+from wfaug.manifest import (KNOWN_KEYS, Manifest, format_manifest,
+                            model_config_from_manifest, parse_manifest_text,
+                            split_spec_from_manifest,
+                            train_config_from_manifest)
 from wfaug.nn import (Conv1D, Model, default_model_config, save_checkpoint,
                       training)
 from wfaug.tpe import TRIAL_LOG_HEADER, StageTrial
@@ -57,15 +61,15 @@ def run(*argv):
     return main(list(argv))
 
 
-def record_augmentation(monkeypatch, module=training):
-    """The AugConfig of every hda_batch call ``module`` makes, as a list."""
+def record_augmentation(monkeypatch):
+    """The AugConfig of every hda_batch call training makes, as a list."""
     configs = []
 
     def record(traces, labels, cfg, rng):
         configs.append(cfg)
         return hda_batch(traces, labels, cfg, rng)
 
-    monkeypatch.setattr(module, "hda_batch", record)
+    monkeypatch.setattr(training, "hda_batch", record)
     return configs
 
 
@@ -187,74 +191,6 @@ class TestSplit:
         err = capsys.readouterr().err
         assert err == f"error: cannot save an empty {part} split\n"
         assert not (workdir / "splits").exists()
-
-
-class TestAugment:
-    def test_preview_arrays(self, workdir):
-        synth_here()
-        extra = workdir / "aug.cfg"
-        extra.write_text("aug.r_max = 5\naug.alpha = 0.1\n",
-                         encoding="utf-8")
-        assert run("augment", "--manifest", "exp.cfg", "--manifest",
-                   "aug.cfg", "--seed", "3", "--out", "aug") == 0
-        x = np.load(workdir / "aug" / "augmented_x.npy")
-        y = np.load(workdir / "aug" / "augmented_y.npy")
-        assert x.shape == (30, 48) and y.shape == (30, 3)
-        assert np.allclose(y.sum(axis=1), 1.0)
-
-    def test_label_above_cap_is_an_error(self, workdir, capsys):
-        (workdir / "data.txt").write_text("0\t1 -1\n1000000000000\t-1 1\n",
-                                          encoding="utf-8")
-        (workdir / "aug.cfg").write_text("aug.r_max = 5\n",
-                                         encoding="utf-8")
-        assert run("augment", "--manifest", "exp.cfg", "--manifest",
-                   "aug.cfg", "--seed", "3", "--out", "aug") == 1
-        assert "data.txt:2: label 1000000000000 out of range" in \
-            capsys.readouterr().err
-
-    def test_rerun_identical(self, workdir):
-        synth_here()
-        extra = workdir / "aug.cfg"
-        extra.write_text("aug.m_len = 10\n", encoding="utf-8")
-        args = ("augment", "--manifest", "exp.cfg", "--manifest", "aug.cfg",
-                "--seed", "3", "--out", "aug")
-        assert run(*args) == 0
-        first = (workdir / "aug" / "augmented_x.npy").read_bytes()
-        assert run(*args) == 0
-        assert (workdir / "aug" / "augmented_x.npy").read_bytes() == first
-
-    def test_nothing_enabled_fails(self, workdir, capsys):
-        synth_here()
-        assert run("augment", "--manifest", "exp.cfg", "--out", "aug") == 1
-        assert capsys.readouterr().err == (
-            "error: no operators enabled; set aug.r_max, aug.m_len or "
-            "aug.alpha\n")
-
-    def test_enable_key_is_unknown(self, workdir, capsys):
-        synth_here()
-        (workdir / "old.cfg").write_text(
-            "aug.r_max = 5\naug.enable.rotation = true\n", encoding="utf-8")
-        assert run("augment", "--manifest", "exp.cfg", "--manifest",
-                   "old.cfg", "--out", "aug") == 1
-        assert capsys.readouterr().err == (
-            "error: old.cfg:2: unknown key 'aug.enable.rotation'\n")
-        assert not (workdir / "aug").exists()
-
-    def test_preview_and_training_apply_one_order(self, workdir,
-                                                  monkeypatch):
-        # without aug.order both derive the order from the seed
-        synth_here()
-        (workdir / "aug.cfg").write_text("aug.alpha = 0.1\n",
-                                         encoding="utf-8")
-        previewed = record_augmentation(monkeypatch, cli)
-        trained = record_augmentation(monkeypatch)
-        argv = ("--manifest", "exp.cfg", "--manifest", "aug.cfg",
-                "--seed", "0")
-        assert run("augment", *argv, "--out", "aug") == 0
-        assert run("train", *argv, "--out", "run") == 0
-        assert previewed and trained
-        assert {cfg.order for cfg in previewed + trained} == {
-            ("mixing", "rotation", "masking")}
 
 
 class TestTune:
@@ -406,6 +342,26 @@ class TestTrainEvalReport:
                    "mask.cfg", "--seed", "0", "--out", "run0") == 0
         assert used and all((cfg.r_max, cfg.m_len, cfg.alpha) ==
                             (None, 10, None) for cfg in used)
+
+    def test_label_above_cap_is_an_error(self, workdir, capsys):
+        (workdir / "data.txt").write_text("0\t1 -1\n1000000000000\t-1 1\n",
+                                          encoding="utf-8")
+        (workdir / "aug.cfg").write_text("aug.r_max = 5\n",
+                                         encoding="utf-8")
+        assert run("train", "--manifest", "exp.cfg", "--manifest",
+                   "aug.cfg", "--seed", "3", "--out", "run") == 1
+        assert "data.txt:2: label 1000000000000 out of range" in \
+            capsys.readouterr().err
+
+    def test_enable_key_is_unknown(self, workdir, capsys):
+        synth_here()
+        (workdir / "old.cfg").write_text(
+            "aug.r_max = 5\naug.enable.rotation = true\n", encoding="utf-8")
+        assert run("train", "--manifest", "exp.cfg", "--manifest",
+                   "old.cfg", "--out", "run") == 1
+        assert capsys.readouterr().err == (
+            "error: old.cfg:2: unknown key 'aug.enable.rotation'\n")
+        assert not (workdir / "run").exists()
 
     def test_report_aggregates_runs(self, workdir):
         synth_here()
@@ -794,6 +750,70 @@ class TestDeterminism:
         assert written[0] == written[1]
 
 
+class TestOneExperiment:
+    """The CLI's per-seed steps and ``run_experiment`` are one experiment."""
+
+    @pytest.mark.parametrize("tuned", [False, True], ids=["aug", "tune"])
+    @pytest.mark.parametrize("world", ["closed", "open"])
+    def test_cli_gives_run_experiments_rows(self, workdir, world, tuned):
+        # no aug.order anywhere: both front ends apply OPERATORS
+        if world == "open":
+            open_world_here(workdir)
+        else:
+            synth_here()
+        (workdir / "aug.cfg").write_text(
+            "aug.r_max = 4\naug.m_len = 6\naug.alpha = 0.2\n",
+            encoding="utf-8")
+        seeds = range(3)
+        world_flag = ["--open-world"] if world == "open" else []
+        for s in map(str, seeds):
+            aug_cfg = "aug.cfg"
+            if tuned:
+                assert run("tune", "--manifest", "exp.cfg", "--seed", s,
+                           "--budget", "1", "--out", f"tuned{s}") == 0
+                aug_cfg = f"tuned{s}/aug_params.cfg"
+            assert run("train", "--manifest", "exp.cfg", "--manifest",
+                       aug_cfg, "--seed", s, "--out", f"run{s}") == 0
+            assert run("eval", "--manifest", "exp.cfg", "--seed", s,
+                       "--checkpoint", f"run{s}/model.ckpt", *world_flag,
+                       "--out", f"run{s}") == 0
+        assert run("report", *(f"run{s}" for s in seeds),
+                   "--out", "summary") == 0
+
+        data = load_dataset(workdir / "data.txt", 48)
+        m = Manifest(BASE)
+        cfg = ExperimentConfig(
+            model=model_config_from_manifest(m, 48, data.output_width),
+            train=train_config_from_manifest(m, 0),
+            split=split_spec_from_manifest(m, 0),
+            aug=None if tuned else AugConfig(r_max=4, m_len=6, alpha=0.2),
+            tune=TuneSpec(budget_per_param=1, proxy_epochs=1, n_startup=2)
+            if tuned else None)
+        report = run_experiment(data, cfg, seeds)
+
+        def split_tuned(values):
+            tuned_values = {k: v for k, v in values.items()
+                            if k.startswith("tuned_")}
+            return {k: v for k, v in values.items()
+                    if k not in tuned_values}, tuned_values
+
+        for s, row in zip(seeds, report.per_seed):
+            metrics, tuned_values = split_tuned(row)
+            payload = json.loads((workdir / f"run{s}" / "eval.json")
+                                 .read_text())
+            assert payload["world"] == world
+            assert payload["metrics"] == metrics
+            if tuned:
+                fragment = parse_manifest_text(
+                    (workdir / f"tuned{s}" / "aug_params.cfg").read_text())
+                assert fragment.pop("aug.order") == "rotation,masking,mixing"
+                assert {f"tuned_{k[4:]}": float(v)
+                        for k, v in fragment.items()} == tuned_values
+        summary = json.loads((workdir / "summary" / "report.json").read_text())
+        assert summary["mean"] == split_tuned(report.mean)[0]
+        assert summary["std"] == split_tuned(report.std)[0]
+
+
 class TestManifestPrecedence:
     def test_every_flag_stores_under_its_manifest_key(self):
         parser = build_parser()
@@ -824,6 +844,15 @@ class TestManifestPrecedence:
         assert run(*argv) == 1
         assert capsys.readouterr() == ("", err)
         assert not {"x.txt", "t", "s"} & set(os.listdir(workdir))
+
+    def test_long_flag_value_is_echoed_short(self, workdir, capsys):
+        assert run("synth", "--manifest", "exp.cfg", "--seed", "7" * 4301,
+                   "--out", "x.txt") == 1
+        out, err = capsys.readouterr()
+        line, = err.splitlines()
+        assert out == "" and len(line) < 200
+        assert line.startswith("error: manifest key 'run.seed': '7777")
+        assert not (workdir / "x.txt").exists()
 
     def test_later_manifest_overrides_earlier(self, workdir):
         synth_here()
