@@ -7,26 +7,16 @@ manifest key it names, above every manifest file. All randomness flows from
 one root seed (run.seed, default 0); each stage derives its own stream from
 (seed, stage name), so adding or removing one stage never shifts another's
 draws.
-
-``main`` pins the BLAS numpy bundles (scipy-openblas) to one thread, so the
-bits of every product, and with them every output file, do not depend on
-OPENBLAS_NUM_THREADS. Where numpy bundles no such library, BLAS is left as
-configured.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
-import functools
-import glob
 import hashlib
 import json
 import os
 import sys
 from dataclasses import asdict
-
-import numpy as np
 
 from .evaluate import (RunReport, aggregate_metrics, check_test_split,
                        seed_metrics, tune_augmentation, write_report)
@@ -290,25 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _blas_thread_setter():
-    """scipy-openblas's ``set_num_threads`` from numpy's bundled libraries,
-    or None when numpy ships no library exporting it."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
-        try:
-            setter = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        return setter
-    return None
-
-
 def main(argv=None) -> int:
-    setter = _blas_thread_setter()
-    if setter is not None:
-        setter(1)
     args = build_parser().parse_args(argv)
     flags = {key: value for key, value in vars(args).items()
              if key in KNOWN_KEYS and value is not None}

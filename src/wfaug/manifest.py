@@ -59,13 +59,18 @@ KNOWN_KEYS = {
 _MISSING = object()
 
 
+def _echo(raw: str) -> str:
+    """``raw`` quoted; past 40 characters, its first 20 and its length."""
+    return (repr(raw) if len(raw) <= 40 else
+            f"{raw[:20]!r}... ({len(raw)} characters)")
+
+
 def read_value(raw: str, kind: str, what: str):
     """``raw`` as a ``kind`` value, or a ManifestError naming ``what``.
 
     An int is read only as ``str`` writes it (no ``+``, ``_``, spaces,
     leading zeros, ``-0`` or non-ASCII digits), a float only as ASCII
-    without ``_`` or spaces; a str is taken as is. The message echoes at
-    most the first 20 characters of a ``raw`` longer than 40.
+    without ``_`` or spaces; a str is taken as is; errors show ``_echo(raw)``.
     """
     if kind == "str":
         return raw
@@ -77,9 +82,7 @@ def read_value(raw: str, kind: str, what: str):
                               raw.isascii() and raw == raw.strip()
                               and "_" not in raw):
         return value
-    echo = (repr(raw) if len(raw) <= 40 else
-            f"{raw[:20]!r}... ({len(raw)} characters)")
-    raise ManifestError(f"{what}: {echo} is not "
+    raise ManifestError(f"{what}: {_echo(raw)} is not "
                         f"{'an' if kind == 'int' else 'a'} {kind}")
 
 
@@ -157,7 +160,7 @@ def parse_operator_order(raw: str) -> tuple:
     except ValueError:
         raise ManifestError(
             f"aug.order must list {', '.join(OPERATORS)} exactly once, "
-            f"got {raw!r}") from None
+            f"got {_echo(raw)}") from None
 
 
 def _config(m: Manifest, section: str, cls, **given):
@@ -210,20 +213,18 @@ def tune_spec_from_manifest(m: Manifest) -> TuneSpec:
 
 
 def _parse_block(item: str, kernel: int) -> ConvBlock:
-    parts = item.split(":")
+    what, parts = f"model.blocks item {_echo(item)}", item.split(":")
     if len(parts) not in (2, 3):
-        raise ManifestError(
-            f"model.blocks item {item!r} must be 'channels:dilation' or "
-            f"'channels:dilation:pool'")
-    out_channels, dilation = (read_value(part, "int",
-                                         f"model.blocks item {item!r}")
+        raise ManifestError(f"{what} must be 'channels:dilation' or "
+                            f"'channels:dilation:pool'")
+    out_channels, dilation = (read_value(part, "int", what)
                               for part in parts[:2])
     pool = parts[2] if len(parts) == 3 else "none"
     try:
         return ConvBlock(out_channels, kernel=kernel, dilation=dilation,
                          pool=pool)
     except ValueError as exc:
-        raise ManifestError(f"model.blocks item {item!r}: {exc}") from None
+        raise ManifestError(f"{what}: {exc}") from None
 
 
 def model_config_from_manifest(m: Manifest, input_len: int,

@@ -10,6 +10,10 @@ vector, ``Model.params``, and every layer's tensors are views of it in
 second vector, ``Model.grads``, in the same order. A versioned checkpoint
 holds a JSON header (architecture, seed, tensor table, training data) and the
 parameter vector as little-endian float32.
+
+This module alone sets how many threads compute: building a model pins the
+OpenBLAS numpy bundles (scipy-openblas, where it does) to one thread, and
+``_threads`` caps a call's tile threads at the CPUs the process may use.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import copy
+import ctypes
 import functools
+import glob
 import json
 import os
 import struct
@@ -146,12 +152,13 @@ def _run(layers, h, train, rows=slice(None)):
 
 
 @contextlib.contextmanager
-def _threads(count):
+def _threads(n):
     """Yields ``run(calls)``: the results of ``calls`` in order. Thread ``t``
-    of ``count`` (this one, then the workers of a pool that lasts the with
-    block; a long-lived one would not survive fork) runs call ``t``, then
-    each next call no thread has taken. Workers run in a copy of this
-    thread's context, keeping its numpy error state; their errors reach it."""
+    of ``n`` capped at ``_cpu_count()`` (this one, then the workers of a pool
+    that lasts the with block; a long-lived one would not survive fork) runs
+    call ``t``, then each next call no thread has taken. Workers run in a
+    copy of this thread's context, keeping its numpy error state; their
+    errors reach it."""
     def run(calls):
         out, todo = [None] * len(calls), deque(range(count, len(calls)))
 
@@ -170,6 +177,7 @@ def _threads(count):
             f.result()
         return out
 
+    count = min(_cpu_count(), n)
     with (ThreadPoolExecutor(count - 1) if count > 1
           else contextlib.nullcontext()) as pool:
         yield run
@@ -199,7 +207,7 @@ def _backward_tiles(stacks, tiles, d):
     stack, n = stacks[0], len(stacks)
     convs = [i for i, layer in enumerate(stack) if isinstance(layer, Conv1D)]
     ds, jobs, hi = [d[rows] for rows in tiles], [], len(stack)
-    with _threads(min(_cpu_count(), n)) as run:
+    with _threads(n) as run:
         for lo in reversed([-1] + convs):
             ds = run([functools.partial(
                 _run_backward, layers[lo + 1:hi], dt, jobs[t::n])
@@ -225,10 +233,29 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+@functools.cache
+def _blas_thread_setter():
+    """scipy-openblas's ``set_num_threads`` from numpy's bundled libraries,
+    or None when numpy ships no library exporting it."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+        try:
+            setter = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        return setter
+    return None
+
+
 class Model:
     """The classifier: seeded construction, forward, backward, state copy."""
 
     def __init__(self, cfg: ModelConfig, seed: int, dtype=DTYPE):
+        # BLAS threads would compete with the tile threads and move bits
+        setter = _blas_thread_setter()
+        if setter is not None:
+            setter(1)
         self.cfg = cfg
         self.seed = int(seed)
         self.dtype = np.dtype(dtype)
@@ -318,8 +345,7 @@ class Model:
             self._tiles = None
             stacks[1:] = [[copy.copy(layer) for layer in stack]
                           for _ in tiles[1:]]
-        with _threads(min(_cpu_count() if self._threaded else 1,
-                          len(tiles))) as run:
+        with _threads(len(tiles) if self._threaded else 1) as run:
             features = np.concatenate(run(
                 [functools.partial(_run, layers, h, train, tile)
                  for layers, tile in zip(stacks, tiles)]))

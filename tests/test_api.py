@@ -70,3 +70,10 @@ def test_subcommand_lists_name_the_command_table():
                         readme, re.M)]
     for match in listed:
         assert match and match.group(1).split(", ") == list(cli.COMMANDS)
+    # README's flag table, by hand too: the common flags, then cli.COMMANDS
+    table = readme.split("| flag | key |\n| --- | --- |\n", 1)[1]
+    flags = [("--seed", "run.seed"), ("--out", "out.dir")] + [
+        (f"{name} {flag}", key) for name, (_, _, given) in cli.COMMANDS.items()
+        for flag, key in given.items()]
+    assert table.split("\n\n", 1)[0].splitlines() == [
+        f"| `{flag}` | `{key}` |" for flag, key in flags]

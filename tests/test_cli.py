@@ -854,6 +854,24 @@ class TestManifestPrecedence:
         assert line.startswith("error: manifest key 'run.seed': '7777")
         assert not (workdir / "x.txt").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("model.blocks", "1" * 5000 + ":1"),
+        ("model.blocks", "4:1:" + "x" * 5000),
+        ("aug.order", ",".join(["rotation"] * 1000))],
+        ids=["channels", "pool", "order"])
+    def test_long_manifest_value_is_echoed_short(self, workdir, capsys, key,
+                                                 value):
+        synth_here()
+        (workdir / "long.cfg").write_text(
+            format_manifest({key: value, "aug.r_max": "2"}), encoding="utf-8")
+        assert run("train", "--manifest", "exp.cfg", "--manifest", "long.cfg",
+                   "--out", "run") == 1
+        out, err = capsys.readouterr()
+        line, = err.splitlines()
+        assert out == "" and len(line) < 200
+        assert line.startswith(f"error: {key} ")
+        assert not (workdir / "run").exists()
+
     def test_later_manifest_overrides_earlier(self, workdir):
         synth_here()
         (workdir / "small.cfg").write_text("train.epochs = 2\n",

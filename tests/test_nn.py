@@ -2,11 +2,14 @@ import copy
 import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1047,6 +1050,52 @@ class TestThreadedTraining:
             with pytest.raises(FloatingPointError,
                                match=r"^non-finite gradient in conv1\.w$"):
                 model.backward(probs, targets)
+
+
+# the stock model at L=1000 makes products large enough for OpenBLAS to split
+# them over threads
+TRAIN_STOCK_MODEL = """
+import hashlib
+from wfaug.nn import TrainConfig, default_model_config, train
+from wfaug.traces import SplitSpec, make_splits, synth_dataset
+train_set, val_set, _ = make_splits(synth_dataset(4, 6, 1000, 0.05, seed=7),
+                                    SplitSpec(2, 1, 0, seed=0))
+model, _ = train(default_model_config(1000, 4),
+                 TrainConfig(epochs=1, batch_size=16, seed=0),
+                 train_set, val_set)
+print(hashlib.sha256(model.params.tobytes()).hexdigest())
+"""
+
+
+class TestBlasThreads:
+    """Building a model pins numpy's bundled OpenBLAS to one thread."""
+
+    def test_building_a_model_sets_one_thread(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(model_mod, "_blas_thread_setter",
+                            lambda: calls.append)
+        Model(TINY, seed=0)
+        assert calls == [1]
+
+    def test_api_train_same_bytes_at_one_and_two_blas_threads(self):
+        src = str(Path(model_mod.__file__).parents[2])
+        digests = [subprocess.run(
+            [sys.executable, "-c", TRAIN_STOCK_MODEL], check=True,
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src,
+                     OPENBLAS_NUM_THREADS=threads)).stdout
+            for threads in ("1", "2")]
+        assert len(digests[0]) == 65 and digests[0] == digests[1]
+
+    def test_no_setter_leaves_blas_as_configured(self, monkeypatch):
+        # numpy bundles no scipy-openblas: models build, train and predict
+        monkeypatch.setattr(model_mod, "_blas_thread_setter", lambda: None)
+        train_set, val_set, _ = tiny_task()
+        model, history = train(TINY, TrainConfig(epochs=1, batch_size=16,
+                                                  seed=0), train_set, val_set)
+        labels, confs = predict(model, val_set.traces)
+        assert len(history) == 1
+        assert labels.shape == confs.shape == (len(val_set),)
 
 
 class TestSameBitsAsPerTapConv:
