@@ -98,7 +98,7 @@ def parse_manifest_text(text: str, source: str = "<string>") -> dict:
             raise ManifestError(f"{source}:{lineno}: expected 'key = value'")
         key, value = key.strip(), value.strip()
         if key not in KNOWN_KEYS:
-            raise ManifestError(f"{source}:{lineno}: unknown key {key!r}")
+            raise ManifestError(f"{source}:{lineno}: unknown key {_echo(key)}")
         if key in values:
             raise ManifestError(f"{source}:{lineno}: duplicate key {key!r}")
         values[key] = value

@@ -143,6 +143,80 @@ def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
     return float(-np.sum(targets * np.log(np.maximum(probs, EPS))) / len(probs))
 
 
+class _BlockTable:
+    """The first conv block (conv, ReLU, optional ``MaxPool2``) as a lookup
+    table, for inference on int8 input whose cells all lie in {-1, 0, +1}.
+
+    Each output of the block reads only the W padded input cells
+    ``j * step + offset``, one per entry of ``offsets`` (conv0's tap
+    offsets, and the pool's right-hand conv column's too), so it takes one
+    of 3^W values per channel. ``with_table`` computes them all with the
+    block's own layers over one pattern row per input window, and
+    ``forward`` gathers them by each output's base-3 code. A table entry is
+    made by the same elementwise float operations on the same operands as
+    the output it stands for (a padding cell and a 0 cell are both +0.0),
+    so the lookup has the bits of the block."""
+
+    def __init__(self, layers, input_len):
+        conv, self.layers = layers[0], layers
+        pooled = isinstance(layers[-1], MaxPool2)
+        taps = [t * conv.dilation for t in range(conv.kernel)]
+        self.offsets = sorted(set(taps) | ({conv.stride + t for t in taps}
+                                           if pooled else set()))
+        self.step = conv.stride * (2 if pooled else 1)
+        self.pad = conv.pad_l, conv.pad_r
+        self.conv_len = conv.out_len(input_len)
+        self.out_len = self.conv_len // 2 if pooled else self.conv_len
+        # a pattern row's output column ``keep`` reads its cells ``cells``,
+        # none of the padding; the row ends with the last of them
+        self.keep = -(-conv.pad_l // self.step)
+        self.cells = [self.keep * self.step + off - conv.pad_l
+                      for off in self.offsets]
+        self.patterns = 3 ** len(self.offsets)
+        # conv positions the table's pattern rows take, against conv_len
+        # per input row
+        self.cost = self.patterns * conv.out_len(self.cells[-1] + 1)
+
+    def fits(self, x, rows):
+        """Whether the table serves ``x``: int8 cells in {-1, 0, +1}, and a
+        table built over no more conv positions than one ``rows``-row tile
+        of ``x`` takes (so never an empty ``x``)."""
+        return (x.dtype == np.int8
+                and self.cost <= min(rows, len(x)) * self.conv_len
+                and x.min() >= -1 and x.max() <= 1)
+
+    def with_table(self, dtype):
+        """A copy holding the (channels, 3^W) table in ``dtype``: column c
+        is the output whose cell k (of ``offsets``) holds base-3 digit k of
+        c, most significant first, minus one."""
+        digits = np.indices((3,) * len(self.offsets)).reshape(
+            len(self.offsets), self.patterns)
+        h = np.zeros((self.patterns, 1, self.cells[-1] + 1), dtype)
+        h[:, 0, self.cells] = digits.T - 1
+        for layer in self.layers:
+            h = layer.forward(h)
+        built = copy.copy(self)
+        built.table = np.ascontiguousarray(h[:, :, self.keep].T)
+        return built
+
+    def forward(self, x, train=False):
+        """The block's output for (rows, 1, L) int8 input ``x``, as a
+        (rows, channels, out_len) view of the gathered table entries."""
+        x, (pad_l, pad_r) = x[:, 0, :], self.pad
+        padded = np.zeros((len(x), pad_l + x.shape[1] + pad_r), np.int8)
+        padded[:, pad_l:pad_l + x.shape[1]] = x
+        windows = [padded[:, off::self.step][:, :self.out_len]
+                   for off in self.offsets]
+        # the code of the cell values, then of the digits (value + 1):
+        # adding one to each of W digits adds 3^W // 2
+        codes = windows[0].astype(np.intp)
+        for window in windows[1:]:
+            codes *= 3
+            codes += window
+        codes += self.patterns // 2
+        return np.take(self.table, codes, axis=1).transpose(1, 0, 2)
+
+
 def _run(layers, h, train, rows=slice(None)):
     """``layers`` over ``h[rows]``."""
     h = h[rows]
@@ -274,6 +348,8 @@ class Model:
                 self.layers.append(MaxPool2())
             in_ch = blk.out_channels
         self.layers[0].input_grad = False
+        first = 3 if cfg.blocks[0].pool == "max2" else 2
+        self._first_block = _BlockTable(self.layers[:first], cfg.input_len)
         self._gap_index = len(self.layers)
         self.layers.append(GlobalAvgPool())
         width = in_ch
@@ -311,8 +387,18 @@ class Model:
     def forward(self, x: np.ndarray, train: bool = False):
         """Run the net over (B, L) input; returns (probs, features).
 
-        The input is cast to the model dtype once; the features keep it, and
-        the probabilities are float64.
+        The input is cast to the model dtype once, unless the first block is
+        looked up; the features keep that dtype, and the probabilities are
+        float64.
+
+        Inference on int8 input whose cells all lie in {-1, 0, +1} (every
+        ``Dataset`` holds such traces) looks the first conv block up instead
+        of computing it (see ``_BlockTable``): this thread runs the block's
+        own layers once over the 3^W input windows its outputs can read,
+        and each tile gathers its rows' outputs from that table. It does so
+        when the table takes no more conv positions than the call's first
+        tile; the gathered outputs have the bits of the block's, so the
+        probabilities and features are those of a float feed.
 
         The conv blocks and global average pooling run over row tiles; every
         row they output depends on its own input row only, so tiling leaves
@@ -331,15 +417,21 @@ class Model:
         stack's layers (the same parameter views, its own caches), and the
         step is pending for ``backward`` once the whole pass has run.
         """
-        x = np.asarray(x, dtype=self.dtype)
+        x = np.asarray(x)
         if x.ndim != 2 or x.shape[1] != self.cfg.input_len:
             raise ValueError(f"expected (B, {self.cfg.input_len}) input, "
                              f"got {x.shape}")
+        rows = (min(TILE_ROWS // 2, (len(x) + 1) // 2) if self._threaded
+                else len(x) if train else TILE_ROWS) or 1
+        tiles = [slice(lo, lo + rows) for lo in range(0, len(x) or 1, rows)]
+        first = self._first_block
+        if not train and first.fits(x, rows):
+            stack = ([first.with_table(self.dtype)]
+                     + self.layers[len(first.layers):self._gap_index + 1])
+        else:
+            x = x.astype(self.dtype, copy=False)
+            stack = self.layers[:self._gap_index + 1]
         h = x[:, None, :]
-        stack = self.layers[:self._gap_index + 1]
-        rows = (min(TILE_ROWS // 2, (len(h) + 1) // 2) if self._threaded
-                else len(h) if train else TILE_ROWS) or 1
-        tiles = [slice(lo, lo + rows) for lo in range(0, len(h) or 1, rows)]
         stacks = [stack] * len(tiles)
         if train:
             self._tiles = None
@@ -414,9 +506,9 @@ def decide(probs: np.ndarray):
 
 
 def predict(model: Model, traces: np.ndarray, batch_size: int = 256):
-    """Predicted class index and confidence per trace, batched for memory;
-    ``Model.forward`` casts each batch straight to the model dtype."""
-    labels, confs = [], []
+    """Predicted class index (int64) and confidence (float64) per trace,
+    batched for memory; ``Model.forward`` takes each batch as it is."""
+    labels, confs = [np.empty(0, np.int64)], [np.empty(0)]
     traces = np.asarray(traces)
     for lo in range(0, len(traces), batch_size):
         probs, _ = model.forward(traces[lo:lo + batch_size])

@@ -63,7 +63,10 @@ class TrainingDiverged(RuntimeError):
 
 
 def dataset_accuracy(model: Model, ds: Dataset) -> float:
-    """Plain argmax accuracy; background counts as the extra last class."""
+    """Plain argmax accuracy; background counts as the extra last class.
+    An empty ``ds`` has none and raises ValueError."""
+    if len(ds) == 0:
+        raise ValueError("accuracy of an empty dataset")
     pred, _ = predict(model, ds.traces)
     return float(np.mean(pred == class_indices(ds.labels, ds.num_classes)))
 

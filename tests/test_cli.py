@@ -872,6 +872,16 @@ class TestManifestPrecedence:
         assert line.startswith(f"error: {key} ")
         assert not (workdir / "run").exists()
 
+    def test_long_unknown_key_is_echoed_short(self, workdir, capsys):
+        (workdir / "long.cfg").write_text("k" * 5000 + " = 1\n",
+                                          encoding="utf-8")
+        assert run("synth", "--manifest", "long.cfg", "--out", "x.txt") == 1
+        out, err = capsys.readouterr()
+        line, = err.splitlines()
+        assert out == "" and len(line) < 200
+        assert line.startswith("error: long.cfg:1: unknown key 'kkkk")
+        assert not (workdir / "x.txt").exists()
+
     def test_later_manifest_overrides_earlier(self, workdir):
         synth_here()
         (workdir / "small.cfg").write_text("train.epochs = 2\n",

@@ -340,3 +340,39 @@ def test_mixing_writes_as_the_expression_reference(batch, length, classes,
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
     assert (x.tobytes(), y.tobytes()) == before
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["conv1d", "per_tap"])
+def test_first_block_table_gives_the_block_bytes(request, oracle):
+    """For every first-block geometry, looking int8 traces up in the block's
+    table gives the bytes of running the block on them, and a model fed
+    int8 traces gives the probabilities and features of a float64 feed;
+    also with the per-tap reference convolution. A fifth of the weights and
+    biases are exactly zero, so that signed zeros meet."""
+    if oracle:
+        request.getfixturevalue("per_tap_conv")
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(kernel=st.sampled_from([1, 3, 5]), dilation=st.integers(1, 3),
+           stride=st.integers(1, 3), causal=st.booleans(),
+           pool=st.sampled_from(["none", "max2"]), length=st.integers(16, 300),
+           batch=st.integers(0, 40), seed=st.integers(0, 2 ** 32 - 1))
+    def check(kernel, dilation, stride, causal, pool, length, batch, seed):
+        block = ConvBlock(3, kernel=kernel, dilation=dilation, stride=stride,
+                          pool=pool, causal=causal)
+        model = Model(ModelConfig(length, 2, (block,), fc=(2,)), seed=0)
+        rng = np.random.default_rng(seed)
+        model.params[...] = np.where(rng.random(model.params.size) < 0.2, 0.0,
+                                     rng.standard_normal(model.params.size))
+        x = rng.integers(-1, 2, (batch, length)).astype(np.int8)
+        first = model._first_block
+        h = x.astype(np.float32)[:, None, :]
+        for layer in first.layers:
+            h = layer.forward(h)
+        got = first.with_table(np.float32).forward(x[:, None, :])
+        assert got.shape == h.shape and got.tobytes() == h.tobytes()
+        for want, fed in zip(model.forward(x.astype(np.float64)),
+                             model.forward(x)):
+            assert fed.tobytes() == want.tobytes()
+
+    check()

@@ -49,7 +49,7 @@ from wfaug.augment import AugConfig
 from wfaug.nn import model as model_mod
 from wfaug.nn import training
 from wfaug.nn.model import CHECKPOINT_MAGIC, DTYPE, TILE_ROWS
-from wfaug.traces import SplitSpec, make_splits, synth_dataset
+from wfaug.traces import Dataset, SplitSpec, make_splits, synth_dataset
 
 TINY = ModelConfig(64, 3, (ConvBlock(8, dilation=1, pool="max2"),
                            ConvBlock(16, dilation=2)), fc=(3,))
@@ -524,6 +524,110 @@ class TestForward:
         assert probs.shape == (0, 3) and feats.shape == (0, 16)
 
 
+BENCH_MODEL = ModelConfig(1000, 20, tuple(
+    ConvBlock(ch, stride=2) for ch in (8, 12, 16, 24, 32, 32, 32)), fc=(20,))
+
+
+def random_model(cfg, seed):
+    """A model of ``cfg`` with normal weights and biases, a fifth of them
+    exactly zero."""
+    model = Model(cfg, seed=0)
+    rng = np.random.default_rng(seed)
+    model.params[...] = np.where(rng.random(model.params.size) < 0.2, 0.0,
+                                 rng.standard_normal(model.params.size))
+    return model
+
+
+def conv0_rows(monkeypatch):
+    """The row count of every batch ``conv0`` runs over, in call order."""
+    seen, forward = [], Conv1D.forward
+
+    def recording(self, x, train=False):
+        if self.name == "conv0":
+            seen.append(len(x))
+        return forward(self, x, train)
+
+    monkeypatch.setattr(Conv1D, "forward", recording)
+    return seen
+
+
+class TestFirstBlockTable:
+    """Inference on int8 traces looks the first conv block up in a table of
+    its outputs; a float64 feed of the same traces runs the block itself,
+    and both give the same bytes."""
+
+    def same_bytes(self, model, x):
+        probs, feats = model.forward(x)
+        want_probs, want_feats = model.forward(x.astype(np.float64))
+        assert feats.tobytes() == want_feats.tobytes()
+        assert probs.tobytes() == want_probs.tobytes()
+
+    def test_stock_model_threaded(self, monkeypatch):
+        model = random_model(default_model_config(200, 5), seed=1)
+        assert model._threaded
+        x = np.random.default_rng(2).integers(-1, 2, (37, 200)).astype(np.int8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 8):
+                monkeypatch.setattr(model_mod, "_cpu_count", lambda: cpus)
+                self.same_bytes(model, x)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("batch", [0, 1, 37])
+    @pytest.mark.parametrize("cfg", [default_model_config(1000, 5),
+                                     BENCH_MODEL], ids=["stock", "bench"])
+    def test_batch_sizes(self, cfg, batch):
+        # 37 rows end in a ragged tile: 8-row tiles for the stock model,
+        # 16-row ones for BENCH_MODEL
+        model = random_model(cfg, seed=3)
+        x = np.random.default_rng(4).integers(-1, 2, (batch, 1000))
+        self.same_bytes(model, x.astype(np.int8))
+
+    @pytest.mark.parametrize("cfg, patterns", [
+        (default_model_config(1000, 5), 3 ** 4), (BENCH_MODEL, 3 ** 3)],
+        ids=["stock", "bench"])
+    def test_conv0_runs_once_per_call_on_the_patterns(self, monkeypatch, cfg,
+                                                     patterns):
+        model = random_model(cfg, seed=5)
+        seen = conv0_rows(monkeypatch)
+        x = np.random.default_rng(6).integers(-1, 2, (300, 1000))
+        labels, _ = predict(model, x.astype(np.int8))
+        assert seen == [patterns, patterns]
+        seen.clear()
+        assert np.array_equal(predict(model, x.astype(np.float32))[0], labels)
+        assert patterns not in seen and sum(seen) == 300
+
+    def test_too_big_a_table_runs_the_block(self, monkeypatch):
+        # 3^10 input windows: the table would cost more than a tile
+        cfg = ModelConfig(1000, 4, (ConvBlock(6, kernel=5, dilation=4,
+                                              pool="max2"), ConvBlock(5)),
+                          fc=(4,))
+        model = random_model(cfg, seed=7)
+        seen = conv0_rows(monkeypatch)
+        x = np.random.default_rng(8).integers(-1, 2, (40, 1000))
+        self.same_bytes(model, x.astype(np.int8))
+        assert seen == [16, 16, 8] * 2
+
+    def test_too_short_a_batch_runs_the_block(self, monkeypatch):
+        # one row of 200 cells holds fewer conv positions than the 81
+        # patterns of 4 cells take
+        model = random_model(default_model_config(200, 5), seed=9)
+        seen = conv0_rows(monkeypatch)
+        x = np.random.default_rng(10).integers(-1, 2, (1, 200))
+        self.same_bytes(model, x.astype(np.int8))
+        assert seen == [1, 1]
+
+    def test_other_int8_values_run_the_block(self, monkeypatch):
+        model = random_model(default_model_config(200, 5), seed=11)
+        seen = conv0_rows(monkeypatch)
+        x = np.random.default_rng(12).integers(-1, 2, (6, 200)).astype(np.int8)
+        x[5, 7] = 2
+        self.same_bytes(model, x)
+        assert seen == [3, 3] * 2
+
+
 class TestLossFunction:
     def test_perfect_one_hot_is_zero(self):
         y = np.array([[0.0, 1.0, 0.0]])
@@ -704,6 +808,17 @@ class TestPredict:
     def test_decide_reports_argmax_and_confidence(self):
         labels, conf = decide(np.array([[0.1, 0.7, 0.2]]))
         assert labels.tolist() == [1] and conf.tolist() == [0.7]
+
+    def test_no_traces(self):
+        model = Model(TINY, seed=4)
+        labels, confs = predict(model, np.zeros((0, 64), np.int8))
+        assert labels.shape == confs.shape == (0,)
+        assert labels.dtype == np.int64 and confs.dtype == np.float64
+
+    def test_accuracy_of_no_traces_is_refused(self):
+        empty = Dataset(np.zeros((0, 64), np.int8), np.zeros(0), 3)
+        with pytest.raises(ValueError, match="empty dataset"):
+            dataset_accuracy(Model(TINY, seed=4), empty)
 
     def test_batch_partition_invariance(self):
         model = Model(TINY, seed=4)
