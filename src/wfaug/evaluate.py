@@ -76,6 +76,36 @@ class OperatingPoint:
                 raise ValueError(f"{name} must be in [0, 1]")
 
 
+def _confusions(labels, pred, conf, thresholds,
+                num_classes: int) -> list[ConfusionSummary]:
+    """Open-world outcomes at each threshold, counted in one pass: a trace
+    is called monitored when its argmax is a monitored class and its
+    confidence reaches the threshold, which a NaN confidence never does."""
+    labels = np.asarray(labels)
+    pred = np.asarray(pred)
+    conf = np.asarray(conf, dtype=np.float64)
+    if not (len(labels) == len(pred) == len(conf)):
+        raise ValueError("labels, predictions and confidences must align")
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    if not (np.isfinite(thresholds).all() and (thresholds >= 0).all()):
+        raise ValueError("threshold must be finite and >= 0")
+    truth_mon = labels >= 0
+    candidate = (pred < num_classes) & ~np.isnan(conf)
+
+    def reaching(mask):
+        # traces in mask whose confidence is >= each threshold
+        ranked = np.sort(conf[mask])
+        return len(ranked) - np.searchsorted(ranked, thresholds)
+
+    called = reaching(candidate)
+    called_mon = reaching(candidate & truth_mon)
+    tp = reaching(candidate & truth_mon & (pred == labels))
+    fn = np.count_nonzero(truth_mon) - called_mon
+    tn = np.count_nonzero(~truth_mon) - (called - called_mon)
+    return [ConfusionSummary(*c) for c in zip(
+        tp.tolist(), (called - tp).tolist(), fn.tolist(), tn.tolist())]
+
+
 def confusion_from_predictions(labels: np.ndarray, pred: np.ndarray,
                                conf: np.ndarray, threshold: float,
                                num_classes: int) -> ConfusionSummary:
@@ -88,20 +118,7 @@ def confusion_from_predictions(labels: np.ndarray, pred: np.ndarray,
     reaches ``threshold``, so thresholds above 1 send everything to
     background.
     """
-    labels = np.asarray(labels)
-    pred = np.asarray(pred)
-    conf = np.asarray(conf, dtype=np.float64)
-    if not (len(labels) == len(pred) == len(conf)):
-        raise ValueError("labels, predictions and confidences must align")
-    if not np.isfinite(threshold) or threshold < 0:
-        raise ValueError("threshold must be finite and >= 0")
-    truth_mon = labels >= 0
-    called_mon = (pred < num_classes) & (conf >= threshold)
-    tp = int(np.sum(truth_mon & called_mon & (pred == labels)))
-    fp = int(np.sum(called_mon) - tp)
-    fn = int(np.sum(truth_mon & ~called_mon))
-    tn = int(np.sum(~truth_mon & ~called_mon))
-    return ConfusionSummary(tp=tp, fp=fp, fn=fn, tn=tn)
+    return _confusions(labels, pred, conf, [threshold], num_classes)[0]
 
 
 def closed_accuracy(model: Model, test: Dataset) -> float:
@@ -120,7 +137,7 @@ def open_world_eval(model: Model, test: Dataset,
 
 def sweep_operating_points(model: Model, val: Dataset,
                            thresholds=THRESHOLD_GRID):
-    """Score every threshold on ``val`` once.
+    """Score every threshold on ``val``, all in one counting pass.
 
     Returns (best precision point, best recall point, full curve). Precision
     ties break toward higher recall and recall ties toward higher precision;
@@ -130,11 +147,9 @@ def sweep_operating_points(model: Model, val: Dataset,
     if not thresholds:
         raise ValueError("thresholds must be non-empty")
     pred, conf = predict(model, val.traces)
-    curve = []
-    for t in thresholds:
-        c = confusion_from_predictions(val.labels, pred, conf, t,
-                                       val.num_classes)
-        curve.append(OperatingPoint(t, c.precision, c.recall))
+    curve = [OperatingPoint(t, c.precision, c.recall) for t, c in zip(
+        thresholds, _confusions(val.labels, pred, conf, thresholds,
+                                val.num_classes))]
     best_precision = max(curve, key=lambda p: (p.precision, p.recall, -p.threshold))
     best_recall = max(curve, key=lambda p: (p.recall, p.precision, -p.threshold))
     return best_precision, best_recall, curve
@@ -149,10 +164,12 @@ def open_world_metrics(model: Model, val: Dataset, test: Dataset) -> dict:
     """
     best_p, best_r, _ = sweep_operating_points(model, val)
     pred, conf = predict(model, test.traces)
+    scored = _confusions(test.labels, pred, conf,
+                         [best_p.threshold, best_r.threshold],
+                         test.num_classes)
     metrics = {}
-    for tag, point in (("precision", best_p), ("recall", best_r)):
-        c = confusion_from_predictions(test.labels, pred, conf,
-                                       point.threshold, test.num_classes)
+    for tag, point, c in zip(("precision", "recall"), (best_p, best_r),
+                             scored):
         metrics.update({f"{tag}_tuned_threshold": point.threshold,
                         f"{tag}_tuned_precision": c.precision,
                         f"{tag}_tuned_recall": c.recall})

@@ -7,6 +7,7 @@ BACKGROUND (-1) for unmonitored ones.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,25 +101,11 @@ MIN_SYNTH_LEN = 3
 # cap the array is 256 MiB; a larger request is refused before allocating.
 MAX_SYNTH_CELLS = 1 << 28
 
-# _FOLLOWS[a, b]: byte b may follow byte a in " " + directions + " ", which
-# holds exactly when the directions are "1"/"-1" tokens, one space apart
-_FOLLOWS = np.zeros((256, 256), dtype=bool)
-for _pair in (" 1", " -", "-1", "1 "):
-    _FOLLOWS[ord(_pair[0]), ord(_pair[1])] = True
-_TOKENS = {1: "1", -1: "-1"}
-
-
-def _directions(rest: str, trace_len: int, where: str) -> np.ndarray:
-    """The first ``trace_len`` directions of a record's text after the tab;
-    every token is checked, also those past ``trace_len``."""
-    raw = np.frombuffer(
-        b" " + rest.encode("utf-8", "surrogateescape") + b" ", dtype=np.uint8)
-    if not _FOLLOWS[raw[:-1], raw[1:]].all():
-        bad = next(tok for tok in rest.split(" ") if tok not in _TOKENS.values())
-        raise TraceFormatError(f"{where}: direction {bad!r} must be 1 or -1")
-    # each "1" ends a token, which is -1 when a "-" precedes it
-    ends = np.flatnonzero(raw == ord("1"))[:trace_len]
-    return np.where(raw[ends - 1] == ord("-"), -1, 1).astype(np.int8)
+# save_dataset writes rows of at most this many cells at a time, and
+# load_dataset reads whole lines of at most a quarter as many bytes (one line
+# at least): its masks and token positions take about ten bytes per byte
+# read, which a quarter keeps within the buffers of a written block
+_BLOCK_CELLS = 1 << 18
 
 
 def _check_trace_len(trace_len: int) -> None:
@@ -127,44 +114,149 @@ def _check_trace_len(trace_len: int) -> None:
                          f"got {trace_len}")
 
 
+def _check_record(line: str, where: str) -> None:
+    """Raise TraceFormatError naming the first fault of one record, given as
+    text without its line end; return if the record is well formed."""
+    if not line:
+        raise TraceFormatError(f"{where}: blank line")
+    head, sep, rest = line.partition("\t")
+    if not sep:
+        raise TraceFormatError(f"{where}: missing tab separator")
+    try:
+        label = int(head)
+    except ValueError:
+        raise TraceFormatError(
+            f"{where}: label {head!r} is not an integer") from None
+    if str(label) != head:
+        raise TraceFormatError(
+            f"{where}: label {head!r} must be written as {label}")
+    if not BACKGROUND <= label <= MAX_LABEL:
+        raise TraceFormatError(f"{where}: label {label} out of range")
+    for tok in rest.split(" "):
+        if tok not in ("1", "-1"):
+            raise TraceFormatError(
+                f"{where}: direction {tok!r} must be 1 or -1")
+
+
+def _label(head: bytes) -> int | None:
+    """The label ``head`` spells the way save_dataset writes it, else None."""
+    try:
+        label = int(head)
+    except ValueError:
+        return None
+    if b"%d" % label != head or not BACKGROUND <= label <= MAX_LABEL:
+        return None
+    return label
+
+
+def _block_tokens(r: np.ndarray, lines: int, head_pairs: int):
+    """The position before each "1" in ``r`` and the sign of the token that
+    "1" ends, or None unless each record in ``r`` holds "1"/"-1" tokens one
+    space apart after its first tab.
+
+    ``r`` is the bytes of whole lines whose labels are well formed, and
+    ``head_pairs`` counts the pairs of adjacent digits in those labels. The
+    labels' own "1"s are in the result too; the caller skips them.
+    """
+    one, minus, tab = r == ord("1"), r == ord("-"), r == ord("\t")
+    sep = r == ord(" ")
+    sep |= tab
+    digit = (r - np.uint8(ord("0"))) <= 9
+    if (np.count_nonzero(digit) + np.count_nonzero(minus)
+            + np.count_nonzero(sep) + lines != len(r)):
+        return None  # a byte other than a digit, "-", " ", tab or newline
+    if (np.count_nonzero(tab) != lines
+            or np.count_nonzero(digit[:-1] & digit[1:]) != head_pairs):
+        return None  # a tab or two adjacent digits after a first tab
+    # a "-" comes before a "1", a space or tab before a "1" or "-", and a "1"
+    # not before a "-"; with the counts above, a "1" after a first tab comes
+    # before a space or its line's newline
+    bad = minus[:-1] & ~one[1:]
+    bad |= sep[:-1] & ~(one[1:] | minus[1:])
+    bad |= one[:-1] & minus[1:]
+    if bad.any():
+        return None
+    before = np.flatnonzero(one)
+    before -= 1  # a label's "1" at r[0] reads r[-1], and is skipped
+    return before, 1 - 2 * (r[before] == ord("-")).view(np.int8)
+
+
+def _refuse(data: bytes, path, lines) -> None:
+    """Raise the error of the first bad record among ``lines``, each a
+    (line number, start, end) of ``data``."""
+    # bytes that are not UTF-8 decode to lone surrogates, which neither a
+    # label nor a direction accepts
+    for lineno, start, end in lines:
+        _check_record(data[start:end].decode("utf-8", "surrogateescape"),
+                      f"{path}:{lineno}")
+    raise AssertionError(f"{path}: no bad record among {lines}")
+
+
+def _read_records(path, trace_len: int) -> tuple[np.ndarray, list[int]]:
+    """The traces and labels of a trace file, or the error of its first bad
+    line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data:
+        raise TraceFormatError(f"{path}: empty dataset file")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    # one pass over the records' heads, up to the first bad one: where each
+    # line starts, its first tab, its newline and its label
+    starts, tabs, ends, labels = [], [], [], []
+    start = 0
+    while start < len(data):
+        end = data.index(b"\n", start)
+        tab = data.find(b"\t", start, end)
+        label = _label(data[start:tab]) if tab >= 0 else None
+        if label is None:
+            break
+        starts.append(start)
+        tabs.append(tab)
+        ends.append(end)
+        labels.append(label)
+        start = end + 1
+    n = len(labels)
+    traces = np.zeros((n, trace_len), dtype=np.int8)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    size = _BLOCK_CELLS // 4
+    lo = 0
+    while lo < n:
+        b0 = starts[lo]
+        hi = max(lo + 1, bisect.bisect_right(ends, b0 + size - 1, lo, n))
+        # a label is digits, or "-1"
+        head_pairs = (sum(tabs[lo:hi]) - sum(starts[lo:hi]) - (hi - lo)
+                      - labels[lo:hi].count(BACKGROUND))
+        tokens = _block_tokens(raw[b0:ends[hi - 1] + 1], hi - lo, head_pairs)
+        if tokens is None:
+            _refuse(data, path, [(i + 1, starts[i], ends[i])
+                                 for i in range(lo, hi)])
+        before, signs = tokens
+        first = np.searchsorted(before, np.array(tabs[lo:hi]) - b0).tolist()
+        last = np.searchsorted(before, np.array(ends[lo:hi]) - b0).tolist()
+        for row, a, b in zip(traces[lo:hi], first, last):
+            k = min(b - a, trace_len)
+            row[:k] = signs[a:a + k]
+        lo = hi
+    if start < len(data):
+        _refuse(data, path, [(n + 1, start, data.index(b"\n", start))])
+    return traces, labels
+
+
 def load_dataset(path, trace_len: int) -> Dataset:
     """Read a trace file, padding with 0 or truncating at the tail to ``trace_len``.
 
     File format: one record per line, ``<label>\\t<d1> <d2> ...`` with label a
     decimal integer from -1 (background) to MAX_LABEL, spelled as ``str``
     writes it (ASCII digits, a ``-`` only for -1, no leading zeros), and each
-    d either ``1`` or ``-1``.
+    d either ``1`` or ``-1``. LF, CRLF and a lone CR each end a record. Every
+    direction is checked, also those past ``trace_len``, and a refusal names
+    the first bad line.
     """
     _check_trace_len(trace_len)
-    rows, labels = [], []
-    # bytes that are not UTF-8 decode to lone surrogates, which neither a
-    # label nor a direction accepts, so they fail with their line number
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            where = f"{path}:{lineno}"
-            line = line.rstrip("\n")
-            if not line:
-                raise TraceFormatError(f"{where}: blank line")
-            head, sep, rest = line.partition("\t")
-            if not sep:
-                raise TraceFormatError(f"{where}: missing tab separator")
-            try:
-                label = int(head)
-            except ValueError:
-                raise TraceFormatError(
-                    f"{where}: label {head!r} is not an integer") from None
-            if str(label) != head:
-                raise TraceFormatError(
-                    f"{where}: label {head!r} must be written as {label}")
-            if not BACKGROUND <= label <= MAX_LABEL:
-                raise TraceFormatError(f"{where}: label {label} out of range")
-            rows.append(_directions(rest, trace_len, where))
-            labels.append(label)
-    if not rows:
-        raise TraceFormatError(f"{path}: empty dataset file")
-    traces = np.zeros((len(rows), trace_len), dtype=np.int8)
-    for out, row in zip(traces, rows):
-        out[:len(row)] = row
+    traces, labels = _read_records(path, trace_len)
     labels = np.array(labels, dtype=np.int64)
     monitored = labels[labels != BACKGROUND]
     num_classes = int(monitored.max()) + 1 if len(monitored) else 0
@@ -192,8 +284,6 @@ def _check_savable(traces: np.ndarray) -> np.ndarray:
 
 # an int8 direction's byte, 0x01 or 0xff, as the token the file holds
 _TOKEN_1 = bytes.maketrans(b"\x01", b"1")
-# rows of at most this many cells are written at a time
-_WRITE_CELLS = 1 << 18
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -204,7 +294,7 @@ def save_dataset(dataset: Dataset, path) -> None:
     """
     traces = dataset.traces
     count = _check_savable(traces)
-    step = max(1, _WRITE_CELLS // max(1, traces.shape[1]))
+    step = max(1, _BLOCK_CELLS // max(1, traces.shape[1]))
     with open(path, "wb") as fh:
         for start in range(0, len(traces), step):
             rows = slice(start, start + step)

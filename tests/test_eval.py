@@ -251,6 +251,92 @@ class TestSweep:
             self.sweep_stub(0, thresholds=())
 
 
+class TestOnePassSweep:
+    """The sweep counts all thresholds in one pass; every point of its curve
+    is the loop oracle's at that threshold, and so is
+    confusion_from_predictions."""
+
+    @staticmethod
+    def point(threshold, tp, fp, fn, tn):
+        return OperatingPoint(threshold, tp / (tp + fp) if tp + fp else 0.0,
+                              tp / (tp + fn) if tp + fn else 0.0)
+
+    def check(self, labels, probs, num_classes, thresholds=THRESHOLD_GRID):
+        labels, probs = np.asarray(labels), np.asarray(probs, dtype=np.float64)
+        _, _, curve = sweep_operating_points(
+            TableModel(probs), flat_dataset(labels, num_classes), thresholds)
+        pred = probs.argmax(axis=1)
+        conf = probs[np.arange(len(probs)), pred]
+        want = [confusion_loops(labels, pred, conf, t, num_classes)
+                for t in thresholds]
+        for t, counts in zip(thresholds, want):
+            c = confusion_from_predictions(labels, pred, conf, t, num_classes)
+            assert (c.tp, c.fp, c.fn, c.tn) == counts
+        assert curve == [self.point(float(t), *counts)
+                         for t, counts in zip(thresholds, want)]
+        return curve
+
+    @staticmethod
+    def on_grid(rng, n, num_classes):
+        # each row's winning probability is a grid threshold itself
+        probs = np.zeros((n, num_classes + 1))
+        probs[np.arange(n), rng.integers(0, num_classes + 1, n)] = (
+            np.array(THRESHOLD_GRID)[rng.integers(1, len(THRESHOLD_GRID), n)])
+        return probs
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_confidences_on_grid_thresholds(self, seed):
+        rng = np.random.default_rng(seed)
+        labels, _, _ = random_predictions(rng, n=63)
+        self.check(labels, self.on_grid(rng, 63, 4), 4)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_confidences(self, seed):
+        rng = np.random.default_rng(seed)
+        labels, _, _ = random_predictions(rng, n=63)
+        logits = rng.normal(size=(63, 5)) * 2
+        probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        self.check(labels, probs, 4)
+
+    def test_thresholds_above_one(self):
+        rng = np.random.default_rng(7)
+        labels, _, _ = random_predictions(rng, n=40)
+        probs = self.on_grid(rng, 40, 4)
+        probs[:5, 0] = 1.0
+        curve = self.check(labels, probs, 4,
+                           (0.99, 1.0, 1.0 + 1e-9, 1.5, 2.0, 1e300))
+        assert [p.recall for p in curve[2:]] == [0.0] * 4
+
+    def test_all_background_split(self):
+        rng = np.random.default_rng(8)
+        labels = np.full(30, BACKGROUND)
+        curve = self.check(labels, self.on_grid(rng, 30, 3), 3)
+        assert {(p.precision, p.recall) for p in curve} == {(0.0, 0.0)}
+
+    def test_nan_confidence_is_never_called(self):
+        rng = np.random.default_rng(9)
+        labels, _, _ = random_predictions(rng, n=40)
+        probs = self.on_grid(rng, 40, 4)
+        # argmax lands on a NaN: a monitored class for some rows, the
+        # background column for others, and every column of one row
+        probs[:8, 1] = np.nan
+        probs[8:12, 4] = np.nan
+        probs[12] = np.nan
+        labels[:8] = 1
+        self.check(labels, probs, 4)
+        c = confusion_from_predictions(labels[:8], np.ones(8, np.int64),
+                                       np.full(8, np.nan), 0.0, 4)
+        assert (c.tp, c.fp, c.fn, c.tn) == (0, 0, 8, 0)
+
+    @pytest.mark.parametrize("bad", [-0.01, float("nan"), float("inf")])
+    def test_bad_threshold_in_grid_rejected(self, bad):
+        rng = np.random.default_rng(10)
+        labels, _, _ = random_predictions(rng, n=10)
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            sweep_operating_points(TableModel(self.on_grid(rng, 10, 4)),
+                                   flat_dataset(labels, 4), (0.5, bad, 0.7))
+
+
 class TestTuneSpec:
     def test_defaults_valid(self):
         spec = TuneSpec()

@@ -149,6 +149,49 @@ def test_trace_file_reads_as_the_per_token_reference(tmp_path_factory, raw,
                                                  want.provenance)
 
 
+@st.composite
+def one_byte_changes(draw):
+    """A well-formed trace file with one byte replaced, inserted or
+    deleted."""
+    raw = draw(TRACE_RECORDS)
+    kind = draw(st.sampled_from(["replace", "insert", "delete"]))
+    at = draw(st.integers(0, len(raw) - (kind != "insert")))
+    byte = draw(st.sampled_from(b"01-9\t \n\r") | st.integers(0, 255))
+    return raw[:at] + (b"" if kind == "delete" else bytes([byte])) + raw[
+        at + (kind != "insert"):]
+
+
+@pytest.mark.parametrize("block_cells", [None, 64],
+                         ids=["one-block", "16-byte-blocks"])
+@FUZZ
+@given(raw=one_byte_changes(), trace_len=st.integers(1, 16))
+def test_one_byte_change_reads_as_the_per_token_reference(
+        tmp_path_factory, block_cells, raw, trace_len):
+    """A changed file reads as the reference reads it, message included;
+    with small blocks, the reader's block boundaries fall between the
+    records."""
+    path = write(tmp_path_factory, raw, "d.txt")
+    with pytest.MonkeyPatch.context() as patch:
+        if block_cells is not None:
+            patch.setattr("wfaug.traces._BLOCK_CELLS", block_cells)
+        got = read_trace_file(load_dataset, path, trace_len)
+    want = read_trace_file(load_dataset_per_token, path, trace_len)
+    if isinstance(got, TraceFormatError) and str(got).endswith(
+            " out of range") and int(str(got).split()[-4]) > MAX_LABEL:
+        # the one difference: the reference reads on past this label,
+        # starting with the directions on its own line
+        assert isinstance(want, Dataset) or (
+            error_line(want, path) >= error_line(got, path))
+    elif isinstance(want, TraceFormatError):
+        assert isinstance(got, TraceFormatError) and str(got) == str(want)
+    else:
+        assert isinstance(got, Dataset)
+        assert got.traces.shape == want.traces.shape
+        assert got.traces.tobytes() == want.traces.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.num_classes == want.num_classes
+
+
 @FUZZ
 @given(raw=st.binary(max_size=200) | MANIFEST_BYTES | MANIFEST_LINES)
 def test_manifest_gives_values_or_manifest_error(tmp_path_factory, raw):

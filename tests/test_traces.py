@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (nearest_template_labels, render_runs_loop,
-                     synth_templates)
+from oracles import (load_dataset_per_token, nearest_template_labels,
+                     render_runs_loop, synth_templates)
 from wfaug.traces import (
     BACKGROUND,
     MAX_LABEL,
@@ -91,6 +91,94 @@ class TestLoadDataset:
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(TraceFormatError, match="empty"):
             load_dataset(write(tmp_path, ""), trace_len=4)
+
+    LF = b"0\t1 -1 1\n-1\t-1\n2\t1 1 1 -1\n"
+
+    @pytest.mark.parametrize("raw", [
+        LF.replace(b"\n", b"\r\n"), LF.replace(b"\n", b"\r"), LF[:-1],
+        LF.replace(b"\n", b"\r\n")[:-2], LF[:-1] + b"\r",
+        b"0\t1 -1 1\r\n-1\t-1\r2\t1 1 1 -1\n",
+    ], ids=["crlf", "cr", "no-final-newline", "crlf-no-final-newline",
+            "final-cr", "mixed"])
+    def test_every_line_end_reads_like_lf(self, tmp_path, raw):
+        (tmp_path / "lf.txt").write_bytes(self.LF)
+        (tmp_path / "d.txt").write_bytes(raw)
+        want = load_dataset(tmp_path / "lf.txt", trace_len=5)
+        got = load_dataset(tmp_path / "d.txt", trace_len=5)
+        assert got.traces.tobytes() == want.traces.tobytes()
+        assert got.labels.tolist() == want.labels.tolist() == [0, -1, 2]
+
+    @pytest.mark.parametrize("raw,line", [
+        (b"0\t1\r\r\n1\t-1\n", 2), (b"0\t1\r\n\r\n", 2),
+        (b"0\t1\n\r1\t1\n", 2), (b"\r", 1)])
+    def test_crlf_and_lone_cr_count_lines(self, tmp_path, raw, line):
+        path = tmp_path / "d.txt"
+        path.write_bytes(raw)
+        with pytest.raises(TraceFormatError) as err:
+            load_dataset(path, trace_len=4)
+        assert str(err.value) == f"{path}:{line}: blank line"
+
+    def test_line_separator_is_not_a_line_end(self, tmp_path):
+        # U+2028 ends a line for str.splitlines, but not in a trace file
+        path = write(tmp_path, "0\t1 1\n1\t1\u2028-1\n2\t-1\n")
+        with pytest.raises(TraceFormatError) as err:
+            load_dataset(path, trace_len=4)
+        assert str(err.value) == (f"{path}:2: direction '1\\u2028-1' must "
+                                  "be 1 or -1")
+
+    @pytest.mark.parametrize("rest,token", [
+        ("1\t1", "1\t1"), ("1 -1\t-1", "-1\t-1"), ("11", "11"),
+        ("1 10", "10"), ("1-1", "1-1"), ("-1-1 1", "-1-1"), ("1 -", "-"),
+        ("- 1", "-"), (" 1", ""), ("1 ", ""), ("", "")])
+    def test_directions_between_labels_refused(self, tmp_path, rest, token):
+        """Bytes a label may hold, or a tab, among the directions."""
+        path = write(tmp_path, f"11\t1 1\n-1\t{rest}\n10\t-1\n")
+        with pytest.raises(TraceFormatError) as err:
+            load_dataset(path, trace_len=8)
+        assert str(err.value) == (f"{path}:2: direction {token!r} must be 1 "
+                                  "or -1")
+
+    def test_bad_token_past_trace_len_refused(self, tmp_path):
+        path = write(tmp_path, "0\t1 1\n1\t1 -1 1 -1 1 -1 0 1\n")
+        with pytest.raises(TraceFormatError) as err:
+            load_dataset(path, trace_len=2)
+        assert str(err.value) == f"{path}:2: direction '0' must be 1 or -1"
+
+    @pytest.mark.parametrize("lines,message", [
+        (["0\t1 1", "1\t1  -1", "x\t1"], "2: direction '' must be 1 or -1"),
+        (["0\t1 1", "x\t1", "1\t1  -1"],
+         "2: label 'x' is not an integer"),
+        (["0\t1 1", "1\t1 --1", "007\t1"],
+         "2: direction '--1' must be 1 or -1"),
+        (["0\t1 1", "65536\t1", "1\t11"], "2: label 65536 out of range"),
+    ], ids=["direction-then-label", "label-then-direction",
+            "direction-then-spelling", "range-then-direction"])
+    def test_first_bad_line_is_named(self, tmp_path, monkeypatch, lines,
+                                     message):
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        for cells in (1, 1 << 18):  # one line per block, or one block
+            monkeypatch.setattr("wfaug.traces._BLOCK_CELLS", cells)
+            with pytest.raises(TraceFormatError) as err:
+                load_dataset(path, trace_len=4)
+            assert str(err.value) == f"{path}:{message}"
+
+    @pytest.mark.parametrize("trace_len", [1, 700, 1000, 2000])
+    def test_readme_file_reads_as_the_per_token_reference(self, tmp_path,
+                                                          trace_len):
+        # the README walkthrough's data file: synth --seed 7, 20 classes x
+        # 18 traces of 1000 cells, noise 0.2
+        made = synth_dataset(20, 18, 1000, 0.2, seed=7)
+        path = tmp_path / "data.txt"
+        save_dataset(made, path)
+        got = load_dataset(path, trace_len)
+        want = load_dataset_per_token(path, trace_len)
+        assert got.traces.shape == (360, trace_len)
+        assert got.traces.tobytes() == want.traces.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.num_classes == want.num_classes == 20
+        if trace_len == 1000:
+            assert got.traces.tobytes() == made.traces.tobytes()
+            assert got.labels.tobytes() == made.labels.tobytes()
 
     def test_trace_len_capped(self, tmp_path):
         path = write(tmp_path, "0\t1 -1\n")
@@ -194,7 +282,7 @@ class TestRoundTrip:
                 return self.fh.write(data)
 
         # two rows of 40 cells per write
-        monkeypatch.setattr("wfaug.traces._WRITE_CELLS", 2 * 40)
+        monkeypatch.setattr("wfaug.traces._BLOCK_CELLS", 2 * 40)
         monkeypatch.setattr("wfaug.traces.open", Recording, raising=False)
         save_dataset(d, tmp_path / "chunked.txt")
         assert len(writes) == 8 and sum(writes) == whole.stat().st_size
