@@ -21,10 +21,10 @@ from .evaluate import (ConfusionSummary, ExperimentConfig, OperatingPoint,
 from .manifest import KNOWN_KEYS, Manifest, ManifestError
 from .nn import (Adam, CheckpointError, Conv1D, ConvBlock, Dense,
                  GlobalAvgPool, HistoryRow, MaxPool2, Model, ModelConfig,
-                 ReLU, SgdMomentum, TrainConfig, TrainingDiverged,
-                 cross_entropy, dataset_accuracy, decide,
-                 default_model_config, load_checkpoint, make_optimizer,
-                 predict, save_checkpoint, softmax, train, write_history)
+                 ReLU, TrainConfig, TrainingDiverged, cross_entropy,
+                 dataset_accuracy, decide, default_model_config,
+                 load_checkpoint, predict, save_checkpoint, softmax, train,
+                 write_history)
 from .seeding import derive_rng
 from .tpe import (ObjectiveError, SearchSpace, StageTrial, TpeTrial,
                   default_budget, default_spaces, optimize_independent,

@@ -14,7 +14,7 @@ from .model import (
     save_checkpoint,
     softmax,
 )
-from .optim import Adam, SgdMomentum, make_optimizer
+from .optim import Adam
 from .training import (
     HistoryRow,
     TrainConfig,

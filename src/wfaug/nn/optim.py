@@ -1,10 +1,15 @@
-"""Optimizers: Adam and SGD with momentum, updating parameters in place.
+"""Optimizers updating parameters in place: Adam, which ``train`` steps.
 
 Each works on a model's one parameter vector (``model.params``) and its
 gathered gradient (``model.grads``), keeping its state in vectors of the
 same dtype, so a step is a handful of whole-vector array operations. The
 operations are elementwise, so every parameter gets the bits a separate
 update of each tensor would give it.
+
+``SgdMomentum`` is no longer reachable from ``train`` or any manifest key.
+It stays because the benchmark harness (``perfbench/spans.py``) patches
+``SgdMomentum.step`` by name in every traced run; it goes together with
+that patch entry.
 """
 
 from __future__ import annotations
@@ -45,13 +50,3 @@ class SgdMomentum:
         self.vel -= self.lr * self.model.grads
         self.model.params += self.vel
 
-
-OPTIMIZERS = ("adam", "sgd-momentum")
-
-
-def make_optimizer(kind: str, model, lr: float, momentum: float = 0.9):
-    if kind == "adam":
-        return Adam(model, lr=lr)
-    if kind == "sgd-momentum":
-        return SgdMomentum(model, lr=lr, momentum=momentum)
-    raise ValueError(f"unknown optimizer {kind!r}; choose from {OPTIMIZERS}")

@@ -18,7 +18,7 @@ from ..augment import AugConfig, hda_batch
 from ..seeding import derive_rng
 from ..traces import Dataset, class_indices, one_hot_labels
 from .model import Model, ModelConfig, cross_entropy, predict
-from .optim import OPTIMIZERS, make_optimizer
+from .optim import Adam
 
 
 @dataclass
@@ -26,8 +26,6 @@ class TrainConfig:
     epochs: int = 150
     batch_size: int = 32
     lr: float = 1e-3
-    optimizer: str = "adam"
-    momentum: float = 0.9
     seed: int = 0
 
     def __post_init__(self):
@@ -37,11 +35,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be finite and in [0, 1), got "
-                             f"{self.momentum}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
 
 
 @dataclass(frozen=True)
@@ -92,8 +85,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: Dataset,
                          f"dataset has {train_set.trace_len}")
 
     model = Model(model_cfg, train_cfg.seed)
-    optimizer = make_optimizer(train_cfg.optimizer, model, train_cfg.lr,
-                               train_cfg.momentum)
+    optimizer = Adam(model, lr=train_cfg.lr)
     y_all = one_hot_labels(train_set.labels, train_set.num_classes, width)
     n = len(train_set)
 

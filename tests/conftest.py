@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import (AdamPerTensor, SgdMomentumPerTensor,
-                     check_grads_per_tensor, conv1d_forward_per_tap,
-                     conv1d_input_grad_per_tap, conv1d_weight_grads_per_tap,
-                     mask_batch_by_where, rotate_batch_by_index)
+from oracles import (AdamPerTensor, check_grads_per_tensor,
+                     conv1d_forward_per_tap, conv1d_input_grad_per_tap,
+                     conv1d_weight_grads_per_tap, mask_batch_by_where,
+                     rotate_batch_by_index)
 from wfaug import augment, evaluate
-from wfaug.nn import Conv1D, Model, optim
+from wfaug.nn import Conv1D, Model, training
 
 
 @pytest.fixture
@@ -65,18 +65,26 @@ def per_tap_conv(monkeypatch):
 
 @pytest.fixture
 def per_tensor_step(monkeypatch):
-    """Training without the parameter vector: the per-tensor optimizers
-    ``oracles.AdamPerTensor``/``SgdMomentumPerTensor``, the per-tensor
-    finite check ``oracles.check_grads_per_tensor`` in place of the gather
-    and check at the end of ``Model.backward`` (serial or tiled), and the
+    """Training without the parameter vector: the per-tensor optimizer
+    ``oracles.AdamPerTensor``, the per-tensor finite check
+    ``oracles.check_grads_per_tensor`` in place of the gather and check at
+    the end of ``Model.backward`` (serial or tiled), and the
     index-arithmetic rotation and masking of
     ``oracles.rotate_batch_by_index``/``mask_batch_by_where``.
 
     Used like ``per_tap_conv``: the same training with and without it must
-    give the same bytes.
+    give the same bytes. Returns the list of steps the per-tensor optimizer
+    took, one entry per step, so a test can show the reference ran.
     """
-    monkeypatch.setattr(optim, "Adam", AdamPerTensor)
-    monkeypatch.setattr(optim, "SgdMomentum", SgdMomentumPerTensor)
+    steps = []
+
+    class RecordingAdam(AdamPerTensor):
+        def step(self):
+            steps.append(self.t)
+            super().step()
+
+    monkeypatch.setattr(training, "Adam", RecordingAdam)
     monkeypatch.setattr(Model, "_gather_grads", check_grads_per_tensor)
     monkeypatch.setattr(augment, "rotate_batch", rotate_batch_by_index)
     monkeypatch.setattr(augment, "mask_batch", mask_batch_by_where)
+    return steps

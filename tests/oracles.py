@@ -5,7 +5,7 @@ rotation and masking are realized as explicit matrix products over small
 traces, so kernel implementations can be checked exactly. The per-tap
 convolution is the one ``Conv1D`` used before its fast path (``np.pad``, one
 matmul per tap, ``tensordot`` weight gradients): the layer must write the
-same bytes. So must the per-tensor optimizers and finite check that came
+same bytes. So must the per-tensor Adam and finite check that came
 before the parameter vector, and the index-arithmetic rotation
 and masking that came before the window views, and the one-expression
 mixing that came before the in-place steps.
@@ -211,22 +211,6 @@ class AdamPerTensor:
             p -= self.lr * (m / correct1) / (np.sqrt(v / correct2) + self.eps)
 
 
-class SgdMomentumPerTensor:
-    """SGD with momentum, one velocity per parameter tensor."""
-
-    def __init__(self, model, lr=1e-3, momentum=0.9):
-        self.model = model
-        self.lr, self.momentum = lr, momentum
-        self.vel = {name: np.zeros_like(p) for name, p in model.param_items()}
-
-    def step(self):
-        for name, p, g in self.model.param_grad_items():
-            vel = self.vel[name]
-            vel *= self.momentum
-            vel -= self.lr * g
-            p += vel
-
-
 def maxpool2_forward_argmax(x):
     """Width-2 max pooling through argmax over explicit pairs; returns the
     pooled array and the per-pair winner index (0 = left, 1 = right)."""
@@ -249,10 +233,9 @@ def maxpool2_backward_argmax(dy, idx, length):
 def load_dataset_per_token(path, trace_len: int):
     """Trace-file reader that checks and converts one token at a time.
 
-    The reference for ``wfaug.traces.load_dataset``, with the same messages;
-    the one difference is that it accepts any label up to the int64 maximum.
+    The reference for ``wfaug.traces.load_dataset``, with the same messages.
     """
-    from wfaug.traces import BACKGROUND, Dataset, TraceFormatError
+    from wfaug.traces import BACKGROUND, MAX_LABEL, Dataset, TraceFormatError
 
     if trace_len < 1:
         raise ValueError("trace_len must be >= 1")
@@ -273,7 +256,7 @@ def load_dataset_per_token(path, trace_len: int):
             if str(label) != head:
                 raise TraceFormatError(
                     f"{path}:{lineno}: label {head!r} must be written as {label}")
-            if not BACKGROUND <= label <= np.iinfo(np.int64).max:
+            if not BACKGROUND <= label <= MAX_LABEL:
                 raise TraceFormatError(f"{path}:{lineno}: label {label} out of range")
             vals = []
             for tok in rest.split(" "):

@@ -275,13 +275,11 @@ class TestConfigBuilders:
 
     def test_train_config_defaults_and_overrides(self):
         cfg = train_config_from_manifest(Manifest({}), seed=3)
-        assert (cfg.epochs, cfg.batch_size, cfg.lr, cfg.optimizer,
-                cfg.seed) == (150, 32, 1e-3, "adam", 3)
-        m = Manifest({"train.epochs": "10", "train.optimizer": "sgd-momentum",
-                      "train.momentum": "0.8"})
+        assert (cfg.epochs, cfg.batch_size, cfg.lr, cfg.seed) == (
+            150, 32, 1e-3, 3)
+        m = Manifest({"train.epochs": "10", "train.lr": "0.5"})
         cfg = train_config_from_manifest(m, seed=0)
-        assert (cfg.epochs, cfg.optimizer, cfg.momentum) == (
-            10, "sgd-momentum", 0.8)
+        assert (cfg.epochs, cfg.batch_size, cfg.lr) == (10, 32, 0.5)
 
     def test_tune_spec_defaults_and_flag_precedence(self):
         # flag precedence: test_cli.py TestTune::test_flags_beat_tpe_keys
@@ -307,8 +305,7 @@ class TestConfigBuilders:
          {"mode": "independent", "budget_per_param": 4, "proxy_epochs": 2,
           "gamma": 0.5, "n_startup": 3, "n_candidates": 7}),
         ("train", TrainConfig, lambda m: train_config_from_manifest(m, 0),
-         {"epochs": 9, "batch_size": 5, "lr": 0.25,
-          "optimizer": "sgd-momentum", "momentum": 0.5}),
+         {"epochs": 9, "batch_size": 5, "lr": 0.25}),
     ], ids=["split", "aug", "tpe", "train"])
     def test_every_field_round_trips_through_its_key(self, section, cls,
                                                      build, values):
@@ -381,8 +378,7 @@ class TestModelConfig:
             "tpe.budget_per_param": "int", "tpe.mode": "str",
             "tpe.proxy_epochs": "int", "model.blocks": "str",
             "model.kernel": "int", "model.fc": "str", "train.epochs": "int",
-            "train.batch_size": "int", "train.lr": "float",
-            "train.optimizer": "str", "train.momentum": "float"}
+            "train.batch_size": "int", "train.lr": "float"}
 
     def test_registry_covers_spec_pinned_keys(self):
         pinned = {"aug.r_max", "aug.m_len", "aug.alpha", "aug.order",

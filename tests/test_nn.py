@@ -38,7 +38,6 @@ from wfaug.nn import (
     decide,
     default_model_config,
     load_checkpoint,
-    make_optimizer,
     predict,
     save_checkpoint,
     softmax,
@@ -49,6 +48,7 @@ from wfaug.augment import AugConfig
 from wfaug.nn import model as model_mod
 from wfaug.nn import training
 from wfaug.nn.model import CHECKPOINT_MAGIC, DTYPE, TILE_ROWS
+from wfaug.nn.optim import Adam, SgdMomentum
 from wfaug.traces import Dataset, SplitSpec, make_splits, synth_dataset
 
 TINY = ModelConfig(64, 3, (ConvBlock(8, dilation=1, pool="max2"),
@@ -839,49 +839,36 @@ class TestOptimizers:
 
     def test_sgd_first_step_is_lr_times_grad(self):
         holder = self.OneTensor([0.5, -1.0, 0.0])
-        opt = make_optimizer("sgd-momentum", holder, lr=0.1)
+        opt = SgdMomentum(holder, lr=0.1)
         opt.step()
         assert np.allclose(holder.p, [1.0 - 0.05, -2.0 + 0.1, 3.0])
 
     def test_sgd_momentum_accumulates(self):
         holder = self.OneTensor([1.0, 0.0, 0.0])
-        opt = make_optimizer("sgd-momentum", holder, lr=0.1, momentum=0.5)
+        opt = SgdMomentum(holder, lr=0.1, momentum=0.5)
         opt.step()
         opt.step()  # velocity: -0.1, then -0.15
         assert np.allclose(holder.p, [1.0 - 0.1 - 0.15, -2.0, 3.0])
 
     def test_adam_first_step_is_signed_lr(self):
         holder = self.OneTensor([0.5, -3.0, 0.0])
-        opt = make_optimizer("adam", holder, lr=0.01)
+        opt = Adam(holder, lr=0.01)
         opt.step()
         # bias-corrected first step moves each coordinate by ~lr*sign(g)
         assert np.allclose(holder.p, [1.0 - 0.01, -2.0 + 0.01, 3.0], atol=1e-6)
-
-    def test_unknown_optimizer_rejected(self):
-        with pytest.raises(ValueError, match="unknown optimizer"):
-            make_optimizer("rmsprop", self.OneTensor([1.0, 1.0, 1.0]), lr=0.1)
 
 
 class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig()
-        assert cfg.epochs == 150 and cfg.optimizer == "adam" and cfg.lr == 1e-3
+        assert (cfg.epochs, cfg.batch_size, cfg.lr) == (150, 32, 1e-3)
 
     @pytest.mark.parametrize("kw", [dict(epochs=0), dict(batch_size=0),
-                                    dict(lr=0.0), dict(optimizer="newton"),
-                                    dict(lr=float("nan")), dict(lr=float("inf")),
-                                    dict(momentum=float("nan"),
-                                         optimizer="sgd-momentum"),
-                                    dict(momentum=float("inf")),
-                                    dict(momentum=1.0,
-                                         optimizer="sgd-momentum"),
-                                    dict(momentum=-0.1)])
+                                    dict(lr=0.0), dict(lr=float("nan")),
+                                    dict(lr=float("inf"))])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             TrainConfig(**kw)
-
-    def test_momentum_zero_accepted(self):
-        assert TrainConfig(momentum=0.0, optimizer="sgd-momentum").momentum == 0.0
 
 
 class TestTraining:
@@ -959,8 +946,7 @@ class TestTraining:
 
     def test_divergence_aborts_with_history(self):
         train_set, val_set, _ = tiny_task()
-        cfg = TrainConfig(epochs=5, batch_size=64, lr=1e155,
-                          optimizer="sgd-momentum", seed=0)
+        cfg = TrainConfig(epochs=5, batch_size=64, lr=1e155, seed=0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged) as err:
                 train(TINY, cfg, train_set, val_set)
@@ -969,8 +955,7 @@ class TestTraining:
     def test_last_step_overflow_aborts(self):
         # one epoch of one batch: only the parameters show the overflow
         train_set, val_set, _ = tiny_task()
-        cfg = TrainConfig(epochs=1, batch_size=64, lr=1e155,
-                          optimizer="sgd-momentum", seed=0)
+        cfg = TrainConfig(epochs=1, batch_size=64, lr=1e155, seed=0)
         one_block = ModelConfig(64, 3, (ConvBlock(8),), fc=(3,))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged,
@@ -1047,14 +1032,13 @@ class TestThreadedTraining:
     @pytest.mark.parametrize("train_cfg, aug, tiles", [
         (TrainConfig(epochs=2, batch_size=16, lr=3e-3, seed=3),
          AugConfig(r_max=5, m_len=6, alpha=0.2), 2),
-        (TrainConfig(epochs=2, batch_size=16, optimizer="sgd-momentum",
-                     lr=1e-2, seed=4), None, 2),
+        (TrainConfig(epochs=2, batch_size=16, lr=1e-2, seed=4), None, 2),
         (TrainConfig(epochs=1, batch_size=3, seed=5),
          AugConfig(r_max=None, m_len=None, alpha=0.5), 2),
         (TrainConfig(epochs=1, batch_size=1, seed=6), None, 1),
         (TrainConfig(epochs=2, batch_size=32, lr=3e-3, seed=7),
          AugConfig(r_max=5, m_len=6, alpha=0.2), 3),
-    ], ids=["adam-hda-16", "sgd-momentum-16", "adam-mix-3", "adam-1",
+    ], ids=["adam-hda-16", "adam-16", "adam-mix-3", "adam-1",
             "adam-hda-32"])
     def test_same_bytes_as_the_serial_step(self, monkeypatch, tmp_path,
                                            train_cfg, aug, tiles):
@@ -1253,13 +1237,13 @@ class TestSameBitsAsPerTensorStep(TestSameBitsAsPerTapConv):
 
     def run_both(self, request, tmp_path, *args):
         fast = trained_bytes(tmp_path, *args)
-        request.getfixturevalue("per_tensor_step")
+        steps = request.getfixturevalue("per_tensor_step")
         assert trained_bytes(tmp_path, *args) == fast
+        assert steps, "the per-tensor optimizer took no step"
 
-    def test_stock_model_sgd_momentum_with_hda(self, request, tmp_path):
+    def test_stock_model_rotation_and_masking(self, request, tmp_path):
         self.run_both(request, tmp_path, default_model_config(128, 4),
-                      TrainConfig(epochs=2, batch_size=16, optimizer=
-                                  "sgd-momentum", lr=1e-2, seed=7),
+                      TrainConfig(epochs=2, batch_size=16, lr=1e-2, seed=7),
                       synth_dataset(4, 8, 128, 0.05, seed=8),
                       AugConfig(r_max=9, m_len=12, alpha=None))
 
@@ -1330,15 +1314,17 @@ class TestDtypes:
                 seen.append((attr, getattr(optimizer, attr).dtype))
         return seen
 
-    @pytest.mark.parametrize("kind", ["adam", "sgd-momentum"])
+    @pytest.mark.parametrize("optimizer", [Adam, SgdMomentum],
+                             ids=["adam", "sgd-momentum"])
     @pytest.mark.parametrize("dtype", [DTYPE, np.float64])
-    def test_model_keeps_its_dtype(self, dtype, kind):
+    def test_model_keeps_its_dtype(self, dtype, optimizer):
         model = Model(TINY, seed=0, dtype=dtype)
-        seen = self.step_dtypes(model, make_optimizer(kind, model, lr=1e-2))
+        seen = self.step_dtypes(model, optimizer(model, lr=1e-2))
         # 7 layer outputs, 6 input gradients (not conv0's), the features,
         # 6 parameters with their gradients, the parameter and gradient
         # vectors and 1 or 2 state vectors
-        assert len(seen) == 7 + 6 + 1 + 12 + 2 + (2 if kind == "adam" else 1)
+        assert len(seen) == 7 + 6 + 1 + 12 + 2 + (2 if optimizer is Adam
+                                                  else 1)
         assert {d for _, d in seen} == {np.dtype(dtype)}, seen
 
     def test_default_model_is_float32(self):
