@@ -229,7 +229,8 @@ def tune_augmentation(train_set: Dataset, val_set: Dataset,
 
     The objective trains ``spec.proxy_epochs`` epochs with only the operators
     named in the candidate setting enabled and scores validation accuracy of
-    the best checkpoint. Returns (chosen params, stage trial log). Repeated
+    the best checkpoint; a training stops at its first perfect epoch, which
+    scores 1.0 either way. Returns (chosen params, stage trial log). Repeated
     settings reuse their first score, so revisits cost nothing. The default
     search grids are trimmed to the trace length.
     """
@@ -242,7 +243,8 @@ def tune_augmentation(train_set: Dataset, val_set: Dataset,
         key = tuple(sorted(params.items()))
         if key not in cache:
             aug = AugConfig.from_params(params, order=spec.order)
-            _, history = train(model_cfg, proxy_cfg, train_set, val_set, aug)
+            _, history = train(model_cfg, proxy_cfg, train_set, val_set, aug,
+                               stop_when_perfect=True)
             cache[key] = max(h.val_acc for h in history)
         return cache[key]
 
@@ -330,7 +332,8 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
 
     Each seed's row is ``seed_metrics`` (open world when the dataset holds
     background traces), after a ``tuned_<param>`` value per tuned parameter.
-    Fully deterministic in (dataset, cfg, seeds).
+    A training stops at its first perfect validation epoch, which keeps the
+    model it returns. Fully deterministic in (dataset, cfg, seeds).
     """
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
@@ -349,7 +352,8 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
                                           train_cfg, cfg.tune, seed)
             aug = AugConfig.from_params(params, order=cfg.tune.order)
             metrics.update({f"tuned_{k}": float(v) for k, v in params.items()})
-        model, _ = train(cfg.model, train_cfg, train_set, val_set, aug)
+        model, _ = train(cfg.model, train_cfg, train_set, val_set, aug,
+                         stop_when_perfect=True)
         metrics.update(seed_metrics(model, val_set, test_set, open_world))
         per_seed.append(metrics)
     mean, std = aggregate_metrics(per_seed)

@@ -5,30 +5,62 @@ pass, the matching gradients in ``self.grads``. ``forward(x, train=True)``
 caches whatever the backward pass needs, and ``backward`` drops that cache
 once it has used it, so no step's activations outlive the step.
 
-Convolutions are computed one kernel tap at a time over a strided slice of
-the zero-padded input, so both directions stay plain BLAS calls with a fixed
-reduction order. The first tap's product is the output array itself; each
-later tap's product goes into one buffer reused across taps and is added into
-the output. With a single input channel (the first layer) a tap is a
-broadcast multiply instead of a K=1 matmul: every output is then one product,
-rounded once either way. Each call hands BLAS operands it takes as they
-are, which numpy would otherwise copy inside every tap's matmul:
-``forward`` takes the taps of one contiguous (kernel, out, in) copy of the
-weights and, in a strided conv, contiguous copies of the input taps;
-``input_grads`` takes the transposed weight taps as F-ordered views, since
-a C-ordered copy rounds otherwise. A matmul tap product with a dimension
-of 1 (one input or output channel, or one output position) keeps strided
-views of both, because on contiguous operands numpy takes its vector path,
-which rounds otherwise; the one-channel broadcast multiply rounds alike
-whatever the layout. ``Conv1D.backward`` runs its two parts one after
-the other. ``weight_grad_jobs`` returns the bias sum and one GEMM per weight
-tap as separate jobs; each GEMM takes the (out_ch, batch * length) rows of
-the output gradient, built once per call, and the tap's (batch * length,
-in_ch) rows. ``input_grads`` gives each row's input gradient from that row
-alone. A training step of several row tiles (see ``Model``) calls
-``backward`` once per tile, each with its share of one whole-batch set of
-jobs. ``Model`` marks its first conv ``input_grad = False``: nothing uses
-the gradient of the network's input, so that layer does not compute it.
+Convolutions are computed one kernel tap at a time, so both directions stay
+plain BLAS calls with a fixed reduction order. A conv holds its zero-padded
+input as one array per stride phase: phase r holds padded cells r,
+r + stride, r + 2 * stride and so on (at stride 1 the one phase is the
+padded input). Tap t reads cells o:o + l_out of phase (t * dilation) %
+stride, with o = (t * dilation) // stride, so every tap is a view with
+unit-stride rows and no tap is copied. ``forward`` cuts the phases from one
+buffer and fills them straight from its input (at stride 2, two strided
+copies) by a plan of phase lengths, zero borders and source slices that the
+layer keeps per input length; a training pass keeps them for ``backward``.
+The first tap's product is the output array itself; each later tap's
+product goes into one buffer reused across taps and is added into the
+output. With a single input channel (the first layer) a tap is a broadcast
+multiply instead of a K=1 matmul: every output is then one product, rounded
+once either way, whatever the layout.
+
+Each call hands BLAS operands it takes as they are, which numpy would
+otherwise copy inside every tap's matmul: ``forward`` takes the taps of one
+contiguous (kernel, out, in) copy of the weights; ``input_grads`` takes the
+transposed weight taps as F-ordered views, since a C-ordered copy rounds
+otherwise. Where numpy or BLAS picks its path by the operands' strides, the
+operands keep those of a strided slice of one padded input, which a conv
+above stride 1 rebuilds from its phases for them:
+- a matmul tap product with a dimension of 1 (one input or output channel,
+  or one output position) takes strided views of the weights and of the
+  padded input, because on unit-stride operands numpy takes its vector
+  path, which rounds otherwise;
+- a weight-gradient GEMM whose (batch * length, in_ch) rows are a view of
+  the padded input, not a copy (one row, one output position, or rows that
+  follow on in memory), takes that view: a one-channel dot product rounds
+  by its strides, and one row's F-ordered cells would be a transposed
+  operand.
+
+``Conv1D.backward`` runs its two parts one after the other.
+``weight_grad_jobs`` returns the bias sum and one GEMM per weight tap as
+separate jobs; each GEMM takes the (out_ch, batch * length) rows of the
+output gradient, built once per call, and the tap's (batch * length, in_ch)
+rows. ``input_grads`` zeroes the phases, which the weight gradients have
+read by then, and adds each tap's product into its phase in tap order, so
+every cell sums as it did in one padded gradient; each phase then fills its
+cells of the unpadded gradient once (at stride 1 the gradient is a view of
+the one phase). Each row's input gradient comes from that row alone. A
+training step of several row tiles (see ``Model``) calls ``backward`` once
+per tile, each with its share of one whole-batch set of jobs, which take
+the tiles' phases joined phase by phase. ``Model`` marks its first conv
+``input_grad = False``: nothing uses the gradient of the network's input.
+
+On criterion 5's ``BENCH_MODEL`` (seven stride-2 kernel-3 convs) at 16
+rows, on a 2-core Xeon with one BLAS thread and glibc's mmap threshold
+raised, phases took the conv1-conv6 forward from 580-590 to 500-510 us, a
+training step from 2.52-2.61 to 2.44-2.56 ms and a 200-row int8 ``predict``
+in 16-row tiles from 10.0-10.1 to 9.0-9.4 ms, with the same bits. The input
+gradients took about as long as before (605-640 against 625-660 us): the
+contiguous adds save what the strided writes into the unpadded gradient
+cost. Phases in arrays of their own, not cut from one buffer, raised
+``fewshot_hda``'s anonymous memory by 0.25-0.6 MB.
 
 Every array a layer allocates takes the dtype of its input and parameters,
 so a network whose parameters ``Model`` casts to float32 stays float32
@@ -89,14 +121,63 @@ class Conv1D(Layer):
         self.params["w"] = rng.uniform(-scale, scale, (out_ch, in_ch, kernel))
         self.params["b"] = np.zeros(out_ch)
         self._cache = None
+        # the phase plan of every input length seen (see _plan), on the
+        # instance: a cache on the method would keep every layer alive
+        self._plans = {}
 
     def out_len(self, length: int) -> int:
         span = (self.kernel - 1) * self.dilation + 1
         return (length + self.pad_l + self.pad_r - span) // self.stride + 1
 
-    def _tap(self, t: int, l_out: int) -> slice:
-        start = t * self.dilation
-        return slice(start, start + self.stride * (l_out - 1) + 1, self.stride)
+    def _plan(self, length):
+        """Per stride phase r of a padded ``length``-cell input: its cell
+        count, and the cells ``lo:hi`` of it that hold the input cells
+        ``first::stride``; the cells before and after are padding."""
+        plan = self._plans.get(length)
+        if plan is None:
+            s, padded = self.stride, self.pad_l + length + self.pad_r
+            plan = []
+            for r in range(s):
+                first = (r - self.pad_l) % s
+                lo = (first + self.pad_l) // s
+                plan.append((len(range(r, padded, s)), lo,
+                             lo + len(range(first, length, s)), first))
+            plan = self._plans[length] = tuple(plan)
+        return plan
+
+    def _phases(self, x):
+        """The zero-padded ``x`` as one array per stride phase, all cut from
+        one buffer (phase 0 has the most cells)."""
+        plan = self._plan(x.shape[2])
+        buf = np.empty((len(plan),) + x.shape[:2] + (plan[0][0],), x.dtype)
+        phases = []
+        for (cells, lo, hi, first), rows in zip(plan, buf):
+            phase = rows[:, :, :cells]
+            phase[:, :, :lo] = 0
+            phase[:, :, hi:] = 0
+            phase[:, :, lo:hi] = x[:, :, first::self.stride]
+            phases.append(phase)
+        return phases
+
+    def _interleaved(self, phases):
+        """The phases as strided views of one padded input, for the
+        products whose path depends on their operands' strides (see the
+        module docstring); one phase is that input already."""
+        if len(phases) == 1:
+            return phases
+        cells = sum(phase.shape[2] for phase in phases)
+        xp = np.empty(phases[0].shape[:2] + (cells,), phases[0].dtype)
+        views = [xp[:, :, r::self.stride] for r in range(self.stride)]
+        for view, phase in zip(views, phases):
+            view[...] = phase
+        return views
+
+    def _taps(self, phases, l_out):
+        """Each kernel tap's (batch, channels, l_out) cells of the padded
+        input, as a view of its phase."""
+        return [phases[r][:, :, o:o + l_out]
+                for o, r in (divmod(t * self.dilation, self.stride)
+                             for t in range(self.kernel))]
 
     def _weight_taps(self, contiguous):
         """The weights as (kernel, out, in) taps: a contiguous copy, or
@@ -105,46 +186,36 @@ class Conv1D(Layer):
         return w.copy() if contiguous else w
 
     def forward(self, x, train=False):
-        """The convolution of ``x``; a training pass keeps its padded input.
+        """The convolution of ``x``; a training pass keeps its input phases.
 
-        Each tap's product takes a contiguous (out, in) weight tap and, at a
-        stride above 1, a contiguous copy of its input tap (at stride 1 the
-        input tap's rows are already unit-stride); a matmul with one output
-        channel or position keeps strided views (see the module
-        docstring)."""
+        Each tap's product takes a contiguous (out, in) weight tap and a view
+        of its input phase; a matmul with one output channel or position
+        takes strided views of the weights and of the padded input instead
+        (see the module docstring)."""
         if x.ndim != 3 or x.shape[1] != self.in_ch:
             raise ValueError(f"{self.name}: expected (B, {self.in_ch}, L) input,"
                              f" got {x.shape}")
         l_out = self.out_len(x.shape[2])
         if l_out < 1:
             raise ValueError(f"{self.name}: input shorter than kernel span")
-        batch, length = x.shape[0], x.shape[2]
-        xp = np.empty((batch, self.in_ch, self.pad_l + length + self.pad_r),
-                      x.dtype)
-        xp[:, :, :self.pad_l] = 0
-        xp[:, :, self.pad_l + length:] = 0
-        xp[:, :, self.pad_l:self.pad_l + length] = x
+        phases = self._phases(x)
         # with one input channel each tap output is a single product, which
         # matmul and multiply round alike, whatever the operands' layout
         tap_product = np.multiply if self.in_ch == 1 else np.matmul
         contiguous = self.in_ch == 1 or min(self.out_ch, l_out) > 1
         taps = self._weight_taps(contiguous)
-        copy_in = contiguous and self.stride > 1
-
-        def tap_input(t):
-            view = xp[:, :, self._tap(t, l_out)]
-            return view.copy() if copy_in else view
-
-        y = tap_product(taps[0], tap_input(0))
+        inputs = self._taps(phases if contiguous
+                            else self._interleaved(phases), l_out)
+        y = tap_product(taps[0], inputs[0])
         prod = np.empty_like(y)
         for t in range(1, self.kernel):
-            y += tap_product(taps[t], tap_input(t), out=prod)
+            y += tap_product(taps[t], inputs[t], out=prod)
         # a sum started at +0.0 differs from this one only by a -0.0 where
         # this one has -0.0 and that one +0.0; adding a bias that is not
         # -0.0 (training never makes one) gives both the same bits
         y += self.params["b"][None, :, None]
         if train:
-            self._cache = xp
+            self._cache = phases
         return y
 
     def backward(self, dy, jobs=None):
@@ -152,56 +223,74 @@ class Conv1D(Layer):
         ``input_grad`` is off). The jobs are by default this batch's
         ``weight_grad_jobs``; a training step of several tiles passes each
         tile its share of the whole batch's."""
-        xp, self._cache = self._cache, None
-        for job in self.weight_grad_jobs(xp, dy) if jobs is None else jobs:
+        phases, self._cache = self._cache, None
+        for job in self.weight_grad_jobs(phases, dy) if jobs is None else jobs:
             job()
-        return self.input_grads(xp, dy) if self.input_grad else None
+        return self.input_grads(phases, dy) if self.input_grad else None
 
     @property
-    def padded_input(self):
-        """The padded input a training pass keeps for ``backward``."""
+    def input_phases(self):
+        """The input phases a training pass keeps for ``backward``."""
         return self._cache
 
-    def weight_grad_jobs(self, xp, dy):
+    def weight_grad_jobs(self, phases, dy):
         """The weight and bias gradients of a batch as independent jobs, from
-        its padded input ``xp`` and output gradient ``dy``: the bias sum,
-        then one GEMM per weight tap. The jobs write ``grads`` and may run in
-        any order and on any thread."""
-        l_out = dy.shape[2]
-        rows = dy.shape[0] * l_out
+        its input phases and output gradient ``dy``: the bias sum, then one
+        GEMM per weight tap. The jobs write ``grads`` and may run in any
+        order and on any thread."""
+        batch, l_out = dy.shape[0], dy.shape[2]
+        rows = batch * l_out
         dw = self.grads["w"] = np.empty_like(self.params["w"])
         # the same reshapes a tensordot of dy and the tap over batch and
         # length makes, so each dw tap is that GEMM call on those operands
         # and keeps its bits; dy's operand is made once for all taps
         dy_rows = dy.transpose(1, 0, 2).reshape(self.out_ch, rows)
+        # where a strided tap's rows reshape to a view of the padded input,
+        # not to a copy, BLAS takes them with that view's strides
+        padded = sum(phase.shape[2] for phase in phases)
+        if 1 in (batch, l_out) or self.in_ch * padded == l_out * self.stride:
+            phases = self._interleaved(phases)
+        inputs = self._taps(phases, l_out)
 
         def bias():
             self.grads["b"] = dy.sum(axis=(0, 2))
 
         def tap(t):
-            cols = xp[:, :, self._tap(t, l_out)].transpose(0, 2, 1)
+            cols = inputs[t].transpose(0, 2, 1)
             dw[:, :, t] = np.dot(dy_rows, cols.reshape(rows, self.in_ch))
 
         return [bias] + [functools.partial(tap, t) for t in range(self.kernel)]
 
-    def input_grads(self, xp, dy):
-        """The gradient of the unpadded input, from the padded input ``xp``
-        and the output gradient ``dy`` of the same rows; each row's depends on
-        that row alone.
+    def input_grads(self, phases, dy):
+        """The gradient of the unpadded input, from its phases and the
+        output gradient ``dy`` of the same rows; each row's depends on that
+        row alone. The phases are spent: they are zeroed and take the
+        phase gradients (``backward`` has read them by then), so a training
+        step holds no more arrays than it did with one padded input.
 
         Each tap's matmul takes the transpose of a contiguous (out, in)
         weight tap, an F-ordered view that BLAS reads as a transposed
         operand; one with one input or output channel, or one output
-        position, keeps strided views (see the module docstring)."""
+        position, keeps strided views (see the module docstring). It is
+        added into the gradient of its phase, tap by tap, and the phases
+        then fill the input gradient, each once."""
         l_out = dy.shape[2]
         taps = self._weight_taps(min(self.in_ch, self.out_ch, l_out) > 1)
-        dxp = np.zeros_like(xp)
+        for phase in phases:
+            phase.fill(0)
         prod = np.empty((dy.shape[0], self.in_ch, l_out),
                         np.result_type(taps, dy))
-        for t in range(self.kernel):
-            dxp[:, :, self._tap(t, l_out)] += np.matmul(taps[t].T, dy,
-                                                        out=prod)
-        return dxp[:, :, self.pad_l: xp.shape[2] - self.pad_r]
+        for t, cells in enumerate(self._taps(phases, l_out)):
+            cells += np.matmul(taps[t].T, dy, out=prod)
+        length = sum(p.shape[2] for p in phases) - self.pad_l - self.pad_r
+        plan = self._plan(length)
+        if len(phases) == 1:
+            (_, lo, hi, _), = plan
+            return phases[0][:, :, lo:hi]
+        dx = np.empty((dy.shape[0], self.in_ch, length), phases[0].dtype)
+        for phase, (_, lo, hi, first) in zip(phases, plan):
+            dx[:, :, first::self.stride] = phase[:, :, lo:hi]
+        return dx
 
 
 class ReLU(Layer):

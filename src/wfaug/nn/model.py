@@ -46,23 +46,30 @@ CHECKPOINT_VERSION = 3
 
 POOL_KINDS = ("none", "max2")
 
-# Rows per inference tile of a serial model's conv stack, twice the most a
-# threaded model's tiles hold (see Model.forward). A float32 forward of 256
-# rows through the stock model at L=1000 on a 2-core Xeon (2 MB L2 per core,
-# one BLAS thread; best of 7, over three runs) took 98-123 ms on two threads
-# with the 8-row tiles this gives, 99-140 ms with 12 or 16 rows and 122-162
-# ms with 24 to 64; serially, 135-168 ms with 4-row tiles, 157-205 ms with 8
-# and 261-344 ms with 16. At 8 rows its widest activation is 8 x 32 x 1000
-# float32, 1 MB.
-TILE_ROWS = 16
+# Rows per tile of a threaded model's conv stack, in training and inference
+# (see Model.forward). A float32 forward of 256 rows through the stock model
+# at L=1000 on a 2-core Xeon (2 MB L2 per core, one BLAS thread; best of 7,
+# over three runs) took 98-123 ms on two threads with 8-row tiles, 99-140 ms
+# with 12 or 16 rows and 122-162 ms with 24 to 64. At 8 rows its widest
+# activation is 8 x 32 x 1000 float32, 1 MB.
+THREAD_TILE_ROWS = 8
 
-# Conv multiply-adds one inference tile must hold before the tiles of a
-# model run on a thread pool (about 0.7 ms of single-thread float32 conv
-# work on that Xeon). Below it, thread hand-offs and the GIL-bound small
-# numpy calls between BLAS calls cost about what a second core wins: for the
-# stock model at L=40 to 140 (0.24 to 0.83 of this) two threads took 0.66 to
-# 1.28 times the serial time, and from L=170 (the threshold) up 0.29 to 0.68
-# times.
+# Rows per inference tile of a serial model's conv stack. A 200-row int8
+# predict through BENCH_MODEL (seven stride-2 convs, L=1000) on that Xeon,
+# with glibc's mmap threshold raised so that freed buffers are not faulted
+# back in, took 8.9-9.0 ms in 16-row tiles, 8.4-8.5 ms in 24-row ones,
+# 8.1-8.2 ms in 32-row ones and 7.9-8.0 ms in 48 or 64; a 60-row one
+# 2.7-2.85, 2.65, 2.45 and 2.4-2.5 ms. At 32 rows its widest activation is
+# 32 x 8 x 500 float32, 0.5 MB.
+TILE_ROWS = 32
+
+# Conv multiply-adds one THREAD_TILE_ROWS-row tile must hold before the
+# tiles of a model run on a thread pool (about 0.7 ms of single-thread
+# float32 conv work on that Xeon). Below it, thread hand-offs and the
+# GIL-bound small numpy calls between BLAS calls cost about what a second
+# core wins: for the stock model at L=40 to 140 (0.24 to 0.83 of this) two
+# threads took 0.66 to 1.28 times the serial time, and from L=170 (the
+# threshold) up 0.29 to 0.68 times.
 PARALLEL_MIN_MACS = 1 << 24
 
 
@@ -260,7 +267,7 @@ def _threads(n):
 def _run_backward(layers, d, *jobs):
     """``d`` back through ``layers``. A conv among them runs ``jobs`` when
     they are passed, a tile's share of its weight-gradient jobs (only the top
-    layer of a backward phase of several tiles is a conv), else its own."""
+    layer of a backward stage of several tiles is a conv), else its own."""
     for layer in reversed(layers):
         d = (layer.backward(d, *jobs) if isinstance(layer, Conv1D)
              else layer.backward(d))
@@ -270,12 +277,12 @@ def _run_backward(layers, d, *jobs):
 def _backward_tiles(stacks, tiles, d):
     """Backpropagate ``d`` through the conv stack a training forward pass
     ran: rows ``tiles[t]`` through ``stacks[t]``. One tile goes back layer
-    by layer in this thread. More go back in phases, each taking every tile
+    by layer in this thread. More go back in stages, each taking every tile
     down to the output gradient of the next conv. There the tiles' output
-    gradients and padded inputs are joined in row order, so the conv's
-    weight-gradient jobs see the arrays of a whole-batch backward; in the
-    next phase tile ``t`` of ``n`` runs ``jobs[t::n]`` in its
-    ``Conv1D.backward`` before its input gradient."""
+    gradients, and their conv input phases phase by phase, are joined in
+    row order, so the conv's weight-gradient jobs see the arrays of a
+    whole-batch backward; in the next stage tile ``t`` of ``n`` runs
+    ``jobs[t::n]`` in its ``Conv1D.backward`` before its input gradient."""
     if len(stacks) == 1:
         return _run_backward(stacks[0], d)
     stack, n = stacks[0], len(stacks)
@@ -294,8 +301,8 @@ def _backward_tiles(stacks, tiles, d):
             dy = np.concatenate(ds)
             ds = [dy[rows] for rows in tiles]
             jobs = stack[lo].weight_grad_jobs(
-                np.concatenate([layers[lo].padded_input for layers in stacks]),
-                dy)
+                [np.concatenate(phase) for phase in zip(
+                    *(layers[lo].input_phases for layers in stacks))], dy)
             hi = lo + 1
 
 
@@ -379,7 +386,7 @@ class Model:
                 macs += layer.out_ch * layer.in_ch * layer.kernel * length
             elif isinstance(layer, MaxPool2):
                 length //= 2
-        self._threaded = macs * (TILE_ROWS // 2) >= PARALLEL_MIN_MACS
+        self._threaded = macs * THREAD_TILE_ROWS >= PARALLEL_MIN_MACS
         # (stack per tile, row slices) of a training forward pass, until
         # backward takes it
         self._tiles = None
@@ -402,9 +409,9 @@ class Model:
 
         The conv blocks and global average pooling run over row tiles; every
         row they output depends on its own input row only, so tiling leaves
-        the bits unchanged. A threaded model (one whose TILE_ROWS // 2-row
+        the bits unchanged. A threaded model (one whose THREAD_TILE_ROWS-row
         tile holds PARALLEL_MIN_MACS or more) cuts every batch into tiles of
-        at most TILE_ROWS // 2 rows, and into two at least when it has two
+        at most THREAD_TILE_ROWS rows, and into two at least when it has two
         rows, and runs them on up to one thread per CPU, this one among them
         (numpy releases the GIL inside BLAS). Another model runs inference in
         TILE_ROWS-row tiles, which keeps activations near cache size, and
@@ -421,7 +428,7 @@ class Model:
         if x.ndim != 2 or x.shape[1] != self.cfg.input_len:
             raise ValueError(f"expected (B, {self.cfg.input_len}) input, "
                              f"got {x.shape}")
-        rows = (min(TILE_ROWS // 2, (len(x) + 1) // 2) if self._threaded
+        rows = (min(THREAD_TILE_ROWS, (len(x) + 1) // 2) if self._threaded
                 else len(x) if train else TILE_ROWS) or 1
         tiles = [slice(lo, lo + rows) for lo in range(0, len(x) or 1, rows)]
         first = self._first_block

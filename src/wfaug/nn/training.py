@@ -65,12 +65,19 @@ def dataset_accuracy(model: Model, ds: Dataset) -> float:
 
 
 def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: Dataset,
-          val_set: Dataset, aug_cfg: AugConfig | None = None):
+          val_set: Dataset, aug_cfg: AugConfig | None = None,
+          stop_when_perfect: bool = False):
     """Train a fresh model; returns (best-validation model, epoch history).
 
     Labels are one-hot in the wider split's output width, so background in
     either split gets the extra output. Traces reach ``hda_batch`` and
-    ``Model.forward`` as stored (int8); ``forward`` casts them."""
+    ``Model.forward`` as stored (int8); ``forward`` casts them.
+
+    An epoch is kept only when its validation accuracy beats every earlier
+    one, so after an epoch at 1.0 no later epoch can be kept. With
+    ``stop_when_perfect`` training returns there: the same model, with the
+    history ending at that epoch, and a run whose loss would overflow in a
+    later epoch returns instead of raising ``TrainingDiverged``."""
     if len(train_set) == 0 or len(val_set) == 0:
         raise ValueError("train and validation sets must be non-empty")
     if train_set.num_classes != val_set.num_classes:
@@ -115,6 +122,8 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: Dataset,
         history.append(HistoryRow(epoch, total / n, val_acc))
         if val_acc > best_acc:
             best_acc, best_state = val_acc, model.state_copy()
+        if stop_when_perfect and best_acc == 1.0:
+            break
     model.load_state(best_state)
     return model, history
 

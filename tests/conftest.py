@@ -45,16 +45,20 @@ def per_tap_conv(monkeypatch):
         y, padded = conv1d_forward_per_tap(x, self.params["w"],
                                            self.params["b"], *geometry(self))
         if train:
-            self._cache = padded
+            # the padded input as the one phase its own parts read
+            self._cache = [padded]
         return y
 
-    def weight_grad_jobs(self, xp, dy):
+    def weight_grad_jobs(self, phases, dy):
+        xp, = phases
+
         def job():
             self.grads["w"], self.grads["b"] = conv1d_weight_grads_per_tap(
                 xp, self.params["w"], dy, *geometry(self))
         return [job]
 
-    def input_grads(self, xp, dy):
+    def input_grads(self, phases, dy):
+        xp, = phases
         return conv1d_input_grad_per_tap(xp, self.params["w"], dy,
                                          *geometry(self))
 

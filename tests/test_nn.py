@@ -3,10 +3,12 @@ import hashlib
 import json
 import math
 import os
+import platform
 import struct
 import subprocess
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
@@ -47,12 +49,15 @@ from wfaug.nn import (
 from wfaug.augment import AugConfig
 from wfaug.nn import model as model_mod
 from wfaug.nn import training
-from wfaug.nn.model import CHECKPOINT_MAGIC, DTYPE, TILE_ROWS
+from wfaug.nn.model import (CHECKPOINT_MAGIC, DTYPE, THREAD_TILE_ROWS,
+                            TILE_ROWS)
 from wfaug.nn.optim import Adam, SgdMomentum
 from wfaug.traces import Dataset, SplitSpec, make_splits, synth_dataset
 
 TINY = ModelConfig(64, 3, (ConvBlock(8, dilation=1, pool="max2"),
                            ConvBlock(16, dilation=2)), fc=(3,))
+STRIDED = ModelConfig(64, 3, (ConvBlock(8, stride=2),
+                              ConvBlock(16, dilation=2, stride=3)), fc=(3,))
 
 
 def tiny_task():
@@ -453,7 +458,7 @@ class TestForward:
 
     def test_inference_tiling_keeps_bits(self, monkeypatch):
         batch = 37
-        assert batch > TILE_ROWS and batch % TILE_ROWS
+        assert batch > THREAD_TILE_ROWS and batch % THREAD_TILE_ROWS
         model = Model(default_model_config(200, 5), seed=3)
         # 19.8M multiply-adds per 8-row tile: the threaded path
         assert model._threaded
@@ -519,6 +524,37 @@ class TestForward:
             for attr in ("_cache", "_mask", "_left_wins", "_x"):
                 assert getattr(layer, attr, None) is None, (layer.name, attr)
 
+    @pytest.mark.parametrize("cfg", [TINY, STRIDED], ids=["tiny", "strided"])
+    def test_layers_hold_no_arrays_between_calls(self, cfg):
+        """After an inference forward and after a training step no layer
+        holds an array besides its parameters and gradients, and a model
+        built and dropped is freed at once, its layers too: nothing, such as
+        a cache keyed by a model or layer, keeps them alive."""
+        (train_set, _, _) = tiny_task()
+
+        def held_arrays(value):
+            if isinstance(value, np.ndarray):
+                return 1
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, (list, tuple)):
+                return sum(map(held_arrays, value))
+            return 0
+
+        for _ in range(3):
+            model = Model(cfg, seed=0)
+            model.forward(train_set.traces)
+            probs, _ = model.forward(train_set.traces, train=True)
+            model.backward(probs, np.eye(3)[train_set.labels])
+            model.forward(train_set.traces)
+            assert not [(layer.name, name) for layer in model.layers
+                        for name, value in vars(layer).items()
+                        if name not in ("params", "grads")
+                        and held_arrays(value)]
+            gone = [weakref.ref(obj) for obj in [model, *model.layers]]
+            del model
+            assert all(ref() is None for ref in gone)
+
     def test_empty_batch(self):
         probs, feats = Model(TINY, seed=0).forward(np.zeros((0, 64)))
         assert probs.shape == (0, 3) and feats.shape == (0, 16)
@@ -579,8 +615,9 @@ class TestFirstBlockTable:
     @pytest.mark.parametrize("cfg", [default_model_config(1000, 5),
                                      BENCH_MODEL], ids=["stock", "bench"])
     def test_batch_sizes(self, cfg, batch):
-        # 37 rows end in a ragged tile: 8-row tiles for the stock model,
-        # 16-row ones for BENCH_MODEL
+        # 37 rows end in a ragged tile: THREAD_TILE_ROWS-row tiles for the
+        # stock model, TILE_ROWS-row ones for BENCH_MODEL
+        assert 37 % THREAD_TILE_ROWS and 37 > TILE_ROWS and 37 % TILE_ROWS
         model = random_model(cfg, seed=3)
         x = np.random.default_rng(4).integers(-1, 2, (batch, 1000))
         self.same_bytes(model, x.astype(np.int8))
@@ -608,7 +645,9 @@ class TestFirstBlockTable:
         seen = conv0_rows(monkeypatch)
         x = np.random.default_rng(8).integers(-1, 2, (40, 1000))
         self.same_bytes(model, x.astype(np.int8))
-        assert seen == [16, 16, 8] * 2
+        # TILE_ROWS-row tiles and a ragged last one, in both feeds
+        assert 40 % TILE_ROWS
+        assert seen == ([TILE_ROWS] * (40 // TILE_ROWS) + [40 % TILE_ROWS]) * 2
 
     def test_too_short_a_batch_runs_the_block(self, monkeypatch):
         # one row of 200 cells holds fewer conv positions than the 81
@@ -717,11 +756,11 @@ class TestBackward:
         x = train_set.traces.astype(np.float64)
         targets = np.eye(3)[train_set.labels]
         built = []
-        zeros_like = np.zeros_like
+        input_grads = Conv1D.input_grads
 
-        def recording(a, *args, **kwargs):
-            built.append(a.shape)
-            return zeros_like(a, *args, **kwargs)
+        def recording(self, phases, dy):
+            built.append((self.name, phases[0].shape))
+            return input_grads(self, phases, dy)
 
         def grads(model):
             probs, _ = model.forward(x, train=True)
@@ -729,17 +768,18 @@ class TestBackward:
             return [(name, g.tobytes())
                     for name, _, g in model.param_grad_items()]
 
-        monkeypatch.setattr(np, "zeros_like", recording)
+        monkeypatch.setattr(Conv1D, "input_grads", recording)
         model = Model(TINY, seed=0)
         first, second = model.layers[0], model.layers[3]
         assert not first.input_grad and second.input_grad
         fast = grads(model)
-        # padded inputs: conv0 (B, 1, 64 + 2), conv1 (B, 8, 32 + 4)
-        assert (len(x), 1, 66) not in built and (len(x), 8, 36) in built
+        # the one input phase of a stride-1 conv is its padded input:
+        # conv0 (B, 1, 64 + 2), conv1 (B, 8, 32 + 4)
+        assert built == [("conv1", (len(x), 8, 36))]
         reference = Model(TINY, seed=0)
         reference.layers[0].input_grad = True
         assert grads(reference) == fast
-        assert (len(x), 1, 66) in built
+        assert ("conv0", (len(x), 1, 66)) in built
         model.forward(x, train=True)
         assert first.backward(np.ones((len(x), 8, 64))) is None
 
@@ -821,12 +861,24 @@ class TestPredict:
             dataset_accuracy(Model(TINY, seed=4), empty)
 
     def test_batch_partition_invariance(self):
+        """What ``Model.forward`` promises across partitions, bitwise: the
+        conv-stack features do not depend on them, and ``predict`` gives
+        each batch what ``forward`` gives that batch alone. The FC head's
+        BLAS kernel may depend on the row count, so only the labels, not
+        the confidences' last bits, must agree across partitions."""
         model = Model(TINY, seed=4)
         x = np.random.default_rng(6).choice([-1, 1], size=(10, 64)).astype(np.int8)
-        full_lab, full_conf = predict(model, x)
+        full_lab, _ = predict(model, x)
         lab3, conf3 = predict(model, x, batch_size=3)
+        _, feats = model.forward(x)
+        pieces = [model.forward(x[lo:lo + 3]) for lo in range(0, len(x), 3)]
+        joined = np.concatenate([f for _, f in pieces])
+        assert joined.tobytes() == feats.tobytes()
+        want_lab, want_conf = (np.concatenate(parts) for parts in zip(
+            *(decide(probs) for probs, _ in pieces)))
+        assert lab3.tobytes() == want_lab.tobytes()
+        assert conf3.tobytes() == want_conf.tobytes()
         assert np.array_equal(full_lab, lab3)
-        assert np.array_equal(full_conf, conf3)
 
 
 class TestOptimizers:
@@ -879,6 +931,17 @@ class TestTraining:
                                train_set, train_set)
         assert dataset_accuracy(model, train_set) >= 0.99
         assert len(history) == 40
+
+    def test_stop_when_perfect_keeps_the_model(self):
+        train_set, _, _ = tiny_task()
+        cfg = TrainConfig(epochs=40, batch_size=64, lr=1e-2, seed=0)
+        model, history = train(TINY, cfg, train_set, train_set)
+        stopped, head = train(TINY, cfg, train_set, train_set,
+                              stop_when_perfect=True)
+        first = [row.val_acc for row in history].index(1.0)
+        assert first < len(history) - 1
+        assert head == history[:first + 1]
+        assert stopped.params.tobytes() == model.params.tobytes()
 
     def test_no_config_never_augments(self, monkeypatch):
         train_set, val_set, _ = tiny_task()
@@ -1022,7 +1085,7 @@ def trained_bytes(tmp_path, model_cfg, train_cfg, data, aug):
 
 class TestThreadedTraining:
     """A threaded model trains its conv stack over row tiles of at most
-    TILE_ROWS // 2 rows, two at least, on up to one thread per CPU with the
+    THREAD_TILE_ROWS rows, two at least, on up to one thread per CPU with the
     calling thread among them, and takes the weight gradients over the whole
     batch: the bytes of the untiled step, whatever the CPU count and however
     often the interpreter switches threads."""
@@ -1164,6 +1227,38 @@ model, _ = train(default_model_config(1000, 4),
                  train_set, val_set)
 print(hashlib.sha256(model.params.tobytes()).hexdigest())
 """
+
+
+PRINT_BLAS_KERNEL = """
+import ctypes, glob, os, numpy
+lib = sorted(glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir,
+                                    "numpy.libs", "libscipy_openblas*.so")))[0]
+corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+corename.restype = ctypes.c_char_p
+print(corename().decode())
+"""
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64",
+                    reason="OpenBLAS's Nehalem kernels are x86-64 kernels")
+@pytest.mark.skipif(model_mod._blas_thread_setter() is None,
+                    reason="numpy's BLAS is not scipy-openblas")
+def test_conv_and_predict_tests_pass_under_the_nehalem_kernels():
+    """TestConvLayer and TestPredict pass under a second BLAS kernel, the
+    Nehalem one (SSE4.2 only, so it runs on any x86-64 machine): a layout
+    can keep the bits under one kernel and lose them under another."""
+    env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem",
+               PYTHONPATH=str(Path(model_mod.__file__).parents[2]))
+    kernel = subprocess.run([sys.executable, "-c", PRINT_BLAS_KERNEL],
+                            check=True, capture_output=True, text=True,
+                            env=env).stdout
+    assert kernel.strip() == "Nehalem"
+    here = Path(__file__)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{here}::TestConvLayer", f"{here}::TestPredict"],
+        capture_output=True, text=True, env=env, cwd=here.parents[1])
+    assert proc.returncode == 0, proc.stdout[-4000:]
 
 
 class TestBlasThreads:
