@@ -19,9 +19,8 @@ from .augment import (OPERATOR_PARAMS, AugConfig, OPERATORS, check_order,
                       length_limits)
 from .nn import Model, ModelConfig, TrainConfig, dataset_accuracy, predict, train
 from .seeding import derive_rng
-from .tpe import (GAMMA, N_CANDIDATES, N_STARTUP,
-                  SearchSpace, check_tpe_settings, default_spaces,
-                  optimize_independent, optimize_sequential)
+from .tpe import (SearchSpace, default_spaces, optimize_independent,
+                  optimize_sequential)
 from .traces import Dataset, SplitSpec, make_splits
 
 # 0.00, 0.01, ..., 1.00
@@ -195,9 +194,6 @@ class TuneSpec:
     order: tuple = OPERATORS            # operator application + tuning order
     budget_per_param: int | None = None  # None = 3x grid size, capped at 30
     proxy_epochs: int = 30              # short training runs during search
-    gamma: float = GAMMA
-    n_startup: int = N_STARTUP
-    n_candidates: int = N_CANDIDATES
 
     def __post_init__(self):
         if self.mode not in ("sequential", "independent"):
@@ -207,7 +203,6 @@ class TuneSpec:
             raise ValueError("proxy_epochs must be >= 1")
         if self.budget_per_param is not None and self.budget_per_param < 1:
             raise ValueError("budget_per_param must be >= 1")
-        check_tpe_settings(self.gamma, self.n_candidates)
 
 
 def fit_spaces_to_length(spaces: dict, trace_len: int) -> dict:
@@ -251,8 +246,7 @@ def tune_augmentation(train_set: Dataset, val_set: Dataset,
     optimize = (optimize_sequential if spec.mode == "sequential"
                 else optimize_independent)
     return optimize(param_order, spaces, objective, spec.budget_per_param,
-                    derive_rng(seed, "tune"), gamma=spec.gamma,
-                    n_startup=spec.n_startup, n_candidates=spec.n_candidates)
+                    derive_rng(seed, "tune"))
 
 
 @dataclass(frozen=True)

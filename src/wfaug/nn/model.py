@@ -515,6 +515,8 @@ def decide(probs: np.ndarray):
 def predict(model: Model, traces: np.ndarray, batch_size: int = 256):
     """Predicted class index (int64) and confidence (float64) per trace,
     batched for memory; ``Model.forward`` takes each batch as it is."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     labels, confs = [np.empty(0, np.int64)], [np.empty(0)]
     traces = np.asarray(traces)
     for lo in range(0, len(traces), batch_size):

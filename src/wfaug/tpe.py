@@ -1,9 +1,11 @@
 """Tree-of-Parzen-Estimators search over small discrete grids.
 
-Every tunable parameter lives on a short ordered grid. A trial history is
-split at the gamma quantile into good and bad halves, each half becomes a
-smoothed density over the grid, and the next suggestion is the candidate
-(drawn from the good density) with the best good-to-bad density ratio.
+Every tunable parameter lives on a short ordered grid. The first N_STARTUP
+suggestions are uniform draws. After that a trial history is split at the
+GAMMA quantile into good and bad halves, each half becomes a smoothed density
+over the grid, and the next suggestion is the one of N_CANDIDATES draws from
+the good density with the best good-to-bad density ratio. The three settings
+are fixed: the search tunes the augmentation operators, not itself.
 
 Two driver loops build on the single-parameter tuner: a sequential pass that
 fixes each parameter before moving on to the next one, with operators later
@@ -109,33 +111,21 @@ def _density(values, space: SearchSpace) -> np.ndarray:
     return w / w.sum()
 
 
-def check_tpe_settings(gamma: float, n_candidates: int) -> None:
-    """Raise ValueError unless 0 < gamma < 1 and n_candidates >= 1."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must be in (0, 1)")
-    if n_candidates < 1:
-        raise ValueError("n_candidates must be >= 1")
-
-
-def tpe_suggest(history, space: SearchSpace, rng: np.random.Generator, *,
-                gamma: float = GAMMA, n_startup: int = N_STARTUP,
-                n_candidates: int = N_CANDIDATES):
+def tpe_suggest(history, space: SearchSpace, rng: np.random.Generator):
     """Pick the next grid value to evaluate given the trial history."""
-    check_tpe_settings(gamma, n_candidates)
     grid = space.grid
-    if len(history) < n_startup:
+    if len(history) < N_STARTUP:
         return grid[int(rng.integers(0, len(grid)))]
     ranked = sorted(history, key=lambda t: t.objective, reverse=True)
-    n_good = math.ceil(gamma * len(ranked))
+    n_good = math.ceil(GAMMA * len(ranked))
     good = _density([t.value for t in ranked[:n_good]], space)
     bad = _density([t.value for t in ranked[n_good:]], space)
-    picks = rng.choice(len(grid), size=n_candidates, p=good)
+    picks = rng.choice(len(grid), size=N_CANDIDATES, p=good)
     return grid[int(picks[np.argmax(good[picks] / bad[picks])])]
 
 
 def optimize_one(space: SearchSpace, objective: Callable, budget: int,
-                 rng: np.random.Generator, *, gamma: float = GAMMA,
-                 n_startup: int = N_STARTUP, n_candidates: int = N_CANDIDATES):
+                 rng: np.random.Generator):
     """Run ``budget`` suggest/evaluate rounds; the best evaluated point wins.
 
     Returns ``(best value, trial log)``. Ties go to the earliest trial. If the
@@ -145,8 +135,7 @@ def optimize_one(space: SearchSpace, objective: Callable, budget: int,
         raise ValueError("budget must be >= 1")
     trials: list[TpeTrial] = []
     for _ in range(budget):
-        value = tpe_suggest(trials, space, rng, gamma=gamma,
-                            n_startup=n_startup, n_candidates=n_candidates)
+        value = tpe_suggest(trials, space, rng)
         try:
             trial = TpeTrial(value, float(objective(value)))
         except Exception as exc:
@@ -156,7 +145,7 @@ def optimize_one(space: SearchSpace, objective: Callable, budget: int,
     return best.value, trials
 
 
-def _run_stages(order, spaces, stage_objective, budget_per_param, rng, tpe_kw):
+def _run_stages(order, spaces, stage_objective, budget_per_param, rng):
     chosen: dict = {}
     log: list[StageTrial] = []
     for stage, name in enumerate(order):
@@ -167,7 +156,7 @@ def _run_stages(order, spaces, stage_objective, budget_per_param, rng, tpe_kw):
                   else budget_per_param)
         best, trials = optimize_one(
             space, lambda v, _n=name: stage_objective(chosen, _n, v),
-            budget, rng, **tpe_kw)
+            budget, rng)
         log.extend(StageTrial(stage, name, t.value, t.objective, i)
                    for i, t in enumerate(trials))
         chosen[name] = best
@@ -175,8 +164,7 @@ def _run_stages(order, spaces, stage_objective, budget_per_param, rng, tpe_kw):
 
 
 def optimize_sequential(order, spaces, objective: Callable,
-                        budget_per_param: int | None, rng: np.random.Generator,
-                        **tpe_kw):
+                        budget_per_param: int | None, rng: np.random.Generator):
     """Tune parameters one at a time in ``order``.
 
     While parameter k is under tuning, parameters chosen in earlier stages
@@ -186,16 +174,15 @@ def optimize_sequential(order, spaces, objective: Callable,
     """
     return _run_stages(order, spaces,
                        lambda chosen, name, v: objective({**chosen, name: v}),
-                       budget_per_param, rng, tpe_kw)
+                       budget_per_param, rng)
 
 
 def optimize_independent(order, spaces, objective: Callable,
-                         budget_per_param: int | None, rng: np.random.Generator,
-                         **tpe_kw):
+                         budget_per_param: int | None, rng: np.random.Generator):
     """Tune each parameter with only its own operator active."""
     return _run_stages(order, spaces,
                        lambda chosen, name, v: objective({name: v}),
-                       budget_per_param, rng, tpe_kw)
+                       budget_per_param, rng)
 
 
 def write_trial_log(path, records, seed: int) -> None:

@@ -76,8 +76,10 @@ class SplitSpec:
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        if self.val_per_class < 0 or self.test_per_class < 0:
-            raise ValueError("per-class counts must be >= 0")
+        if self.val_per_class < 0:
+            raise ValueError("val_per_class must be >= 0")
+        if self.test_per_class < 0:
+            raise ValueError("test_per_class must be >= 0")
 
 
 # Largest label a trace file may hold. Output widths follow the largest

@@ -1,3 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,8 +11,10 @@ from oracles import (AdamPerTensor, check_grads_per_tensor,
                      conv1d_forward_per_tap, conv1d_input_grad_per_tap,
                      conv1d_weight_grads_per_tap, mask_batch_by_where,
                      rotate_batch_by_index)
+import wfaug
 from wfaug import augment, evaluate
 from wfaug.nn import Conv1D, Model, training
+from wfaug.nn import model as model_mod
 
 
 @pytest.fixture
@@ -92,3 +100,33 @@ def per_tensor_step(monkeypatch):
     monkeypatch.setattr(augment, "rotate_batch", rotate_batch_by_index)
     monkeypatch.setattr(augment, "mask_batch", mask_batch_by_where)
     return steps
+
+
+PRINT_BLAS_KERNEL = """
+import ctypes, glob, os, numpy
+lib = sorted(glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir,
+                                    "numpy.libs", "libscipy_openblas*.so")))[0]
+corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+corename.restype = ctypes.c_char_p
+print(corename().decode())
+"""
+
+
+@pytest.fixture
+def nehalem_env():
+    """Environment for a subprocess whose numpy runs OpenBLAS's Nehalem
+    kernels (SSE4.2 only, so any x86-64 machine has them) with this
+    checkout's ``wfaug`` importable; the library is asked which kernel it
+    runs. Skips off x86-64 and where numpy's BLAS is not scipy-openblas.
+    """
+    if platform.machine() != "x86_64":
+        pytest.skip("OpenBLAS's Nehalem kernels are x86-64 kernels")
+    if model_mod._blas_thread_setter() is None:
+        pytest.skip("numpy's BLAS is not scipy-openblas")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem",
+               PYTHONPATH=str(Path(wfaug.__file__).parents[1]))
+    kernel = subprocess.run([sys.executable, "-c", PRINT_BLAS_KERNEL],
+                            check=True, capture_output=True, text=True,
+                            env=env).stdout
+    assert kernel.strip() == "Nehalem"
+    return env

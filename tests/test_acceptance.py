@@ -284,7 +284,6 @@ PIPELINE_MANIFEST = {
     "train.batch_size": "16",
     "train.lr": "0.01",
     "tpe.proxy_epochs": "2",
-    "tpe.n_startup": "2",
 }
 
 
@@ -297,7 +296,7 @@ def _run_pipeline(base):
         for argv in (
             ["synth", "--manifest", "exp.cfg", "--seed", "7",
              "--out", "data.txt"],
-            ["tune", "--manifest", "exp.cfg", "--seed", "0", "--budget", "3",
+            ["tune", "--manifest", "exp.cfg", "--seed", "0", "--budget", "6",
              "--out", "tuned"],
             ["train", "--manifest", "exp.cfg", "--manifest",
              "tuned/aug_params.cfg", "--seed", "0", "--out", "run"],
@@ -313,7 +312,7 @@ def _run_pipeline(base):
 
 
 def test_criterion_8_end_to_end_determinism(tmp_path):
-    with criterion(8, "synth -> tune(budget 3) -> train(10 epochs) -> eval "
+    with criterion(8, "synth -> tune(budget 6) -> train(10 epochs) -> eval "
                       "twice: identical report JSON", 300.0):
         first_dir, second_dir = tmp_path / "a", tmp_path / "b"
         first_dir.mkdir()

@@ -46,7 +46,6 @@ BASE = {
     "train.batch_size": "16",
     "train.lr": "0.01",
     "tpe.proxy_epochs": "1",
-    "tpe.n_startup": "2",
 }
 
 
@@ -190,6 +189,16 @@ class TestSplit:
                    "--out", "splits") == 1
         err = capsys.readouterr().err
         assert err == f"error: cannot save an empty {part} split\n"
+        assert not (workdir / "splits").exists()
+
+    @pytest.mark.parametrize("key", ["val_per_class", "test_per_class"])
+    def test_negative_count_is_refused_by_name(self, workdir, capsys, key):
+        synth_here()
+        (workdir / "neg.cfg").write_text(f"split.{key} = -1\n",
+                                         encoding="utf-8")
+        assert run("split", "--manifest", "exp.cfg", "--manifest", "neg.cfg",
+                   "--out", "splits") == 1
+        assert capsys.readouterr().err == f"error: {key} must be >= 0\n"
         assert not (workdir / "splits").exists()
 
 
@@ -353,11 +362,14 @@ class TestTrainEvalReport:
         assert "data.txt:2: label 1000000000000 out of range" in \
             capsys.readouterr().err
 
-    # keys of earlier versions: the operator switches, and the optimizer
-    # choice with its momentum
+    # keys of earlier versions: the operator switches, the optimizer choice
+    # with its momentum, and TPE's own search settings
     @pytest.mark.parametrize("line", ["aug.enable.rotation = true",
                                       "train.optimizer = sgd-momentum",
-                                      "train.momentum = 0.9"],
+                                      "train.momentum = 0.9",
+                                      "tpe.gamma = 0.25",
+                                      "tpe.n_startup = 2",
+                                      "tpe.n_candidates = 24"],
                              ids=lambda line: line.split()[0])
     def test_enable_key_is_unknown(self, workdir, capsys, line):
         synth_here()
@@ -741,6 +753,27 @@ class TestDeterminism:
                                          "eval.json")})
         assert written[0] == written[1]
 
+    def test_synth_and_train_same_bytes_twice_under_the_nehalem_kernels(
+            self, workdir, nehalem_env):
+        # a second BLAS kernel must keep the CLI reproducible too; whether
+        # its bits match the default kernel's is not part of the promise
+        manifest = {key: value for key, value in BASE.items()
+                    if key != "model.blocks"}
+        manifest.update({"data.trace_len": "200", "train.epochs": "2"})
+        written = []
+        for run_dir in (workdir / "a", workdir / "b"):
+            run_dir.mkdir()
+            (run_dir / "exp.cfg").write_text(format_manifest(manifest),
+                                             encoding="utf-8")
+            for argv in (["synth", "--out", "data.txt"],
+                         ["train", "--out", "run"]):
+                subprocess.run([sys.executable, "-m", "wfaug.cli", *argv,
+                                "--manifest", "exp.cfg", "--seed", "0"],
+                               cwd=run_dir, env=nehalem_env, check=True)
+            written.append({name: (run_dir / "run" / name).read_bytes()
+                            for name in ("model.ckpt", "history.csv")})
+        assert written[0] == written[1]
+
 
 class TestOneExperiment:
     """The CLI's per-seed steps and ``run_experiment`` are one experiment."""
@@ -779,7 +812,7 @@ class TestOneExperiment:
             train=train_config_from_manifest(m, 0),
             split=split_spec_from_manifest(m, 0),
             aug=None if tuned else AugConfig(r_max=4, m_len=6, alpha=0.2),
-            tune=TuneSpec(budget_per_param=1, proxy_epochs=1, n_startup=2)
+            tune=TuneSpec(budget_per_param=1, proxy_epochs=1)
             if tuned else None)
         report = run_experiment(data, cfg, seeds)
 

@@ -284,10 +284,10 @@ class TestConfigBuilders:
     def test_tune_spec_defaults_and_flag_precedence(self):
         # flag precedence: test_cli.py TestTune::test_flags_beat_tpe_keys
         m = Manifest({"tpe.mode": "independent", "tpe.budget_per_param": "4",
-                      "tpe.proxy_epochs": "2", "tpe.gamma": "0.5"})
+                      "tpe.proxy_epochs": "2"})
         spec = tune_spec_from_manifest(m)
-        assert (spec.mode, spec.budget_per_param, spec.proxy_epochs,
-                spec.gamma) == ("independent", 4, 2, 0.5)
+        assert (spec.mode, spec.budget_per_param,
+                spec.proxy_epochs) == ("independent", 4, 2)
 
     def test_tune_spec_empty_manifest(self):
         spec = tune_spec_from_manifest(Manifest({}))
@@ -302,8 +302,7 @@ class TestConfigBuilders:
         ("aug", AugConfig, lambda m: aug_config_from_manifest(m, 1000),
          {"r_max": 7, "m_len": 9, "alpha": 0.7}),
         ("tpe", TuneSpec, lambda m: tune_spec_from_manifest(m),
-         {"mode": "independent", "budget_per_param": 4, "proxy_epochs": 2,
-          "gamma": 0.5, "n_startup": 3, "n_candidates": 7}),
+         {"mode": "independent", "budget_per_param": 4, "proxy_epochs": 2}),
         ("train", TrainConfig, lambda m: train_config_from_manifest(m, 0),
          {"epochs": 9, "batch_size": 5, "lr": 0.25}),
     ], ids=["split", "aug", "tpe", "train"])
@@ -373,8 +372,6 @@ class TestModelConfig:
             "split.shots": "int", "split.val_per_class": "int",
             "split.test_per_class": "int", "aug.r_max": "int",
             "aug.m_len": "int", "aug.alpha": "float", "aug.order": "str",
-            "tpe.gamma": "float",
-            "tpe.n_startup": "int", "tpe.n_candidates": "int",
             "tpe.budget_per_param": "int", "tpe.mode": "str",
             "tpe.proxy_epochs": "int", "model.blocks": "str",
             "model.kernel": "int", "model.fc": "str", "train.epochs": "int",
@@ -382,9 +379,7 @@ class TestModelConfig:
 
     def test_registry_covers_spec_pinned_keys(self):
         pinned = {"aug.r_max", "aug.m_len", "aug.alpha", "aug.order",
-                  "tpe.gamma", "tpe.n_startup",
-                  "tpe.n_candidates", "tpe.budget_per_param", "tpe.mode",
-                  "tpe.proxy_epochs"}
+                  "tpe.budget_per_param", "tpe.mode", "tpe.proxy_epochs"}
         assert pinned <= set(KNOWN_KEYS)
 
 

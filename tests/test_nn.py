@@ -3,7 +3,6 @@ import hashlib
 import json
 import math
 import os
-import platform
 import struct
 import subprocess
 import sys
@@ -855,6 +854,12 @@ class TestPredict:
         assert labels.shape == confs.shape == (0,)
         assert labels.dtype == np.int64 and confs.dtype == np.float64
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_refused(self, batch_size):
+        x = np.ones((5, 64), np.int8)
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            predict(Model(TINY, seed=4), x, batch_size=batch_size)
+
     def test_accuracy_of_no_traces_is_refused(self):
         empty = Dataset(np.zeros((0, 64), np.int8), np.zeros(0), 3)
         with pytest.raises(ValueError, match="empty dataset"):
@@ -1229,35 +1234,15 @@ print(hashlib.sha256(model.params.tobytes()).hexdigest())
 """
 
 
-PRINT_BLAS_KERNEL = """
-import ctypes, glob, os, numpy
-lib = sorted(glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir,
-                                    "numpy.libs", "libscipy_openblas*.so")))[0]
-corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
-corename.restype = ctypes.c_char_p
-print(corename().decode())
-"""
-
-
-@pytest.mark.skipif(platform.machine() != "x86_64",
-                    reason="OpenBLAS's Nehalem kernels are x86-64 kernels")
-@pytest.mark.skipif(model_mod._blas_thread_setter() is None,
-                    reason="numpy's BLAS is not scipy-openblas")
-def test_conv_and_predict_tests_pass_under_the_nehalem_kernels():
+def test_conv_and_predict_tests_pass_under_the_nehalem_kernels(nehalem_env):
     """TestConvLayer and TestPredict pass under a second BLAS kernel, the
-    Nehalem one (SSE4.2 only, so it runs on any x86-64 machine): a layout
-    can keep the bits under one kernel and lose them under another."""
-    env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem",
-               PYTHONPATH=str(Path(model_mod.__file__).parents[2]))
-    kernel = subprocess.run([sys.executable, "-c", PRINT_BLAS_KERNEL],
-                            check=True, capture_output=True, text=True,
-                            env=env).stdout
-    assert kernel.strip() == "Nehalem"
+    Nehalem one: a layout can keep the bits under one kernel and lose them
+    under another."""
     here = Path(__file__)
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{here}::TestConvLayer", f"{here}::TestPredict"],
-        capture_output=True, text=True, env=env, cwd=here.parents[1])
+        capture_output=True, text=True, env=nehalem_env, cwd=here.parents[1])
     assert proc.returncode == 0, proc.stdout[-4000:]
 
 

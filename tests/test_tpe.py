@@ -24,19 +24,6 @@ from wfaug.tpe import (
 TEN = SearchSpace("v", tuple(range(1, 11)))
 
 
-def smoothed_density(values, grid):
-    # independent reimplementation of the kernel for distribution checks
-    w = np.ones(len(grid))
-    for v in values:
-        i = list(grid).index(v)
-        w[i] += 1.0
-        if i > 0:
-            w[i - 1] += 0.5
-        if i + 1 < len(grid):
-            w[i + 1] += 0.5
-    return w / w.sum()
-
-
 class TestSearchSpace:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
@@ -100,32 +87,6 @@ class TestSuggest:
                    for _ in range(40)]
         for _ in range(50):
             assert tpe_suggest(history, TEN, rng) in TEN.grid
-
-    def test_high_gamma_tracks_empirical_distribution(self):
-        # with n_candidates=1 the suggestion IS a draw from the good density;
-        # as gamma grows the good half absorbs the whole history, so the
-        # suggestion distribution should drift toward the smoothed empirical
-        rng = derive_rng(3)
-        values = rng.choice(TEN.grid, size=60,
-                            p=np.arange(10, 0, -1) / 55.0)
-        history = [TpeTrial(int(v), float(rng.random())) for v in values]
-        target = smoothed_density([t.value for t in history], TEN.grid)
-        target_cdf = np.cumsum(target)
-
-        def ks(gamma):
-            draws = [tpe_suggest(history, TEN, derive_rng(s, "ks", str(gamma)),
-                                 gamma=gamma, n_candidates=1)
-                     for s in range(2000)]
-            freq = np.bincount(draws, minlength=11)[1:] / 2000.0
-            return np.max(np.abs(np.cumsum(freq) - target_cdf))
-
-        assert ks(0.95) < ks(0.25)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            tpe_suggest([], TEN, derive_rng(0), gamma=1.0)
-        with pytest.raises(ValueError):
-            tpe_suggest([], TEN, derive_rng(0), n_candidates=0)
 
 
 class TestOptimizeOne:

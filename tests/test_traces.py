@@ -309,6 +309,13 @@ class TestSplits:
         with pytest.raises(ValueError):
             SplitSpec(0, 10, 70)
 
+    @pytest.mark.parametrize("spec, message", [
+        ((5, -1, 70), "val_per_class must be >= 0"),
+        ((5, 10, -1), "test_per_class must be >= 0")])
+    def test_negative_count_names_its_field(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SplitSpec(*spec)
+
     def test_same_seed_identical(self):
         d = self.make()
         spec = SplitSpec(5, 5, 20, seed=11)
