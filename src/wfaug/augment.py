@@ -8,7 +8,8 @@ mask_batch, mix_batch) with one batch sampler of its random parameters
 (sample_rotation, sample_mask, sample_lambda) and one hyperparameter in
 AugConfig; an operator runs when its hyperparameter is set. hda_batch
 augments a minibatch, drawing every trace's parameters from the one
-generator it is given and applying the operators in a configurable order.
+generator it is given and applying the set operators in the one order,
+OPERATORS: rotation, masking, mixing.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 ROTATION = "rotation"
 MASKING = "masking"
 MIXING = "mixing"
-OPERATORS = (ROTATION, MASKING, MIXING)
+OPERATORS = (ROTATION, MASKING, MIXING)  # the order hda_batch applies them in
 
 # each operator's one hyperparameter, the AugConfig field that switches it on
 OPERATOR_PARAMS = {ROTATION: "r_max", MASKING: "m_len", MIXING: "alpha"}
@@ -30,16 +31,14 @@ OPERATOR_PARAMS = {ROTATION: "r_max", MASKING: "m_len", MIXING: "alpha"}
 
 @dataclass
 class AugConfig:
-    """Augmentation hyperparameters and the operator application order; an
-    operator whose hyperparameter is None is off."""
+    """Augmentation hyperparameters; an operator whose hyperparameter is
+    None is off."""
 
     r_max: int | None = 20       # rotation step bound
     m_len: int | None = 180      # masked subsequence length
     alpha: float | None = 0.1    # Beta(alpha, alpha) mixing concentration
-    order: tuple = OPERATORS
 
     def __post_init__(self):
-        self.order = check_order(self.order)
         if self.r_max is not None and self.r_max < 1:
             raise ValueError("r_max must be >= 1")
         if self.m_len is not None and self.m_len < 0:
@@ -50,7 +49,7 @@ class AugConfig:
             raise ValueError("r_max, m_len and alpha are all None: no operator")
 
     @classmethod
-    def from_params(cls, params: dict, order: tuple = OPERATORS) -> "AugConfig":
+    def from_params(cls, params: dict) -> "AugConfig":
         """The config running exactly the operators whose parameter
         (``r_max``, ``m_len``, ``alpha``) is in ``params``."""
         unknown = set(params) - set(OPERATOR_PARAMS.values())
@@ -61,15 +60,7 @@ class AugConfig:
             return kind(params[name]) if name in params else None
 
         return cls(r_max=given("r_max", int), m_len=given("m_len", int),
-                   alpha=given("alpha", float), order=order)
-
-
-def check_order(order) -> tuple:
-    """``order`` as a tuple; ValueError unless it lists every operator once."""
-    order = tuple(order)
-    if sorted(order) != sorted(OPERATORS):
-        raise ValueError(f"order must be a permutation of {OPERATORS}")
-    return order
+                   alpha=given("alpha", float))
 
 
 def length_limits(trace_len: int) -> dict:
@@ -154,7 +145,7 @@ def sample_lambda(alpha: float, rng: np.random.Generator,
 
 def hda_batch(traces: np.ndarray, labels: np.ndarray, cfg: AugConfig,
               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Augment one minibatch, applying the set operators in ``cfg.order``.
+    """Augment one minibatch, applying the set operators in OPERATORS order.
 
     ``traces`` is (B, L), ``labels`` is (B, K) soft labels. Each operator
     draws its B parameters from ``rng`` just before it is applied: rotation
@@ -168,13 +159,12 @@ def hda_batch(traces: np.ndarray, labels: np.ndarray, cfg: AugConfig,
 
     batch, trace_len = traces.shape
     x, y = traces, labels
-    for op in cfg.order:
-        if op == ROTATION and cfg.r_max is not None:
-            x = rotate_batch(x, sample_rotation(cfg.r_max, rng, batch))
-        elif op == MASKING and cfg.m_len is not None:
-            starts = sample_mask(cfg.m_len, trace_len, rng, batch)
-            x = mask_batch(x, starts, cfg.m_len)
-        elif op == MIXING and cfg.alpha is not None:
-            lams = sample_lambda(cfg.alpha, rng, batch)
-            x, y = mix_batch(x, y, rng.integers(0, batch, batch), lams)
+    if cfg.r_max is not None:
+        x = rotate_batch(x, sample_rotation(cfg.r_max, rng, batch))
+    if cfg.m_len is not None:
+        x = mask_batch(x, sample_mask(cfg.m_len, trace_len, rng, batch),
+                       cfg.m_len)
+    if cfg.alpha is not None:
+        lams = sample_lambda(cfg.alpha, rng, batch)
+        x, y = mix_batch(x, y, rng.integers(0, batch, batch), lams)
     return x, y

@@ -113,9 +113,7 @@ def cmd_tune(args, m: Manifest) -> int:
     train_cfg = train_config_from_manifest(m, seed)
     params, log = tune_augmentation(train_set, val_set, model_cfg, train_cfg,
                                     spec, seed)
-    fragment = {"aug.order": ",".join(spec.order)}
-    for name, value in params.items():
-        fragment[f"aug.{name}"] = str(value)
+    fragment = {f"aug.{name}": str(value) for name, value in params.items()}
     out = _out_dir(m)
     with open(os.path.join(out, "aug_params.cfg"), "w",
               encoding="utf-8") as fh:
@@ -127,10 +125,16 @@ def cmd_tune(args, m: Manifest) -> int:
     return 0
 
 
+def _at_chance(hits: int, val_traces: int, width: int) -> bool:
+    """Whether ``hits`` right of ``val_traces`` is at or below chance,
+    1 / ``width``; the rule of ``tune``'s and ``train``'s notes."""
+    return hits * width <= val_traces
+
+
 def _unranked_stages(log, val_traces: int, width: int):
     """A ``note:`` line for each tune stage whose objectives cannot rank its
     settings: the best and worst differ by at most one validation trace, or
-    the best is at or below chance (1 / width)."""
+    the best is at or below chance."""
     hits: dict[tuple, list] = {}
     for trial in log:
         # an objective is a validation accuracy, so hits / val_traces
@@ -138,7 +142,7 @@ def _unranked_stages(log, val_traces: int, width: int):
             round(trial.objective * val_traces))
     for (stage, param), counts in hits.items():
         best, worst = max(counts), min(counts)
-        if best - worst <= 1 or best * width <= val_traces:
+        if best - worst <= 1 or _at_chance(best, val_traces, width):
             yield (f"note: tune stage {stage} ({param}) cannot rank its "
                    f"settings: {worst} to {best} of {val_traces} validation "
                    f"traces right, chance 1/{width}; try more "
@@ -157,8 +161,13 @@ def cmd_train(args, m: Manifest) -> int:
     out = _out_dir(m)
     save_checkpoint(model, os.path.join(out, "model.ckpt"))
     write_history(os.path.join(out, "history.csv"), history)
-    _note(args, f"best validation accuracy "
-                f"{max(h.val_acc for h in history):.4f} over "
+    best = max(h.val_acc for h in history)
+    hits, width = round(best * len(val_set)), dataset.output_width
+    if _at_chance(hits, len(val_set), width):
+        print(f"note: the kept model is at or below chance: {hits} of "
+              f"{len(val_set)} validation traces right, chance 1/{width}; "
+              f"try more train.epochs", file=sys.stderr)
+    _note(args, f"best validation accuracy {best:.4f} over "
                 f"{len(history)} epochs")
     return 0
 

@@ -15,8 +15,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .augment import (OPERATOR_PARAMS, AugConfig, OPERATORS, check_order,
-                      length_limits)
+from .augment import OPERATOR_PARAMS, AugConfig, length_limits
 from .nn import Model, ModelConfig, TrainConfig, dataset_accuracy, predict, train
 from .seeding import derive_rng
 from .tpe import (SearchSpace, default_spaces, optimize_independent,
@@ -191,14 +190,12 @@ class TuneSpec:
     """How to search augmentation hyperparameters before training."""
 
     mode: str = "sequential"            # or "independent"
-    order: tuple = OPERATORS            # operator application + tuning order
     budget_per_param: int | None = None  # None = 3x grid size, capped at 30
     proxy_epochs: int = 30              # short training runs during search
 
     def __post_init__(self):
         if self.mode not in ("sequential", "independent"):
             raise ValueError("mode must be 'sequential' or 'independent'")
-        check_order(self.order)
         if self.proxy_epochs < 1:
             raise ValueError("proxy_epochs must be >= 1")
         if self.budget_per_param is not None and self.budget_per_param < 1:
@@ -225,19 +222,19 @@ def tune_augmentation(train_set: Dataset, val_set: Dataset,
     The objective trains ``spec.proxy_epochs`` epochs with only the operators
     named in the candidate setting enabled and scores validation accuracy of
     the best checkpoint; a training stops at its first perfect epoch, which
-    scores 1.0 either way. Returns (chosen params, stage trial log). Repeated
+    scores 1.0 either way. The parameters are tuned in OPERATORS order,
+    r_max, m_len, alpha. Returns (chosen params, stage trial log). Repeated
     settings reuse their first score, so revisits cost nothing. The default
     search grids are trimmed to the trace length.
     """
     spaces = fit_spaces_to_length(default_spaces(), train_set.trace_len)
-    param_order = tuple(OPERATOR_PARAMS[op] for op in spec.order)
     proxy_cfg = replace(train_cfg, epochs=spec.proxy_epochs, seed=seed)
     cache: dict[tuple, float] = {}
 
     def objective(params: dict) -> float:
         key = tuple(sorted(params.items()))
         if key not in cache:
-            aug = AugConfig.from_params(params, order=spec.order)
+            aug = AugConfig.from_params(params)
             _, history = train(model_cfg, proxy_cfg, train_set, val_set, aug,
                                stop_when_perfect=True)
             cache[key] = max(h.val_acc for h in history)
@@ -245,8 +242,8 @@ def tune_augmentation(train_set: Dataset, val_set: Dataset,
 
     optimize = (optimize_sequential if spec.mode == "sequential"
                 else optimize_independent)
-    return optimize(param_order, spaces, objective, spec.budget_per_param,
-                    derive_rng(seed, "tune"))
+    return optimize(tuple(OPERATOR_PARAMS.values()), spaces, objective,
+                    spec.budget_per_param, derive_rng(seed, "tune"))
 
 
 @dataclass(frozen=True)
@@ -344,7 +341,7 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
         if cfg.tune is not None:
             params, _ = tune_augmentation(train_set, val_set, cfg.model,
                                           train_cfg, cfg.tune, seed)
-            aug = AugConfig.from_params(params, order=cfg.tune.order)
+            aug = AugConfig.from_params(params)
             metrics.update({f"tuned_{k}": float(v) for k, v in params.items()})
         model, _ = train(cfg.model, train_cfg, train_set, val_set, aug,
                          stop_when_perfect=True)

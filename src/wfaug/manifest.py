@@ -4,11 +4,11 @@ Format: UTF-8 text, one ``section.key = value`` per line, ``#`` starts a
 comment, blank lines ignored. Keys come from a fixed registry; anything else
 is rejected with the offending file and line. Each field of SplitSpec,
 AugConfig, TuneSpec and TrainConfig is a split.*, aug.*, tpe.* or train.* key
-(seed and order have keys of their own); an aug.r_max, aug.m_len or aug.alpha
-value switches its operator on. Later files override earlier ones when
-several are merged, and command-line flags, whose values are manifest text
-too, come last. ``read_value`` reads every value as the kind KNOWN_KEYS
-gives it.
+(except seed, which run.seed sets), and a value its class refuses is reported
+under that key; an aug.r_max, aug.m_len or aug.alpha value switches its
+operator on. Later files override earlier ones when several are merged, and
+command-line flags, whose values are manifest text too, come last.
+``read_value`` reads every value as the kind KNOWN_KEYS gives it.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import MISSING, fields
 
-from .augment import (OPERATOR_PARAMS, AugConfig, OPERATORS, check_order,
-                      length_limits)
+from .augment import OPERATOR_PARAMS, AugConfig, length_limits
 from .evaluate import TuneSpec
 from .nn import ConvBlock, ModelConfig, TrainConfig, default_model_config
 from .traces import SplitSpec
@@ -27,14 +26,11 @@ class ManifestError(ValueError):
     """Raised for unparseable, unknown or ill-typed manifest content."""
 
 
-# config fields with keys of their own: run.seed, aug.order
-_OWN_KEYS = ("seed", "order")
-
-
 def _field_keys(section: str, cls) -> dict:
-    """A key per config field; "int | None" reads as int (absent is None)."""
+    """A key per config field but seed (run.seed sets it); "int | None"
+    reads as int (absent is None)."""
     return {f"{section}.{f.name}": f.type.split(" | ")[0]
-            for f in fields(cls) if f.name not in _OWN_KEYS}
+            for f in fields(cls) if f.name != "seed"}
 
 
 # key -> value kind; the registry doubles as documentation of the format
@@ -48,7 +44,6 @@ KNOWN_KEYS = {
     "data.noise": "float",
     **_field_keys("split", SplitSpec),
     **_field_keys("aug", AugConfig),
-    "aug.order": "str",
     **_field_keys("tpe", TuneSpec),
     "model.blocks": "str",
     "model.kernel": "int",
@@ -154,15 +149,6 @@ def format_manifest(values: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_operator_order(raw: str) -> tuple:
-    try:
-        return check_order(part.strip() for part in raw.split(","))
-    except ValueError:
-        raise ManifestError(
-            f"aug.order must list {', '.join(OPERATORS)} exactly once, "
-            f"got {_echo(raw)}") from None
-
-
 def _config(m: Manifest, section: str, cls, **given):
     """``cls`` from ``given`` and the ``section.<field>`` keys the manifest
     sets; the class holds the defaults, and a field without one is required."""
@@ -172,15 +158,16 @@ def _config(m: Manifest, section: str, cls, **given):
         required = f.default is MISSING and f.default_factory is MISSING
         if f.name not in given and (required or m.has(key)):
             values[f.name] = m.get(key)
-    return cls(**values, **given)
+    return _checked(section, cls, **values, **given)
 
 
-def operator_order(m: Manifest) -> tuple:
-    """aug.order when given, else OPERATORS, AugConfig's and TuneSpec's
-    default."""
-    if m.has("aug.order"):
-        return parse_operator_order(m.get("aug.order"))
-    return OPERATORS
+def _checked(section: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; its ValueError, whose message begins with
+    the refused field's name, as a ManifestError naming ``section.<field>``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ManifestError(f"{section}.{exc}") from None
 
 
 def aug_config_from_manifest(m: Manifest, trace_len: int) -> AugConfig | None:
@@ -190,7 +177,7 @@ def aug_config_from_manifest(m: Manifest, trace_len: int) -> AugConfig | None:
               if m.has(f"aug.{name}")}
     if not params:
         return None
-    cfg = AugConfig.from_params(params, order=operator_order(m))
+    cfg = _checked("aug", AugConfig.from_params, params)
     for name, limit in length_limits(trace_len).items():
         value = getattr(cfg, name)
         if value is not None and value > limit:
@@ -209,7 +196,7 @@ def train_config_from_manifest(m: Manifest, seed: int) -> TrainConfig:
 
 
 def tune_spec_from_manifest(m: Manifest) -> TuneSpec:
-    return _config(m, "tpe", TuneSpec, order=operator_order(m))
+    return _config(m, "tpe", TuneSpec)
 
 
 def _parse_block(item: str, kernel: int) -> ConvBlock:

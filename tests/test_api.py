@@ -10,6 +10,7 @@ import pytest
 import wfaug
 import wfaug.nn
 from wfaug import cli
+from wfaug.manifest import KNOWN_KEYS
 
 
 @pytest.mark.parametrize("package", [wfaug, wfaug.nn])
@@ -61,10 +62,14 @@ def test_module_uses_every_name_it_imports(path):
     assert imported_but_unused(source) == set()
 
 
+def readme_text() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+
+
 def test_subcommand_lists_name_the_command_table():
     # both lists are written by hand: cli's docstring and README's row
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
-        encoding="utf-8")
+    readme = readme_text()
     listed = [re.search(r"^Subcommands: ([a-z, ]+)\.", cli.__doc__, re.M),
               re.search(r"^\| `wfaug\.cli` \| `wfaug` command: ([a-z, ]+) \|$",
                         readme, re.M)]
@@ -77,3 +82,10 @@ def test_subcommand_lists_name_the_command_table():
         for flag, key in given.items()]
     assert table.split("\n\n", 1)[0].splitlines() == [
         f"| `{flag}` | `{key}` |" for flag, key in flags]
+
+
+def test_key_table_names_the_registry():
+    # README's key table is written by hand: every key and kind, in order
+    table = readme_text().split("| key | kind |\n| --- | --- |\n", 1)[1]
+    assert table.split("\n\n", 1)[0].splitlines() == [
+        f"| `{key}` | {kind} |" for key, kind in KNOWN_KEYS.items()]

@@ -198,7 +198,8 @@ class TestSplit:
                                          encoding="utf-8")
         assert run("split", "--manifest", "exp.cfg", "--manifest", "neg.cfg",
                    "--out", "splits") == 1
-        assert capsys.readouterr().err == f"error: {key} must be >= 0\n"
+        assert capsys.readouterr().err == \
+            f"error: split.{key} must be >= 0\n"
         assert not (workdir / "splits").exists()
 
 
@@ -209,8 +210,7 @@ class TestTune:
                    "--budget", "1", "--out", "tuned") == 0
         fragment = parse_manifest_text(
             (workdir / "tuned" / "aug_params.cfg").read_text(), "fragment")
-        assert {"aug.r_max", "aug.m_len", "aug.alpha",
-                "aug.order"} == set(fragment)
+        assert {"aug.r_max", "aug.m_len", "aug.alpha"} == set(fragment)
         assert int(fragment["aug.m_len"]) < 48
         rows = (workdir / "tuned" / "tune_trials.csv").read_text().splitlines()
         assert rows[0] == ",".join(TRIAL_LOG_HEADER)
@@ -224,7 +224,7 @@ class TestTune:
 
         def record_tune(*args):
             params, log = tune_augmentation(*args)
-            chosen.append(AugConfig.from_params(params, order=args[4].order))
+            chosen.append(AugConfig.from_params(params))
             return params, log
 
         monkeypatch.setattr(cli, "tune_augmentation", record_tune)
@@ -363,13 +363,15 @@ class TestTrainEvalReport:
             capsys.readouterr().err
 
     # keys of earlier versions: the operator switches, the optimizer choice
-    # with its momentum, and TPE's own search settings
+    # with its momentum, TPE's own search settings and the operator order,
+    # a line every aug_params.cfg of those versions holds
     @pytest.mark.parametrize("line", ["aug.enable.rotation = true",
                                       "train.optimizer = sgd-momentum",
                                       "train.momentum = 0.9",
                                       "tpe.gamma = 0.25",
                                       "tpe.n_startup = 2",
-                                      "tpe.n_candidates = 24"],
+                                      "tpe.n_candidates = 24",
+                                      "aug.order = rotation,masking,mixing"],
                              ids=lambda line: line.split()[0])
     def test_enable_key_is_unknown(self, workdir, capsys, line):
         synth_here()
@@ -537,10 +539,10 @@ class TestTrainEvalReport:
         assert not (workdir / "wild" / "model.ckpt").exists()
 
     @pytest.mark.parametrize("lines,field", [
-        pytest.param("train.lr = nan", "lr", id="lr-nan"),
-        pytest.param("train.lr = inf", "lr", id="lr-inf"),
-        pytest.param("aug.alpha = nan", "alpha", id="alpha-nan"),
-        pytest.param("aug.alpha = inf", "alpha", id="alpha-inf"),
+        pytest.param("train.lr = nan", "train.lr", id="lr-nan"),
+        pytest.param("train.lr = inf", "train.lr", id="lr-inf"),
+        pytest.param("aug.alpha = nan", "aug.alpha", id="alpha-nan"),
+        pytest.param("aug.alpha = inf", "aug.alpha", id="alpha-inf"),
     ])
     def test_non_finite_hyperparameter_fails_before_training(
             self, workdir, capsys, lines, field):
@@ -559,6 +561,7 @@ class TestTrainEvalReport:
         argv = ["--manifest", "exp.cfg", "--manifest", "no_test.cfg",
                 "--seed", "0"]
         assert run("train", *argv, "--out", "run0") == 0
+        capsys.readouterr()  # train's note on a model at chance
         for world in ((), ("--open-world",)):
             assert run("eval", *argv, *world, "--checkpoint",
                        "run0/model.ckpt", "--out", "bad") == 1
@@ -569,6 +572,7 @@ class TestTrainEvalReport:
     def test_checkpoint_header_without_fc_is_an_error(self, workdir, capsys):
         synth_here()
         self.pipeline(0)
+        capsys.readouterr()  # train's note on a model at chance
         rewrite_header(workdir / "run0" / "model.ckpt",
                        lambda text: text.replace(b'"fc": [3], ', b""))
         assert run("eval", "--manifest", "exp.cfg", "--seed", "0",
@@ -581,6 +585,7 @@ class TestTrainEvalReport:
         # parameters that could never be in the file must not be allocated
         synth_here()
         self.pipeline(0)
+        capsys.readouterr()  # train's note on a model at chance
         rewrite_header(workdir / "run0" / "model.ckpt", lambda text: text.replace(
             b'"out_channels": 4,', b'"out_channels": 1000000000000,'))
         assert run("eval", "--manifest", "exp.cfg", "--seed", "0",
@@ -591,6 +596,7 @@ class TestTrainEvalReport:
     def test_version_1_checkpoint_is_an_error(self, workdir, capsys):
         synth_here()
         self.pipeline(0)
+        capsys.readouterr()  # train's note on a model at chance
         ckpt = workdir / "run0" / "model.ckpt"
         raw = ckpt.read_bytes()
         ckpt.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
@@ -618,6 +624,7 @@ class TestTrainEvalReport:
                                                 encoding="utf-8")
         assert run("train", "--manifest", "exp.cfg", "--seed", "0",
                    "--out", "run0") == 0
+        capsys.readouterr()  # train's note on a model at chance
         argv = ["eval", "--manifest", "exp.cfg", "--seed", "0",
                 "--checkpoint", "run0/model.ckpt", "--out", "bad"]
         assert run(*argv, *change) == 1
@@ -781,7 +788,7 @@ class TestOneExperiment:
     @pytest.mark.parametrize("tuned", [False, True], ids=["aug", "tune"])
     @pytest.mark.parametrize("world", ["closed", "open"])
     def test_cli_gives_run_experiments_rows(self, workdir, world, tuned):
-        # no aug.order anywhere: both front ends apply OPERATORS
+        # both front ends apply the operators in the one order, OPERATORS
         if world == "open":
             open_world_here(workdir)
         else:
@@ -831,12 +838,50 @@ class TestOneExperiment:
             if tuned:
                 fragment = parse_manifest_text(
                     (workdir / f"tuned{s}" / "aug_params.cfg").read_text())
-                assert fragment.pop("aug.order") == "rotation,masking,mixing"
                 assert {f"tuned_{k[4:]}": float(v)
                         for k, v in fragment.items()} == tuned_values
         summary = json.loads((workdir / "summary" / "report.json").read_text())
         assert summary["mean"] == split_tuned(report.mean)[0]
         assert summary["std"] == split_tuned(report.std)[0]
+
+
+# an out-of-range value for every field that a config class checks
+CHECKED = {"split.shots": "0", "split.val_per_class": "-1",
+           "split.test_per_class": "-1", "aug.r_max": "0", "aug.m_len": "-1",
+           "aug.alpha": "0", "tpe.mode": "grid", "tpe.budget_per_param": "0",
+           "tpe.proxy_epochs": "0", "train.epochs": "0",
+           "train.batch_size": "0", "train.lr": "0"}
+
+
+class TestRefusalsNameTheirKey:
+    """A value that SplitSpec, AugConfig, TuneSpec or TrainConfig refuses
+    ends as one ``error: <key> …`` line, exit 1 and nothing written."""
+
+    def refused(self, workdir, capsys, key, *argv):
+        synth_here()
+        before = set(os.listdir(workdir))
+        command = "tune" if key.startswith("tpe.") else "train"
+        assert run(command, "--manifest", "exp.cfg", *argv,
+                   "--out", "out") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {key} ")
+        assert set(os.listdir(workdir)) == before
+
+    def test_table_covers_every_config_key(self):
+        assert set(CHECKED) == {key for key in KNOWN_KEYS if key.split(".")[0]
+                                in ("split", "aug", "tpe", "train")}
+
+    @pytest.mark.parametrize("key", list(CHECKED))
+    def test_manifest_value(self, workdir, capsys, key):
+        (workdir / "bad.cfg").write_text(f"{key} = {CHECKED[key]}\n",
+                                         encoding="utf-8")
+        self.refused(workdir, capsys, key, "--manifest", "bad.cfg")
+
+    @pytest.mark.parametrize("flag", ["--mode", "--budget"])
+    def test_flag_value(self, workdir, capsys, flag):
+        key = cli.COMMANDS["tune"][2][flag]
+        self.refused(workdir, capsys, key, flag, CHECKED[key])
 
 
 class TestManifestPrecedence:
@@ -860,7 +905,7 @@ class TestManifestPrecedence:
         (("synth", "--manifest", "exp.cfg", "--len", "1_00", "--out", "x.txt"),
          "error: manifest key 'data.trace_len': '1_00' is not an int\n"),
         (("tune", "--manifest", "exp.cfg", "--mode", "grid", "--out", "t"),
-         "error: mode must be 'sequential' or 'independent'\n"),
+         "error: tpe.mode must be 'sequential' or 'independent'\n"),
         (("report", "r", "--seed", "+1", "--out", "s"),
          "error: manifest key 'run.seed': '+1' is not an int\n")],
         ids=["classes", "len", "mode", "seed"])
@@ -881,9 +926,8 @@ class TestManifestPrecedence:
 
     @pytest.mark.parametrize("key, value", [
         ("model.blocks", "1" * 5000 + ":1"),
-        ("model.blocks", "4:1:" + "x" * 5000),
-        ("aug.order", ",".join(["rotation"] * 1000))],
-        ids=["channels", "pool", "order"])
+        ("model.blocks", "4:1:" + "x" * 5000)],
+        ids=["channels", "pool"])
     def test_long_manifest_value_is_echoed_short(self, workdir, capsys, key,
                                                  value):
         synth_here()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from wfaug import evaluate
-from wfaug.augment import AugConfig, MASKING, MIXING, OPERATORS, ROTATION
+from wfaug.augment import AugConfig
 from wfaug.evaluate import (ConfusionSummary, ExperimentConfig, OperatingPoint,
                             THRESHOLD_GRID, TuneSpec, aggregate_metrics,
                             closed_accuracy, config_digest,
@@ -341,14 +341,11 @@ class TestTuneSpec:
     def test_defaults_valid(self):
         spec = TuneSpec()
         assert spec.mode == "sequential"
-        assert spec.order == OPERATORS
         assert spec.proxy_epochs == 30
 
     def test_validation(self):
         with pytest.raises(ValueError, match="mode"):
             TuneSpec(mode="grid")
-        with pytest.raises(ValueError, match="permutation"):
-            TuneSpec(order=(ROTATION, MASKING))
         with pytest.raises(ValueError, match="proxy_epochs"):
             TuneSpec(proxy_epochs=0)
 

@@ -8,16 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wfaug.augment import (MASKING, MIXING, OPERATORS, ROTATION, AugConfig,
-                           check_order, length_limits, sample_mask)
+from wfaug.augment import AugConfig, length_limits, sample_mask
 from wfaug.cli import main
 from wfaug.evaluate import TuneSpec, fit_spaces_to_length
 from wfaug.manifest import (KNOWN_KEYS, Manifest, ManifestError,
                             aug_config_from_manifest, format_manifest,
                             load_manifest_file, model_config_from_manifest,
-                            operator_order, parse_manifest_text,
-                            parse_operator_order,
-                            split_spec_from_manifest,
+                            parse_manifest_text, split_spec_from_manifest,
                             train_config_from_manifest,
                             tune_spec_from_manifest)
 from wfaug.nn import TrainConfig, default_model_config
@@ -145,22 +142,27 @@ class TestRoundTrip:
 
 
 class TestOperatorOrder:
+    """The operators run in the one order OPERATORS; aug.order, which set
+    another, is an unknown key whatever its value."""
+
     def test_valid_permutation(self):
-        assert parse_operator_order("mixing, rotation, masking") == \
-            (MIXING, ROTATION, MASKING)
+        for raw in ("rotation,masking,mixing", "mixing, rotation, masking"):
+            with pytest.raises(ManifestError) as err:
+                parse_manifest_text(f"aug.order = {raw}\n", "old.cfg")
+            assert str(err.value) == "old.cfg:1: unknown key 'aug.order'"
 
     @pytest.mark.parametrize("raw", ["rotation,masking",
                                      "rotation,rotation,masking",
                                      "rotation,masking,mixing,extra",
                                      "spin,masking,mixing"])
     def test_bad_orders_rejected(self, raw):
-        with pytest.raises(ManifestError, match="aug.order"):
-            parse_operator_order(raw)
+        with pytest.raises(ManifestError, match="unknown key 'aug.order'"):
+            parse_manifest_text(f"aug.r_max = 5\naug.order = {raw}\n")
 
 
 class TestAugConfig:
     def test_all_disabled_is_none(self):
-        m = Manifest({"aug.order": "mixing,rotation,masking"})
+        m = Manifest({"tpe.mode": "independent"})
         assert aug_config_from_manifest(m, 100) is None
         assert aug_config_from_manifest(Manifest({}), 100) is None
 
@@ -169,21 +171,12 @@ class TestAugConfig:
         assert (cfg.r_max, cfg.m_len, cfg.alpha) == (5, None, None)
 
     def test_explicit_values_and_order(self):
-        m = Manifest({"aug.r_max": "6", "aug.m_len": "12",
-                      "aug.alpha": "0.4",
-                      "aug.order": "masking,mixing,rotation"})
-        cfg = aug_config_from_manifest(m, 64)
-        assert (cfg.r_max, cfg.m_len, cfg.alpha) == (6, 12, 0.4)
-        assert cfg.order == (MASKING, MIXING, ROTATION)
-
-    def test_order_without_key_derives_from_seed(self):
-        # it does not: without aug.order both builders give OPERATORS, the
-        # order AugConfig and TuneSpec default to, at every seed
-        for seed in range(6):
-            m = Manifest({"aug.alpha": "0.4", "run.seed": str(seed)})
-            assert operator_order(m) == OPERATORS
-            assert aug_config_from_manifest(m, 64).order == OPERATORS
-            assert tune_spec_from_manifest(m).order == OPERATORS
+        # the lines' order does not matter: AugConfig holds no order
+        for text in ("aug.r_max = 6\naug.m_len = 12\naug.alpha = 0.4\n",
+                     "aug.alpha = 0.4\naug.m_len = 12\naug.r_max = 6\n"):
+            cfg = aug_config_from_manifest(
+                Manifest(parse_manifest_text(text)), 64)
+            assert cfg == AugConfig(r_max=6, m_len=12, alpha=0.4)
 
     def test_mask_longer_than_trace_names_key(self):
         m = Manifest({"aug.m_len": "64"})
@@ -204,7 +197,7 @@ class TestAugConfig:
 
 class TestOneRulePerFact:
     """The manifest, the tune grids and the samplers apply the same length
-    rule and the same operator-order check, each with its own message."""
+    rule, each with its own message."""
 
     @pytest.mark.parametrize("trace_len", [2, 10, 64])
     def test_length_rule_agrees_everywhere(self, trace_len):
@@ -240,25 +233,6 @@ class TestOneRulePerFact:
             with pytest.raises(ManifestError) as err:
                 aug_config_from_manifest(m, 64)
             assert str(err.value) == f"{value} must be {text} trace length 64"
-
-    @pytest.mark.parametrize("order", [(ROTATION, MASKING),
-                                       (ROTATION, ROTATION, MIXING),
-                                       OPERATORS + ("extra",),
-                                       ("spin", MASKING, MIXING)])
-    def test_order_check_agrees_everywhere(self, order):
-        message = "^order must be a permutation of"
-        for build in (check_order, lambda o: AugConfig(order=o),
-                      lambda o: TuneSpec(order=o)):
-            with pytest.raises(ValueError, match=message):
-                build(order)
-        with pytest.raises(ManifestError,
-                           match="^aug.order must list rotation, masking, "
-                                 "mixing exactly once, got "):
-            parse_operator_order(",".join(order))
-        good = (MIXING, MASKING, ROTATION)
-        assert check_order(list(good)) == good
-        assert AugConfig(order=good).order == TuneSpec(order=good).order
-        assert parse_operator_order(",".join(good)) == good
 
 
 class TestConfigBuilders:
@@ -308,8 +282,7 @@ class TestConfigBuilders:
     ], ids=["split", "aug", "tpe", "train"])
     def test_every_field_round_trips_through_its_key(self, section, cls,
                                                      build, values):
-        own_keys = {"seed", "order"}
-        by_name = {f.name: f for f in fields(cls) if f.name not in own_keys}
+        by_name = {f.name: f for f in fields(cls) if f.name != "seed"}
         assert set(values) == set(by_name)
         for name, value in values.items():
             assert by_name[name].default in (MISSING, None) or \
@@ -371,14 +344,14 @@ class TestModelConfig:
             "data.per_class": "int", "data.noise": "float",
             "split.shots": "int", "split.val_per_class": "int",
             "split.test_per_class": "int", "aug.r_max": "int",
-            "aug.m_len": "int", "aug.alpha": "float", "aug.order": "str",
+            "aug.m_len": "int", "aug.alpha": "float",
             "tpe.budget_per_param": "int", "tpe.mode": "str",
             "tpe.proxy_epochs": "int", "model.blocks": "str",
             "model.kernel": "int", "model.fc": "str", "train.epochs": "int",
             "train.batch_size": "int", "train.lr": "float"}
 
     def test_registry_covers_spec_pinned_keys(self):
-        pinned = {"aug.r_max", "aug.m_len", "aug.alpha", "aug.order",
+        pinned = {"aug.r_max", "aug.m_len", "aug.alpha",
                   "tpe.budget_per_param", "tpe.mode", "tpe.proxy_epochs"}
         assert pinned <= set(KNOWN_KEYS)
 
