@@ -12,7 +12,6 @@ draws.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -60,18 +59,9 @@ def _load_data(m: Manifest):
     return load_dataset(path, m.get("data.trace_len"))
 
 
-def _load_splits(m: Manifest, seed: int):
+def _load_splits(m: Manifest, split):
     dataset = _load_data(m)
-    return dataset, make_splits(dataset, split_spec_from_manifest(m, seed))
-
-
-def _trained_on(dataset, m: Manifest, seed: int) -> dict:
-    """The loaded traces and labels (SHA-256) and the split drawn from them."""
-    digest = hashlib.sha256(dataset.traces.tobytes()
-                            + dataset.labels.tobytes()).hexdigest()
-    return {"dataset": digest,
-            "split": dict(sorted(asdict(
-                split_spec_from_manifest(m, seed)).items()))}
+    return dataset, make_splits(dataset, split)
 
 
 def _write_json(path, payload: dict) -> None:
@@ -92,7 +82,7 @@ def cmd_synth(args, m: Manifest) -> int:
 
 
 def cmd_split(args, m: Manifest) -> int:
-    _, splits = _load_splits(m, _root_seed(m))
+    _, splits = _load_splits(m, split_spec_from_manifest(m, _root_seed(m)))
     parts = list(zip(("train", "val", "test"), splits))
     for name, part in parts:  # all are checked before one is written
         if not len(part):
@@ -107,12 +97,13 @@ def cmd_split(args, m: Manifest) -> int:
 def cmd_tune(args, m: Manifest) -> int:
     seed = _root_seed(m)
     spec = tune_spec_from_manifest(m)
-    dataset, (train_set, val_set, _) = _load_splits(m, seed)
+    dataset, (train_set, val_set, _) = _load_splits(
+        m, split_spec_from_manifest(m, seed))
     model_cfg = model_config_from_manifest(m, dataset.trace_len,
                                            dataset.output_width)
     train_cfg = train_config_from_manifest(m, seed)
     params, log = tune_augmentation(train_set, val_set, model_cfg, train_cfg,
-                                    spec, seed)
+                                    spec)
     fragment = {f"aug.{name}": str(value) for name, value in params.items()}
     out = _out_dir(m)
     with open(os.path.join(out, "aug_params.cfg"), "w",
@@ -151,13 +142,14 @@ def _unranked_stages(log, val_traces: int, width: int):
 
 def cmd_train(args, m: Manifest) -> int:
     seed = _root_seed(m)
-    dataset, (train_set, val_set, _) = _load_splits(m, seed)
+    split = split_spec_from_manifest(m, seed)
+    dataset, (train_set, val_set, _) = _load_splits(m, split)
     aug_cfg = aug_config_from_manifest(m, dataset.trace_len)
     model_cfg = model_config_from_manifest(m, dataset.trace_len,
                                            dataset.output_width)
     train_cfg = train_config_from_manifest(m, seed)
     model, history = train(model_cfg, train_cfg, train_set, val_set, aug_cfg)
-    model.trained_on = _trained_on(dataset, m, seed)
+    model.trained_on = {"dataset": dataset.sha256, "split": asdict(split)}
     out = _out_dir(m)
     save_checkpoint(model, os.path.join(out, "model.ckpt"))
     write_history(os.path.join(out, "history.csv"), history)
@@ -174,15 +166,19 @@ def cmd_train(args, m: Manifest) -> int:
 
 def cmd_eval(args, m: Manifest) -> int:
     seed = _root_seed(m)
-    check_test_split(split_spec_from_manifest(m, seed))
-    dataset, (_, val_set, test_set) = _load_splits(m, seed)
+    split = split_spec_from_manifest(m, seed)
+    check_test_split(split)
+    dataset, (_, val_set, test_set) = _load_splits(m, split)
     model = load_checkpoint(args.checkpoint)
     if model.cfg.num_classes != dataset.output_width:
         raise ManifestError(
             f"checkpoint {args.checkpoint} outputs {model.cfg.num_classes} "
             f"classes but the dataset encodes {dataset.output_width}")
+    # in the header's key order, so a refusal prints both splits alike
+    trained_on = {"dataset": dataset.sha256,
+                  "split": dict(sorted(asdict(split).items()))}
     # a test split drawn otherwise could hold the shots the model trained on
-    for part, value in _trained_on(dataset, m, seed).items():
+    for part, value in trained_on.items():
         if model.trained_on.get(part) != value:
             raise CheckpointError(
                 f"checkpoint {args.checkpoint} was trained on {part} "
@@ -195,15 +191,14 @@ def cmd_eval(args, m: Manifest) -> int:
     out = _out_dir(m)
     _write_json(os.path.join(out, "eval.json"),
                 {"seed": seed, "world": world, "metrics": metrics,
-                 "dataset": dict(dataset.provenance),
-                 "checkpoint": str(args.checkpoint)})
+                 **trained_on, "checkpoint": str(args.checkpoint)})
     _note(args, f"{world}-world metrics: {metrics}")
     return 0
 
 
-def _read_eval(path) -> tuple[int, dict]:
-    """The seed and metrics of an eval.json; ValueError naming the file for
-    anything but an object with an int seed and metrics of finite numbers."""
+def _read_eval(path) -> dict:
+    """An eval.json's object; ValueError naming the file for anything but an
+    object with an int seed and metrics of finite numbers."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -215,23 +210,42 @@ def _read_eval(path) -> tuple[int, dict]:
         if type(seed) is int and isinstance(metrics, dict) and all(
                 type(v) in (int, float) and abs(v) <= sys.float_info.max
                 for v in metrics.values()):
-            return seed, metrics
+            return payload
     raise ValueError(f"{path}: not an object with an integer seed and "
                      f"metrics of finite numbers")
 
 
+def _pooled(run: dict) -> dict:
+    """What every run a report pools must share: the data and the split,
+    its seed aside, as the eval.json holds them (None where it does not)."""
+    split = run.get("split")
+    if isinstance(split, dict):
+        split = {k: v for k, v in split.items() if k != "seed"}
+    return {"dataset": run.get("dataset"), "split (seed aside)": split}
+
+
 def cmd_report(args, m: Manifest) -> int:
-    seeds, rows, paths = [], [], []
+    seen, rows, paths = {}, [], []  # seen: seed -> the file that holds it
     for run_dir in args.runs:
         path = os.path.join(run_dir, "eval.json")
         if not os.path.exists(path):
             raise ManifestError(f"no eval.json under {run_dir}")
-        seed, metrics = _read_eval(path)
-        seeds.append(seed)
-        rows.append(metrics)
+        run = _read_eval(path)
+        seed = run["seed"]
+        if seed in seen:
+            raise ValueError(f"{path}: seed {seed} is also the seed of "
+                             f"{seen[seed]}")
+        pooled = _pooled(run)
+        for key, value in pooled.items():
+            if paths and value != first[key]:
+                raise ValueError(f"{path}: {key} differs from {paths[0]}'s")
+        if not paths:
+            first = pooled
+        seen[seed] = path
+        rows.append(run["metrics"])
         paths.append(path)
     mean, std = aggregate_metrics(rows, paths)
-    report = RunReport(seeds=tuple(seeds), per_seed=tuple(rows), mean=mean,
+    report = RunReport(seeds=tuple(seen), per_seed=tuple(rows), mean=mean,
                        std=std, meta={"runs": [str(r) for r in args.runs]})
     out = _out_dir(m)
     write_report(report, os.path.join(out, "report.json"),

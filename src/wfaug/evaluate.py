@@ -216,7 +216,7 @@ def fit_spaces_to_length(spaces: dict, trace_len: int) -> dict:
 
 def tune_augmentation(train_set: Dataset, val_set: Dataset,
                       model_cfg: ModelConfig, train_cfg: TrainConfig,
-                      spec: TuneSpec, seed: int):
+                      spec: TuneSpec):
     """Search augmentation hyperparameters by short proxy trainings.
 
     The objective trains ``spec.proxy_epochs`` epochs with only the operators
@@ -225,10 +225,11 @@ def tune_augmentation(train_set: Dataset, val_set: Dataset,
     scores 1.0 either way. The parameters are tuned in OPERATORS order,
     r_max, m_len, alpha. Returns (chosen params, stage trial log). Repeated
     settings reuse their first score, so revisits cost nothing. The default
-    search grids are trimmed to the trace length.
+    search grids are trimmed to the trace length. ``train_cfg.seed`` seeds
+    the proxy trainings and the search.
     """
     spaces = fit_spaces_to_length(default_spaces(), train_set.trace_len)
-    proxy_cfg = replace(train_cfg, epochs=spec.proxy_epochs, seed=seed)
+    proxy_cfg = replace(train_cfg, epochs=spec.proxy_epochs)
     cache: dict[tuple, float] = {}
 
     def objective(params: dict) -> float:
@@ -243,7 +244,7 @@ def tune_augmentation(train_set: Dataset, val_set: Dataset,
     optimize = (optimize_sequential if spec.mode == "sequential"
                 else optimize_independent)
     return optimize(tuple(OPERATOR_PARAMS.values()), spaces, objective,
-                    spec.budget_per_param, derive_rng(seed, "tune"))
+                    spec.budget_per_param, derive_rng(train_cfg.seed, "tune"))
 
 
 @dataclass(frozen=True)
@@ -340,7 +341,7 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
         metrics: dict[str, float] = {}
         if cfg.tune is not None:
             params, _ = tune_augmentation(train_set, val_set, cfg.model,
-                                          train_cfg, cfg.tune, seed)
+                                          train_cfg, cfg.tune)
             aug = AugConfig.from_params(params)
             metrics.update({f"tuned_{k}": float(v) for k, v in params.items()})
         model, _ = train(cfg.model, train_cfg, train_set, val_set, aug,
@@ -349,7 +350,7 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
         per_seed.append(metrics)
     mean, std = aggregate_metrics(per_seed)
     meta = {"config": config_digest(cfg), "open_world": open_world,
-            "dataset": dict(dataset.provenance)}
+            "dataset": dataset.sha256}
     return RunReport(seeds=seeds, per_seed=tuple(per_seed), mean=mean,
                      std=std, meta=meta)
 

@@ -17,26 +17,29 @@ from __future__ import annotations
 import numpy as np
 
 
+# Adam's decay rates and denominator term, as in Kingma & Ba 2015
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    def __init__(self, model, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, model, lr: float):
         self.model = model
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         self.m = np.zeros_like(model.params)
         self.v = np.zeros_like(model.params)
 
     def step(self) -> None:
         self.t += 1
-        correct1 = 1.0 - self.beta1 ** self.t
-        correct2 = 1.0 - self.beta2 ** self.t
+        correct1 = 1.0 - BETA1 ** self.t
+        correct2 = 1.0 - BETA2 ** self.t
         g, m, v = self.model.grads, self.m, self.v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
         self.model.params -= (self.lr * (m / correct1)
-                              / (np.sqrt(v / correct2) + self.eps))
+                              / (np.sqrt(v / correct2) + EPS))
 
 
 class SgdMomentum:

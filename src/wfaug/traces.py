@@ -8,7 +8,8 @@ BACKGROUND (-1) for unmonitored ones.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+import hashlib
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +29,6 @@ class Dataset:
     traces: np.ndarray  # (N, L) int8, values in {-1, 0, +1}
     labels: np.ndarray  # (N,) int64, BACKGROUND for unmonitored
     num_classes: int    # number of monitored classes K
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.traces = np.asarray(self.traces, dtype=np.int8)
@@ -54,14 +54,20 @@ class Dataset:
         return bool(np.any(self.labels == BACKGROUND))
 
     @property
+    def sha256(self) -> str:
+        """Hex SHA-256 of the traces' bytes, then the labels' bytes."""
+        digest = hashlib.sha256(np.ascontiguousarray(self.traces))
+        digest.update(np.ascontiguousarray(self.labels))
+        return digest.hexdigest()
+
+    @property
     def output_width(self) -> int:
         """Classifier outputs the data needs: one per monitored class, plus
         one for background when any trace is unmonitored."""
         return self.num_classes + (1 if self.has_background() else 0)
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(self.traces[idx], self.labels[idx], self.num_classes,
-                       dict(self.provenance))
+        return Dataset(self.traces[idx], self.labels[idx], self.num_classes)
 
 
 @dataclass
@@ -262,7 +268,7 @@ def load_dataset(path, trace_len: int) -> Dataset:
     labels = np.array(labels, dtype=np.int64)
     monitored = labels[labels != BACKGROUND]
     num_classes = int(monitored.max()) + 1 if len(monitored) else 0
-    return Dataset(traces, labels, num_classes, {"source": str(path)})
+    return Dataset(traces, labels, num_classes)
 
 
 def _check_savable(traces: np.ndarray) -> np.ndarray:
@@ -447,8 +453,4 @@ def synth_dataset(num_classes: int, samples_per_class: int, trace_len: int,
             flips[k] = rng.random(trace_len) < noise_rate
         np.negative(traces[cid], out=traces[cid], where=flips)
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
-    return Dataset(traces.reshape(-1, trace_len), labels, num_classes, {
-        "source": "synth", "seed": int(seed), "num_classes": int(num_classes),
-        "samples_per_class": int(samples_per_class), "trace_len": int(trace_len),
-        "noise_rate": float(noise_rate),
-    })
+    return Dataset(traces.reshape(-1, trace_len), labels, num_classes)

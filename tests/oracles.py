@@ -273,7 +273,7 @@ def load_dataset_per_token(path, trace_len: int):
     labels = np.array(labels, dtype=np.int64)
     monitored = labels[labels != BACKGROUND]
     num_classes = int(monitored.max()) + 1 if len(monitored) else 0
-    return Dataset(np.stack(traces), labels, num_classes, {"source": str(path)})
+    return Dataset(np.stack(traces), labels, num_classes)
 
 
 def render_runs_loop(run_lengths, trace_len: int) -> np.ndarray:
@@ -334,11 +334,7 @@ def synth_dataset_per_boundary(num_classes: int, samples_per_class: int,
             traces[row] = trace
             labels[row] = cid
             row += 1
-    return Dataset(traces, labels, num_classes, {
-        "source": "synth", "seed": int(seed), "num_classes": int(num_classes),
-        "samples_per_class": int(samples_per_class), "trace_len": int(trace_len),
-        "noise_rate": float(noise_rate),
-    })
+    return Dataset(traces, labels, num_classes)
 
 
 def save_dataset_per_token(dataset, path) -> None:

@@ -248,7 +248,7 @@ class TestTune:
             encoding="utf-8")
         specs = []
 
-        def record_spec(train_set, val_set, model_cfg, train_cfg, spec, seed):
+        def record_spec(train_set, val_set, model_cfg, train_cfg, spec):
             specs.append(spec)
             return {}, []
 
@@ -430,10 +430,10 @@ class TestTrainEvalReport:
         assert err.startswith(f"error: {os.path.join('r', 'eval.json')}: ")
 
     def write_runs(self, workdir, **runs):
-        for name, metrics in runs.items():
+        for seed, (name, metrics) in enumerate(runs.items()):
             (workdir / name).mkdir()
             (workdir / name / "eval.json").write_text(
-                json.dumps({"seed": 0, "metrics": metrics}))
+                json.dumps({"seed": seed, "metrics": metrics}))
 
     def test_report_overflowing_metrics_fail(self, workdir, capsys):
         self.write_runs(workdir, a={"x": 1e308}, b={"x": 1e308})
@@ -448,6 +448,66 @@ class TestTrainEvalReport:
         assert err.startswith(f"error: {os.path.join('c', 'eval.json')}: ")
         assert "missing ['x'], extra ['y']" in err
         assert not (workdir / "summary" / "report.json").exists()
+
+    # eval.json objects beside one with seed 0, data "d0" and split
+    # {"seed": 0, "shots": 5}; seed is set aside when splits are compared
+    NOT_POOLED = {
+        "other_dataset": ({"seed": 1, "dataset": "d1",
+                           "split": {"seed": 1, "shots": 5}},
+                          "dataset differs from {first}'s"),
+        "no_dataset": ({"seed": 1, "split": {"seed": 1, "shots": 5}},
+                       "dataset differs from {first}'s"),
+        "other_split": ({"seed": 1, "dataset": "d0",
+                         "split": {"seed": 1, "shots": 4}},
+                        "split (seed aside) differs from {first}'s"),
+        "no_split": ({"seed": 1, "dataset": "d0"},
+                     "split (seed aside) differs from {first}'s"),
+    }
+
+    @pytest.mark.parametrize("second,message", NOT_POOLED.values(),
+                             ids=NOT_POOLED.keys())
+    def test_report_refuses_runs_that_do_not_belong_together(
+            self, workdir, capsys, second, message):
+        first = {"seed": 0, "dataset": "d0", "split": {"seed": 0, "shots": 5}}
+        for name, doc in (("a", first), ("b", second)):
+            (workdir / name).mkdir()
+            (workdir / name / "eval.json").write_text(
+                json.dumps({**doc, "metrics": {"x": 1.0}}))
+        assert run("report", "a", "b", "--out", "summary") == 1
+        a, b = (os.path.join(name, "eval.json") for name in "ab")
+        assert capsys.readouterr().err == (
+            f"error: {b}: {message.format(first=a)}\n")
+        assert not (workdir / "summary").exists()
+
+    def test_report_refuses_one_run_given_twice(self, workdir, capsys):
+        synth_here()
+        self.pipeline(0)
+        capsys.readouterr()
+        assert run("report", "run0", "run0", "run0", "--out", "summary") == 1
+        path = os.path.join("run0", "eval.json")
+        assert capsys.readouterr().err == (
+            f"error: {path}: seed 0 is also the seed of {path}\n")
+        assert not (workdir / "summary").exists()
+
+    def test_eval_json_names_the_data_by_content(self, workdir):
+        # the same data under another name writes the same eval.json
+        synth_here()
+        assert run("train", "--manifest", "exp.cfg", "--out", "run") == 0
+        (workdir / "elsewhere").mkdir()
+        (workdir / "elsewhere" / "copy.txt").write_bytes(
+            (workdir / "data.txt").read_bytes())
+        (workdir / "moved.cfg").write_text(
+            "data.path = elsewhere/copy.txt\n", encoding="utf-8")
+        written = []
+        for extra in ((), ("--manifest", "moved.cfg")):
+            assert run("eval", "--manifest", "exp.cfg", *extra,
+                       "--checkpoint", "run/model.ckpt", "--out", "run") == 0
+            written.append((workdir / "run" / "eval.json").read_bytes())
+        assert written[0] == written[1]
+        payload = json.loads(written[0])
+        assert payload["dataset"] == load_dataset("data.txt", 48).sha256
+        assert payload["split"] == {"seed": 0, "shots": 5,
+                                    "test_per_class": 2, "val_per_class": 3}
 
     def test_open_world_eval(self, workdir):
         open_world_here(workdir)

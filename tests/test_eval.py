@@ -393,7 +393,8 @@ class TestTuneAugmentation:
     def test_sequential_returns_on_grid_params(self, task):
         tr, va, _ = task
         spec = TuneSpec(budget_per_param=2, proxy_epochs=2)
-        params, log = tune_augmentation(tr, va, TINY, FAST, spec, seed=0)
+        params, log = tune_augmentation(tr, va, TINY, replace(FAST, seed=0),
+                                        spec)
         spaces = fit_spaces_to_length(default_spaces(), 64)
         assert set(params) == {"r_max", "m_len", "alpha"}
         for name, value in params.items():
@@ -406,14 +407,15 @@ class TestTuneAugmentation:
     def test_deterministic_in_seed(self, task):
         tr, va, _ = task
         spec = TuneSpec(budget_per_param=2, proxy_epochs=2)
-        a, _ = tune_augmentation(tr, va, TINY, FAST, spec, seed=5)
-        b, _ = tune_augmentation(tr, va, TINY, FAST, spec, seed=5)
+        a, _ = tune_augmentation(tr, va, TINY, replace(FAST, seed=5), spec)
+        b, _ = tune_augmentation(tr, va, TINY, replace(FAST, seed=5), spec)
         assert a == b
 
     def test_independent_mode_runs(self, task):
         tr, va, _ = task
         spec = TuneSpec(mode="independent", budget_per_param=2, proxy_epochs=2)
-        params, log = tune_augmentation(tr, va, TINY, FAST, spec, seed=0)
+        params, log = tune_augmentation(tr, va, TINY, replace(FAST, seed=0),
+                                        spec)
         assert set(params) == {"r_max", "m_len", "alpha"}
         assert len(log) == 6
 
@@ -436,7 +438,7 @@ class TestTuneAugmentation:
         monkeypatch.setattr(evaluate, "train", counting_train)
         tr, va, _ = task
         spec = TuneSpec(budget_per_param=2, proxy_epochs=2)
-        tune_augmentation(tr, va, TINY, FAST, spec, seed=0)
+        tune_augmentation(tr, va, TINY, replace(FAST, seed=0), spec)
         assert calls["train"] > 0
         assert calls["predict"] == calls["train"] * spec.proxy_epochs
 
@@ -513,7 +515,7 @@ class TestRunExperiment:
         base = synth_dataset(4, 12, 64, 0.05, seed=7)
         labels = base.labels.copy()
         labels[labels == 3] = BACKGROUND
-        ds = Dataset(base.traces, labels, 3, {"source": "synth-ow"})
+        ds = Dataset(base.traces, labels, 3)
         model = ModelConfig(64, 4, TINY.blocks, fc=(4,))
         cfg = ExperimentConfig(model=model, train=FAST,
                                split=SplitSpec(6, 3, 3))

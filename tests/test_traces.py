@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,6 +199,35 @@ class TestDatasetChecks:
 
     def test_empty_split_accepted(self):
         assert len(Dataset(np.zeros((0, 5)), np.zeros(0), 2)) == 0
+
+
+class TestSha256:
+    """``Dataset.sha256`` is the digest checkpoints have always recorded:
+    the traces' bytes, then the labels' bytes, in C order."""
+
+    @staticmethod
+    def joined(d):
+        return hashlib.sha256(d.traces.tobytes()
+                              + d.labels.tobytes()).hexdigest()
+
+    def test_loaded_file(self, tmp_path):
+        d = load_dataset(write(tmp_path, "0\t1 -1\n-1\t-1\n1\t1 1 1\n"), 4)
+        assert d.sha256 == self.joined(d)
+
+    def test_synth_set_and_its_splits(self):
+        d = synth_dataset(3, 6, 32, 0.1, seed=2)
+        parts = make_splits(d, SplitSpec(2, 2, 2, seed=1))
+        for part in (d, *parts):
+            assert part.sha256 == self.joined(part)
+        assert len({part.sha256 for part in (d, *parts)}) == 4
+
+    def test_non_contiguous_views(self):
+        d = synth_dataset(3, 6, 32, 0.1, seed=2)
+        view = Dataset(d.traces[::2, 1::3], d.labels[::2], 3)
+        assert not view.traces.flags.c_contiguous
+        assert not view.labels.flags.c_contiguous
+        assert view.traces.dtype == np.int8
+        assert view.sha256 == self.joined(view)
 
 
 class TestRoundTrip:
