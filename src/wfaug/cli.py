@@ -12,6 +12,7 @@ draws.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -188,10 +189,13 @@ def cmd_eval(args, m: Manifest) -> int:
             "dataset contains background traces; use --open-world")
     world = "open" if args.open_world else "closed"
     metrics = seed_metrics(model, val_set, test_set, args.open_world)
+    # the checkpoint named by its content, as trained_on names the data
+    with open(args.checkpoint, "rb") as fh:
+        checkpoint = hashlib.sha256(fh.read()).hexdigest()
     out = _out_dir(m)
     _write_json(os.path.join(out, "eval.json"),
                 {"seed": seed, "world": world, "metrics": metrics,
-                 **trained_on, "checkpoint": str(args.checkpoint)})
+                 **trained_on, "checkpoint": checkpoint})
     _note(args, f"{world}-world metrics: {metrics}")
     return 0
 

@@ -222,11 +222,13 @@ def tune_augmentation(train_set: Dataset, val_set: Dataset,
     The objective trains ``spec.proxy_epochs`` epochs with only the operators
     named in the candidate setting enabled and scores validation accuracy of
     the best checkpoint; a training stops at its first perfect epoch, which
-    scores 1.0 either way. The parameters are tuned in OPERATORS order,
-    r_max, m_len, alpha. Returns (chosen params, stage trial log). Repeated
-    settings reuse their first score, so revisits cost nothing. The default
-    search grids are trimmed to the trace length. ``train_cfg.seed`` seeds
-    the proxy trainings and the search.
+    scores 1.0 either way, or ``PATIENCE`` epochs past its kept one, which
+    only ``proxy_epochs`` above ``PATIENCE`` can reach. The parameters are
+    tuned in OPERATORS order, r_max, m_len, alpha. Returns (chosen params,
+    stage trial log). Repeated settings reuse their first score, so
+    revisits cost nothing. The default search grids are trimmed to the
+    trace length. ``train_cfg.seed`` seeds the proxy trainings and the
+    search.
     """
     spaces = fit_spaces_to_length(default_spaces(), train_set.trace_len)
     proxy_cfg = replace(train_cfg, epochs=spec.proxy_epochs)
@@ -237,7 +239,7 @@ def tune_augmentation(train_set: Dataset, val_set: Dataset,
         if key not in cache:
             aug = AugConfig.from_params(params)
             _, history = train(model_cfg, proxy_cfg, train_set, val_set, aug,
-                               stop_when_perfect=True)
+                               stop_early=True)
             cache[key] = max(h.val_acc for h in history)
         return cache[key]
 
@@ -325,7 +327,9 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
     Each seed's row is ``seed_metrics`` (open world when the dataset holds
     background traces), after a ``tuned_<param>`` value per tuned parameter.
     A training stops at its first perfect validation epoch, which keeps the
-    model it returns. Fully deterministic in (dataset, cfg, seeds).
+    model it returns, or ``PATIENCE`` epochs after its kept epoch without a
+    better one (``train``'s ``stop_early``). Fully deterministic in
+    (dataset, cfg, seeds).
     """
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
@@ -345,7 +349,7 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
             aug = AugConfig.from_params(params)
             metrics.update({f"tuned_{k}": float(v) for k, v in params.items()})
         model, _ = train(cfg.model, train_cfg, train_set, val_set, aug,
-                         stop_when_perfect=True)
+                         stop_early=True)
         metrics.update(seed_metrics(model, val_set, test_set, open_world))
         per_seed.append(metrics)
     mean, std = aggregate_metrics(per_seed)

@@ -20,6 +20,11 @@ from ..traces import Dataset, class_indices, one_hot_labels
 from .model import Model, ModelConfig, cross_entropy, predict
 from .optim import Adam
 
+# With ``stop_early``, a training also stops once this many epochs have
+# passed since its kept one without a better validation accuracy (the
+# patience rule of Prechelt 1998, "Early Stopping -- But When?")
+PATIENCE = 100
+
 
 @dataclass
 class TrainConfig:
@@ -66,7 +71,7 @@ def dataset_accuracy(model: Model, ds: Dataset) -> float:
 
 def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: Dataset,
           val_set: Dataset, aug_cfg: AugConfig | None = None,
-          stop_when_perfect: bool = False):
+          stop_early: bool = False):
     """Train a fresh model; returns (best-validation model, epoch history).
 
     Labels are one-hot in the wider split's output width, so background in
@@ -75,9 +80,12 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: Dataset,
 
     An epoch is kept only when its validation accuracy beats every earlier
     one, so after an epoch at 1.0 no later epoch can be kept. With
-    ``stop_when_perfect`` training returns there: the same model, with the
-    history ending at that epoch, and a run whose loss would overflow in a
-    later epoch returns instead of raising ``TrainingDiverged``."""
+    ``stop_early`` training returns there: the same model, with the history
+    ending at that epoch, and a run whose loss would overflow in a later
+    epoch returns instead of raising ``TrainingDiverged``. It also returns
+    after ``PATIENCE`` epochs past the kept one without a better one, with
+    the kept model; that model differs from a full run's only where a
+    better epoch would come later still."""
     if len(train_set) == 0 or len(val_set) == 0:
         raise ValueError("train and validation sets must be non-empty")
     if train_set.num_classes != val_set.num_classes:
@@ -97,7 +105,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: Dataset,
     n = len(train_set)
 
     history: list[HistoryRow] = []
-    best_acc, best_state = -1.0, None
+    best_acc, best_state, best_epoch = -1.0, None, 0
     for epoch in range(train_cfg.epochs):
         order = derive_rng(train_cfg.seed, "shuffle", epoch).permutation(n)
         total = 0.0
@@ -122,7 +130,8 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: Dataset,
         history.append(HistoryRow(epoch, total / n, val_acc))
         if val_acc > best_acc:
             best_acc, best_state = val_acc, model.state_copy()
-        if stop_when_perfect and best_acc == 1.0:
+            best_epoch = epoch
+        if stop_early and (best_acc == 1.0 or epoch - best_epoch >= PATIENCE):
             break
     model.load_state(best_state)
     return model, history

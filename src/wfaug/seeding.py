@@ -28,5 +28,10 @@ def derive_rng(root_seed: int, *path) -> np.random.Generator:
     The same (seed, path) pair always yields an identical stream; distinct
     paths yield statistically independent streams.
     """
-    words = [int(root_seed) & 0xFFFFFFFFFFFFFFFF] + [_as_word(p) for p in path]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+    root = int(root_seed) & 0xFFFFFFFFFFFFFFFF
+    # the words SeedSequence makes of the list [root, *path]: the root's low
+    # word, its high word when that is nonzero, then one word per element
+    words = [root & 0xFFFFFFFF, root >> 32] if root >> 32 else [root]
+    words.extend(map(_as_word, path))
+    entropy = np.array(words, dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

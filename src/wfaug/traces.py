@@ -112,7 +112,9 @@ MAX_SYNTH_CELLS = 1 << 28
 # save_dataset writes rows of at most this many cells at a time, and
 # load_dataset reads whole lines of at most a quarter as many bytes (one line
 # at least): its masks and token positions take about ten bytes per byte
-# read, which a quarter keeps within the buffers of a written block
+# read, which a quarter keeps within the buffers of a written block.
+# synth_dataset jitters groups of rows that hold at most this many run
+# bounds (one row at least), so its int64 bounds stay within 2 MiB a group.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -365,25 +367,21 @@ def one_hot_labels(labels: np.ndarray, num_classes: int,
     return out
 
 
-def _signs(num_runs: int) -> np.ndarray:
-    """Alternating run signs, +1 first."""
-    signs = np.ones(num_runs, dtype=np.int8)
-    signs[1::2] = -1
-    return signs
-
-
-def _run_bounds(runs: list[int], trace_len: int) -> np.ndarray:
-    """0 and each run's end, cut at ``trace_len``."""
-    return np.minimum(np.concatenate([[0], np.cumsum(runs, dtype=np.int64)]),
-                      trace_len)
-
-
-def _render(bounds: np.ndarray, signs: np.ndarray, out: np.ndarray) -> None:
-    """Fill ``[bounds[i], bounds[i + 1])`` of the zeroed row ``out`` with
-    ``signs[i]``; ``bounds`` starts at 0, never decreases and ends at most at
-    ``len(out)``. An empty run still uses up its sign, and the cells past the
-    last bound stay padding."""
-    out[:bounds[-1]] = np.repeat(signs, bounds[1:] - bounds[:-1])
+def _render(bounds: np.ndarray, trace_len: int) -> np.ndarray:
+    """Rows of alternating runs, +1 first: row k holds run i in
+    ``[bounds[k, i], bounds[k, i + 1])`` and padding from ``bounds[k, -1]``
+    on. Each row of ``bounds`` starts at 0, never decreases and ends at most
+    at ``trace_len``; an empty run still uses up its sign."""
+    rows, runs = bounds.shape[0], bounds.shape[1] - 1
+    # each row's runs, then one zero run of padding
+    values = np.ones(runs + 1, dtype=np.int8)
+    values[1::2] = -1
+    values[-1] = 0
+    lengths = np.empty((rows, runs + 1), dtype=np.int64)
+    np.subtract(bounds[:, 1:], bounds[:, :-1], out=lengths[:, :-1])
+    np.subtract(trace_len, bounds[:, -1], out=lengths[:, -1])
+    return np.repeat(np.tile(values, rows),
+                     lengths.ravel()).reshape(rows, trace_len)
 
 
 def synth_template_runs(num_classes: int, trace_len: int, seed: int) -> list[list[int]]:
@@ -394,12 +392,19 @@ def synth_template_runs(num_classes: int, trace_len: int, seed: int) -> list[lis
         rng = derive_rng(seed, "template", cid)
         total = int(trace_len * rng.uniform(0.70, 0.95))
         mean_run = rng.uniform(3.0, 24.0)
-        runs, acc = [], 0
-        while acc < total:
-            run = min(max(1, int(round(rng.exponential(mean_run)))), total - acc)
-            runs.append(run)
-            acc += run
-        all_runs.append(runs)
+        # runs of max(1, round(exponential)) cells, drawn in blocks of twice
+        # the expected count until they cover ``total`` (a block holds the
+        # values of as many scalar draws; draws past the last run go unread),
+        # and the last run cut to fit
+        block = 2 * int(total / mean_run) + 8
+        runs = np.empty(0, dtype=np.int64)
+        while runs.sum() < total:
+            drawn = np.round(rng.exponential(mean_run, block)).astype(np.int64)
+            runs = np.concatenate([runs, np.maximum(drawn, 1)])
+        ends = np.cumsum(runs)
+        count = np.searchsorted(ends, total) + 1
+        runs, ends = runs[:count], ends[:count]
+        all_runs.append(np.minimum(runs, total - (ends - runs)).tolist())
     return all_runs
 
 
@@ -432,25 +437,33 @@ def synth_dataset(num_classes: int, samples_per_class: int, trace_len: int,
             f"{trace_len} directions is {cells} cells, more than "
             f"MAX_SYNTH_CELLS = {MAX_SYNTH_CELLS}")
     traces = np.zeros((num_classes, samples_per_class, trace_len), dtype=np.int8)
-    flips = np.empty((samples_per_class, trace_len), dtype=bool)
     for cid, runs in enumerate(synth_template_runs(num_classes, trace_len, seed)):
-        bounds, signs = _run_bounds(runs, trace_len), _signs(len(runs))
+        runs = np.array(runs, dtype=np.int64)
+        # 0 and each run's end, cut at trace_len
+        bounds = np.minimum(np.concatenate([[0], np.cumsum(runs)]), trace_len)
         if noise_rate == 0.0:
-            _render(bounds, signs, traces[cid, 0])
-            traces[cid, 1:] = traces[cid, 0]
+            traces[cid] = _render(bounds[None], trace_len)
             continue
         # each boundary moves by at most 10% of the run it ends (no
         # cumulative drift); Python's round and np.round both round half
         # to even
-        width = np.maximum(1, np.round(0.1 * np.asarray(runs))).astype(np.int64)
-        for k in range(samples_per_class):
-            rng = derive_rng(seed, "sample", cid, k)
-            # one draw per boundary, the stream of one scalar call each
-            jittered = bounds.copy()
-            jittered[1:] = np.minimum(
-                bounds[1:] + rng.integers(-width, width + 1), trace_len)
-            _render(np.maximum.accumulate(jittered), signs, traces[cid, k])
-            flips[k] = rng.random(trace_len) < noise_rate
-        np.negative(traces[cid], out=traces[cid], where=flips)
+        width = np.maximum(1, np.round(0.1 * runs)).astype(np.int64)
+        # a class's rows in groups of at most _BLOCK_CELLS bounds
+        step = max(1, _BLOCK_CELLS // len(bounds))
+        for lo in range(0, samples_per_class, step):
+            rows = traces[cid, lo:lo + step]
+            jittered = np.zeros((len(rows), len(bounds)), dtype=np.int64)
+            flips = np.empty(rows.shape, dtype=bool)
+            for k in range(len(rows)):
+                rng = derive_rng(seed, "sample", cid, lo + k)
+                # one draw per boundary, the stream of one scalar call each,
+                # then the flips
+                jittered[k, 1:] = rng.integers(-width, width + 1)
+                np.less(rng.random(trace_len), noise_rate, out=flips[k])
+            np.minimum(jittered[:, 1:] + bounds[1:], trace_len,
+                       out=jittered[:, 1:])
+            rows[:] = _render(np.maximum.accumulate(jittered, axis=1),
+                              trace_len)
+            np.negative(rows, out=rows, where=flips)
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
     return Dataset(traces.reshape(-1, trace_len), labels, num_classes)

@@ -8,10 +8,15 @@ matmul per tap, ``tensordot`` weight gradients): the layer must write the
 same bytes. So must the per-tensor Adam and finite check that came
 before the parameter vector, and the index-arithmetic rotation
 and masking that came before the window views, and the one-expression
-mixing that came before the in-place steps.
+mixing that came before the in-place steps. Seeded streams are checked
+against the Python-list entropy ``derive_rng`` handed ``SeedSequence``
+before its ``uint32`` array, and synthetic templates against one scalar
+exponential draw per run.
 """
 
 from __future__ import annotations
+
+import zlib
 
 import numpy as np
 
@@ -290,27 +295,58 @@ def render_runs_loop(run_lengths, trace_len: int) -> np.ndarray:
     return out
 
 
+def derive_rng_from_list(root_seed: int, *path) -> np.random.Generator:
+    """``wfaug.seeding.derive_rng`` as a Python list of entropy: the root
+    masked to 64 bits, then a word per path element (an int's low 32 bits,
+    a string's CRC-32), each of which ``SeedSequence`` converts itself."""
+    words = [int(root_seed) & 0xFFFFFFFFFFFFFFFF]
+    for part in path:
+        if isinstance(part, str):
+            words.append(zlib.crc32(part.encode("utf-8")))
+        else:
+            words.append(int(part) & 0xFFFFFFFF)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+
+
+def synth_template_runs_per_draw(num_classes: int, trace_len: int,
+                                 seed: int) -> list[list[int]]:
+    """Template run lengths drawn one scalar exponential per run, the last
+    run cut to fit: the reference for ``wfaug.traces.synth_template_runs``."""
+    all_runs = []
+    for cid in range(num_classes):
+        rng = derive_rng_from_list(seed, "template", cid)
+        total = int(trace_len * rng.uniform(0.70, 0.95))
+        mean_run = rng.uniform(3.0, 24.0)
+        runs, acc = [], 0
+        while acc < total:
+            run = min(max(1, int(round(rng.exponential(mean_run)))),
+                      total - acc)
+            runs.append(run)
+            acc += run
+        all_runs.append(runs)
+    return all_runs
+
+
 def synth_templates(num_classes: int, trace_len: int, seed: int) -> np.ndarray:
     """Rendered (num_classes, trace_len) template traces, one Python step
     per run; the targets of nearest-template classification."""
-    from wfaug.traces import synth_template_runs
-
     return np.stack([render_runs_loop(runs, trace_len) for runs in
-                     synth_template_runs(num_classes, trace_len, seed)])
+                     synth_template_runs_per_draw(num_classes, trace_len,
+                                                  seed)])
 
 
 def synth_dataset_per_boundary(num_classes: int, samples_per_class: int,
                                trace_len: int, noise_rate: float, seed: int):
     """Synthesizer that draws one jitter per ``rng.integers`` call and renders
-    runs in a Python loop.
+    runs in a Python loop, on the list-entropy streams and per-draw
+    templates above.
 
     The reference for ``wfaug.traces.synth_dataset``, without its argument
     checks: same templates, streams and bytes.
     """
-    from wfaug.seeding import derive_rng
-    from wfaug.traces import Dataset, synth_template_runs
+    from wfaug.traces import Dataset
 
-    template_runs = synth_template_runs(num_classes, trace_len, seed)
+    template_runs = synth_template_runs_per_draw(num_classes, trace_len, seed)
     traces = np.empty((num_classes * samples_per_class, trace_len), dtype=np.int8)
     labels = np.empty(num_classes * samples_per_class, dtype=np.int64)
     row = 0
@@ -321,7 +357,7 @@ def synth_dataset_per_boundary(num_classes: int, samples_per_class: int,
             if noise_rate == 0.0:
                 trace = render_runs_loop(runs, trace_len)
             else:
-                rng = derive_rng(seed, "sample", cid, k)
+                rng = derive_rng_from_list(seed, "sample", cid, k)
                 jittered = bounds.copy()
                 for b in range(1, len(bounds)):
                     d = max(1, int(round(0.1 * runs[b - 1])))

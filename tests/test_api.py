@@ -62,6 +62,59 @@ def test_module_uses_every_name_it_imports(path):
     assert imported_but_unused(source) == set()
 
 
+def numpy_random_calls(source: str) -> set:
+    """Dotted names, from ``numpy.random`` on, of the calls a module makes
+    into ``numpy.random`` under whatever name it imported."""
+    tree = ast.parse(source)
+    alias = {}  # a bound name -> the dotted name it stands for
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                alias[a.asname or a.name.split(".")[0]] = (
+                    a.name if a.asname else a.name.split(".")[0])
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for a in node.names:
+                alias[a.asname or a.name] = f"{node.module}.{a.name}"
+    calls = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        parts, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            parts.append(func.attr)
+            func = func.value
+        if isinstance(func, ast.Name) and func.id in alias:
+            name = ".".join([alias[func.id], *reversed(parts)])
+            if name.startswith("numpy.random."):
+                calls.add(name)
+    return calls
+
+
+def test_numpy_random_call_is_found():
+    assert numpy_random_calls(
+        "import numpy as np\nimport numpy.random as npr\n"
+        "from numpy.random import default_rng as d\nfrom numpy import random\n"
+        "def f(rng: np.random.Generator) -> np.random.Generator:\n"
+        "    np.random.PCG64(1); npr.SeedSequence(2); d(3)\n"
+        "    random.Generator(4); rng.random(5); np.zeros(6)\n") == {
+        "numpy.random.PCG64", "numpy.random.SeedSequence",
+        "numpy.random.default_rng", "numpy.random.Generator"}
+
+
+# every stream comes from seeding.derive_rng; annotations are not calls
+@pytest.mark.parametrize("path", sorted(
+    p.relative_to(Path(wfaug.__file__).parent).as_posix()
+    for p in Path(wfaug.__file__).parent.rglob("*.py")))
+def test_only_seeding_calls_numpy_random(path):
+    source = (Path(wfaug.__file__).parent / path).read_text(encoding="utf-8")
+    calls = numpy_random_calls(source)
+    if path == "seeding.py":
+        assert calls == {"numpy.random.Generator", "numpy.random.PCG64",
+                         "numpy.random.SeedSequence"}
+    else:
+        assert calls == set()
+
+
 def readme_text() -> str:
     return (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")

@@ -5,6 +5,7 @@ same way the determinism guarantees are meant to be used.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -508,6 +509,21 @@ class TestTrainEvalReport:
         assert payload["dataset"] == load_dataset("data.txt", 48).sha256
         assert payload["split"] == {"seed": 0, "shots": 5,
                                     "test_per_class": 2, "val_per_class": 3}
+
+    def test_eval_json_names_the_checkpoint_by_content(self, workdir):
+        # a copy of the checkpoint under another name writes the same eval.json
+        synth_here()
+        assert run("train", "--manifest", "exp.cfg", "--out", "run") == 0
+        checkpoint = (workdir / "run" / "model.ckpt").read_bytes()
+        (workdir / "renamed.ckpt").write_bytes(checkpoint)
+        written = []
+        for path in ("run/model.ckpt", "renamed.ckpt"):
+            assert run("eval", "--manifest", "exp.cfg", "--checkpoint", path,
+                       "--out", "run") == 0
+            written.append((workdir / "run" / "eval.json").read_bytes())
+        assert written[0] == written[1]
+        assert json.loads(written[0])["checkpoint"] == hashlib.sha256(
+            checkpoint).hexdigest()
 
     def test_open_world_eval(self, workdir):
         open_world_here(workdir)

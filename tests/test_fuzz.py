@@ -6,7 +6,8 @@ ManifestError, CheckpointError), never anything else. The trace parser also
 reads every file the way a token-at-a-time reference does. Whatever the
 eval.json files hold, ``wfaug report`` exits 0, or 1 with an ``error:``
 line. The synthesizer and the trace writer make the bytes of their
-one-boundary-at-a-time and one-token-at-a-time references. Examples are
+one-boundary-at-a-time and one-token-at-a-time references, and the
+synthesizer's templates the runs of one scalar draw each. Examples are
 derandomized so that every run tries the same inputs.
 """
 
@@ -28,10 +29,12 @@ from wfaug.nn import (CheckpointError, ConvBlock, Model, ModelConfig,
 from wfaug.nn.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 from oracles import (load_dataset_per_token, mask_batch_by_where,
                      mix_batch_by_expression, rotate_batch_by_index,
-                     save_dataset_per_token, synth_dataset_per_boundary)
+                     save_dataset_per_token, synth_dataset_per_boundary,
+                     synth_template_runs_per_draw)
 from wfaug.augment import mask_batch, mix_batch, rotate_batch
 from wfaug.traces import (MAX_LABEL, MIN_SYNTH_LEN, Dataset, TraceFormatError,
-                          load_dataset, save_dataset, synth_dataset)
+                          load_dataset, save_dataset, synth_dataset,
+                          synth_template_runs)
 
 FUZZ = settings(max_examples=300, derandomize=True, deadline=None)
 
@@ -301,6 +304,17 @@ def test_synth_dataset_writes_as_the_per_boundary_reference(tmp_path_factory,
     assert got.num_classes == want.num_classes
     assert (got.traces != 0).any(axis=1).all()
     assert_saved_as_reference(tmp_path_factory, got)
+
+
+@FUZZ
+@given(classes=st.integers(1, 5), trace_len=st.integers(MIN_SYNTH_LEN, 1000),
+       seed=st.integers(-2 ** 63, 2 ** 64 - 1))
+@example(classes=2, trace_len=MIN_SYNTH_LEN, seed=0)
+@example(classes=2, trace_len=1000, seed=2 ** 32)
+def test_template_runs_are_the_per_draw_reference_runs(classes, trace_len,
+                                                       seed):
+    assert synth_template_runs(classes, trace_len, seed) == (
+        synth_template_runs_per_draw(classes, trace_len, seed))
 
 
 @FUZZ

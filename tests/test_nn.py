@@ -942,11 +942,29 @@ class TestTraining:
         cfg = TrainConfig(epochs=40, batch_size=64, lr=1e-2, seed=0)
         model, history = train(TINY, cfg, train_set, train_set)
         stopped, head = train(TINY, cfg, train_set, train_set,
-                              stop_when_perfect=True)
+                              stop_early=True)
         first = [row.val_acc for row in history].index(1.0)
         assert first < len(history) - 1
         assert head == history[:first + 1]
         assert stopped.params.tobytes() == model.params.tobytes()
+
+    def test_plateau_stops_after_patience_with_the_kept_model(self,
+                                                             monkeypatch):
+        monkeypatch.setattr(training, "PATIENCE", 5)
+        train_set, val_set, _ = tiny_task()
+        cfg = TrainConfig(epochs=30, batch_size=16, lr=1e-2, seed=1)
+        _, history = train(TINY, cfg, train_set, val_set)
+        stopped, head = train(TINY, cfg, train_set, val_set, stop_early=True)
+        accs = [row.val_acc for row in head]
+        kept = accs.index(max(accs))
+        assert max(accs) < 1.0
+        assert len(head) == kept + 5 + 1
+        assert head == history[:len(head)]
+        # the full run finds a better epoch later, which the stop gives up
+        assert max(row.val_acc for row in history) > max(accs)
+        at_kept, _ = train(TINY, replace(cfg, epochs=kept + 1), train_set,
+                           val_set)
+        assert stopped.params.tobytes() == at_kept.params.tobytes()
 
     def test_no_config_never_augments(self, monkeypatch):
         train_set, val_set, _ = tiny_task()

@@ -450,6 +450,16 @@ class TestSynth:
         with pytest.raises(ValueError, match="more than MAX_SYNTH_CELLS"):
             synth_dataset(classes, per_class, trace_len, 0.1, seed=0)
 
+    @pytest.mark.parametrize("block_cells", [1, 95, 200])
+    def test_rows_in_groups_write_the_same_bytes(self, monkeypatch,
+                                                 block_cells):
+        # the classes hold 51, 22 and 36 runs: groups of one row, of a few
+        # rows with a shorter one at a class's end, and of a whole class
+        whole = synth_dataset(3, 7, 200, 0.1, seed=4)
+        monkeypatch.setattr("wfaug.traces._BLOCK_CELLS", block_cells)
+        assert synth_dataset(3, 7, 200, 0.1, seed=4).traces.tobytes() == (
+            whole.traces.tobytes())
+
     def test_templates_render_runs_in_turn(self):
         # zero-noise rows are the rendered templates; synth_dataset renders
         # only lengths from MIN_SYNTH_LEN up
