@@ -27,9 +27,8 @@ from .nn import (Adam, CheckpointError, Conv1D, ConvBlock, Dense,
                  write_history)
 from .seeding import derive_rng
 from .tpe import (ObjectiveError, SearchSpace, StageTrial, TpeTrial,
-                  default_budget, default_spaces, optimize_independent,
-                  optimize_one, optimize_sequential, tpe_suggest,
-                  write_trial_log)
+                  default_budget, default_spaces, optimize_one,
+                  optimize_sequential, tpe_suggest, write_trial_log)
 from .traces import (BACKGROUND, Dataset, SplitSpec, TraceFormatError,
                      load_dataset, make_splits, one_hot_labels, save_dataset,
                      synth_dataset)

@@ -126,19 +126,22 @@ def _at_chance(hits: int, val_traces: int, width: int) -> bool:
 def _unranked_stages(log, val_traces: int, width: int):
     """A ``note:`` line for each tune stage whose objectives cannot rank its
     settings: the best and worst differ by at most one validation trace, or
-    the best is at or below chance."""
-    hits: dict[tuple, list] = {}
+    the best is at or below chance. A stage that tried one value needs more
+    trials; any other, longer proxy trainings."""
+    stages: dict[tuple, list] = {}
     for trial in log:
+        stages.setdefault((trial.stage, trial.param), []).append(trial)
+    for (stage, param), trials in stages.items():
         # an objective is a validation accuracy, so hits / val_traces
-        hits.setdefault((trial.stage, trial.param), []).append(
-            round(trial.objective * val_traces))
-    for (stage, param), counts in hits.items():
+        counts = [round(t.objective * val_traces) for t in trials]
         best, worst = max(counts), min(counts)
         if best - worst <= 1 or _at_chance(best, val_traces, width):
+            key = ("tpe.budget_per_param"
+                   if len({t.value for t in trials}) == 1
+                   else "tpe.proxy_epochs")
             yield (f"note: tune stage {stage} ({param}) cannot rank its "
                    f"settings: {worst} to {best} of {val_traces} validation "
-                   f"traces right, chance 1/{width}; try more "
-                   f"tpe.proxy_epochs")
+                   f"traces right, chance 1/{width}; try more {key}")
 
 
 def cmd_train(args, m: Manifest) -> int:
@@ -265,7 +268,7 @@ COMMANDS = {
                "--len": "data.trace_len", "--noise": "data.noise"}),
     "split": (cmd_split, "write train/val/test trace files", {}),
     "tune": (cmd_tune, "search augmentation hyperparameters",
-             {"--mode": "tpe.mode", "--budget": "tpe.budget_per_param"}),
+             {"--budget": "tpe.budget_per_param"}),
     "train": (cmd_train, "train a model and save the best checkpoint", {}),
     "eval": (cmd_eval, "evaluate a checkpoint on the test split", {}),
     "report": (cmd_report, "aggregate eval.json files into mean +/- std", {}),

@@ -18,8 +18,7 @@ import numpy as np
 from .augment import OPERATOR_PARAMS, AugConfig, length_limits
 from .nn import Model, ModelConfig, TrainConfig, dataset_accuracy, predict, train
 from .seeding import derive_rng
-from .tpe import (SearchSpace, default_spaces, optimize_independent,
-                  optimize_sequential)
+from .tpe import SearchSpace, default_spaces, optimize_sequential
 from .traces import Dataset, SplitSpec, make_splits
 
 # 0.00, 0.01, ..., 1.00
@@ -189,13 +188,10 @@ def seed_metrics(model: Model, val: Dataset, test: Dataset,
 class TuneSpec:
     """How to search augmentation hyperparameters before training."""
 
-    mode: str = "sequential"            # or "independent"
     budget_per_param: int | None = None  # None = 3x grid size, capped at 30
     proxy_epochs: int = 30              # short training runs during search
 
     def __post_init__(self):
-        if self.mode not in ("sequential", "independent"):
-            raise ValueError("mode must be 'sequential' or 'independent'")
         if self.proxy_epochs < 1:
             raise ValueError("proxy_epochs must be >= 1")
         if self.budget_per_param is not None and self.budget_per_param < 1:
@@ -243,10 +239,9 @@ def tune_augmentation(train_set: Dataset, val_set: Dataset,
             cache[key] = max(h.val_acc for h in history)
         return cache[key]
 
-    optimize = (optimize_sequential if spec.mode == "sequential"
-                else optimize_independent)
-    return optimize(tuple(OPERATOR_PARAMS.values()), spaces, objective,
-                    spec.budget_per_param, derive_rng(train_cfg.seed, "tune"))
+    return optimize_sequential(tuple(OPERATOR_PARAMS.values()), spaces,
+                               objective, spec.budget_per_param,
+                               derive_rng(train_cfg.seed, "tune"))
 
 
 @dataclass(frozen=True)

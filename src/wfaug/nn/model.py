@@ -72,6 +72,10 @@ TILE_ROWS = 32
 # threshold) up 0.29 to 0.68 times.
 PARALLEL_MIN_MACS = 1 << 24
 
+# Rows per ``predict`` batch: the FC head's last bits depend on the rows BLAS
+# sees (see Model.forward), so one size gives every caller the same bits.
+PREDICT_BATCH = 256
+
 
 @dataclass(frozen=True)
 class ConvBlock:
@@ -512,15 +516,13 @@ def decide(probs: np.ndarray):
     return labels, probs[np.arange(len(probs)), labels]
 
 
-def predict(model: Model, traces: np.ndarray, batch_size: int = 256):
-    """Predicted class index (int64) and confidence (float64) per trace,
-    batched for memory; ``Model.forward`` takes each batch as it is."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+def predict(model: Model, traces: np.ndarray):
+    """Predicted class index (int64) and confidence (float64) per trace, in
+    batches of PREDICT_BATCH rows; ``Model.forward`` takes each as it is."""
     labels, confs = [np.empty(0, np.int64)], [np.empty(0)]
     traces = np.asarray(traces)
-    for lo in range(0, len(traces), batch_size):
-        probs, _ = model.forward(traces[lo:lo + batch_size])
+    for lo in range(0, len(traces), PREDICT_BATCH):
+        probs, _ = model.forward(traces[lo:lo + PREDICT_BATCH])
         lab, conf = decide(probs)
         labels.append(lab)
         confs.append(conf)

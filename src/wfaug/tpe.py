@@ -7,10 +7,9 @@ over the grid, and the next suggestion is the one of N_CANDIDATES draws from
 the good density with the best good-to-bad density ratio. The three settings
 are fixed: the search tunes the augmentation operators, not itself.
 
-Two driver loops build on the single-parameter tuner: a sequential pass that
+The multi-parameter search builds on the single-parameter tuner: a pass that
 fixes each parameter before moving on to the next one, with operators later
-in the order switched off entirely, and an independent pass that tunes every
-parameter in isolation (the ablation baseline).
+in the order switched off entirely.
 """
 
 from __future__ import annotations
@@ -76,7 +75,8 @@ class StageTrial:
 
 
 class ObjectiveError(RuntimeError):
-    """Objective evaluation failed; ``trials`` holds the log completed so far."""
+    """Objective evaluation failed; ``trials`` holds the failing parameter's
+    completed trials only, not those of earlier stages."""
 
     def __init__(self, param: str, trials, cause):
         super().__init__(f"objective failed while tuning {param!r}: {cause}")
@@ -145,7 +145,16 @@ def optimize_one(space: SearchSpace, objective: Callable, budget: int,
     return best.value, trials
 
 
-def _run_stages(order, spaces, stage_objective, budget_per_param, rng):
+def optimize_sequential(order, spaces, objective: Callable,
+                        budget_per_param: int | None, rng: np.random.Generator):
+    """Tune parameters one at a time in ``order``.
+
+    While parameter k is under tuning, parameters chosen in earlier stages
+    stay fixed at their chosen values and parameters later in the order are
+    absent from the evaluated setting, so the objective only ever sees
+    operators that are switched on. Returns ``(chosen params, stage trial
+    log)``.
+    """
     chosen: dict = {}
     log: list[StageTrial] = []
     for stage, name in enumerate(order):
@@ -155,34 +164,11 @@ def _run_stages(order, spaces, stage_objective, budget_per_param, rng):
         budget = (default_budget(space) if budget_per_param is None
                   else budget_per_param)
         best, trials = optimize_one(
-            space, lambda v, _n=name: stage_objective(chosen, _n, v),
-            budget, rng)
+            space, lambda v: objective({**chosen, name: v}), budget, rng)
         log.extend(StageTrial(stage, name, t.value, t.objective, i)
                    for i, t in enumerate(trials))
         chosen[name] = best
     return chosen, log
-
-
-def optimize_sequential(order, spaces, objective: Callable,
-                        budget_per_param: int | None, rng: np.random.Generator):
-    """Tune parameters one at a time in ``order``.
-
-    While parameter k is under tuning, parameters chosen in earlier stages
-    stay fixed at their chosen values and parameters later in the order are
-    absent from the evaluated setting, so the objective only ever sees
-    operators that are switched on.
-    """
-    return _run_stages(order, spaces,
-                       lambda chosen, name, v: objective({**chosen, name: v}),
-                       budget_per_param, rng)
-
-
-def optimize_independent(order, spaces, objective: Callable,
-                         budget_per_param: int | None, rng: np.random.Generator):
-    """Tune each parameter with only its own operator active."""
-    return _run_stages(order, spaces,
-                       lambda chosen, name, v: objective({name: v}),
-                       budget_per_param, rng)
 
 
 def write_trial_log(path, records, seed: int) -> None:

@@ -27,9 +27,9 @@ def eval_predicts(monkeypatch):
     seen = []
     predict = evaluate.predict
 
-    def recording(model, traces, batch_size=256):
+    def recording(model, traces):
         seen.append(np.array(traces))
-        return predict(model, traces, batch_size)
+        return predict(model, traces)
 
     monkeypatch.setattr(evaluate, "predict", recording)
     return seen

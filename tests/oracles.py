@@ -11,7 +11,8 @@ and masking that came before the window views, and the one-expression
 mixing that came before the in-place steps. Seeded streams are checked
 against the Python-list entropy ``derive_rng`` handed ``SeedSequence``
 before its ``uint32`` array, and synthetic templates against one scalar
-exponential draw per run.
+exponential draw per run. Sequential TPE, the one search, is compared with
+the independent pass that tunes each parameter alone.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
+
+from wfaug.tpe import StageTrial, default_budget, optimize_one
 
 
 def rotation_matrix(n: int, n_step: int, direction: str) -> np.ndarray:
@@ -387,3 +390,23 @@ def save_dataset_per_token(dataset, path) -> None:
             if np.any(body == 0):
                 raise ValueError("cannot save a trace with interior zeros")
             fh.write(f"{label}\t{' '.join([tokens[v] for v in body.tolist()])}\n")
+
+
+def optimize_independent(order, spaces, objective, budget_per_param, rng):
+    """Each parameter in ``order`` tuned with only its own operator active,
+    from the one generator: the ablation baseline of
+    ``wfaug.tpe.optimize_sequential``, with its arguments and its
+    ``(chosen params, stage trial log)`` result."""
+    chosen, log = {}, []
+    for stage, name in enumerate(order):
+        if name not in spaces:
+            raise ValueError(f"no search space for parameter {name!r}")
+        space = spaces[name]
+        budget = (default_budget(space) if budget_per_param is None
+                  else budget_per_param)
+        best, trials = optimize_one(
+            space, lambda v: objective({name: v}), budget, rng)
+        log.extend(StageTrial(stage, name, t.value, t.objective, i)
+                   for i, t in enumerate(trials))
+        chosen[name] = best
+    return chosen, log

@@ -16,14 +16,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import mask_by_matrix, rotate_by_matrix
+from oracles import mask_by_matrix, optimize_independent, rotate_by_matrix
 from wfaug import (AugConfig, BACKGROUND, ConvBlock, Dataset,
                    ExperimentConfig, Model, ModelConfig, SearchSpace,
                    SplitSpec, TrainConfig, confusion_from_predictions,
                    cross_entropy, dataset_accuracy, default_model_config,
-                   derive_rng, optimize_independent, optimize_one,
-                   optimize_sequential, run_experiment,
-                   sample_lambda, sample_mask, sample_rotation,
+                   derive_rng, optimize_one, optimize_sequential,
+                   run_experiment, sample_lambda, sample_mask, sample_rotation,
                    sweep_operating_points, synth_dataset, train)
 from wfaug.augment import mask_batch, rotate_batch
 from wfaug.cli import main as cli_main

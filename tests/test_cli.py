@@ -8,6 +8,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import re
 import struct
 import subprocess
@@ -48,6 +49,22 @@ BASE = {
     "train.lr": "0.01",
     "tpe.proxy_epochs": "1",
 }
+
+
+# environment variables that switch numpy's SIMD dispatch and glibc's libm
+# variant away from the AVX-512 and FMA code paths, for a child process
+DISPATCH_OFF = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+                "GLIBC_TUNABLES": "glibc.cpu.hwcaps=-FMA"}
+
+# synth, train and eval in one process; prints the CPU features numpy uses
+CLI_SYNTH_TRAIN_EVAL = """
+from numpy._core._multiarray_umath import __cpu_features__
+from wfaug.cli import main
+for argv in (["synth", "--out", "data.txt"], ["train", "--out", "run"],
+             ["eval", "--checkpoint", "run/model.ckpt", "--out", "run"]):
+    assert main([*argv, "--manifest", "exp.cfg"]) == 0
+print(" ".join(name for name, on in __cpu_features__.items() if on))
+"""
 
 
 @pytest.fixture
@@ -237,15 +254,21 @@ class TestTune:
         assert len(chosen) == 1 and used and all(
             cfg == chosen[0] for cfg in used)
 
-    def test_mode_flag_accepted(self, workdir):
+    def test_mode_flag_is_refused(self, workdir, capsys):
+        # sequential TPE is the only search, so there is no mode to choose
         synth_here()
-        assert run("tune", "--manifest", "exp.cfg", "--mode", "independent",
-                   "--budget", "1", "--out", "tuned") == 0
+        with pytest.raises(SystemExit) as exit_:
+            run("tune", "--manifest", "exp.cfg", "--mode", "sequential",
+                "--out", "tuned")
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: unrecognized arguments: --mode sequential\n")
+        assert not (workdir / "tuned").exists()
 
     def test_flags_beat_tpe_keys(self, workdir, monkeypatch):
         synth_here()
         (workdir / "tpe.cfg").write_text(
-            "tpe.mode = independent\ntpe.budget_per_param = 4\n",
+            "tpe.budget_per_param = 4\n",
             encoding="utf-8")
         specs = []
 
@@ -256,10 +279,8 @@ class TestTune:
         monkeypatch.setattr(cli, "tune_augmentation", record_spec)
         keys = ("tune", "--manifest", "exp.cfg", "--manifest", "tpe.cfg")
         assert run(*keys, "--out", "from_keys") == 0
-        assert run(*keys, "--mode", "sequential", "--budget", "2",
-                   "--out", "from_flags") == 0
-        assert [(spec.mode, spec.budget_per_param) for spec in specs] == [
-            ("independent", 4), ("sequential", 2)]
+        assert run(*keys, "--budget", "2", "--out", "from_flags") == 0
+        assert [spec.budget_per_param for spec in specs] == [4, 2]
 
     def test_notes_stages_that_cannot_rank(self, workdir, capsys,
                                            monkeypatch):
@@ -282,6 +303,24 @@ class TestTune:
             "note: tune stage 2 (alpha) cannot rank its settings: 1 to 3 of"
             " 9 validation traces right, chance 1/3; try more"
             " tpe.proxy_epochs"]
+
+        # a stage that tried one value cannot rank it, whatever its score:
+        # every stage of a --budget 1 tune
+        log = [StageTrial(0, "r_max", 6, 6 / 9, 0),
+               StageTrial(1, "m_len", 9, 6 / 9, 0),
+               StageTrial(1, "m_len", 9, 6 / 9, 1),
+               StageTrial(2, "alpha", 0.1, 6 / 9, 0),
+               StageTrial(2, "alpha", 0.5, 8 / 9, 1)]
+        monkeypatch.setattr(cli, "tune_augmentation",
+                            lambda *args: ({"r_max": 6}, log))
+        assert run("tune", "--manifest", "exp.cfg", "--out", "tuned") == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "note: tune stage 0 (r_max) cannot rank its settings: 6 to 6 of"
+            " 9 validation traces right, chance 1/3; try more"
+            " tpe.budget_per_param",
+            "note: tune stage 1 (m_len) cannot rank its settings: 6 to 6 of"
+            " 9 validation traces right, chance 1/3; try more"
+            " tpe.budget_per_param"]
 
     def test_notes_leave_the_artifacts_alone(self, workdir, capsys):
         # one-epoch proxies on this data score every setting at chance
@@ -364,15 +403,16 @@ class TestTrainEvalReport:
             capsys.readouterr().err
 
     # keys of earlier versions: the operator switches, the optimizer choice
-    # with its momentum, TPE's own search settings and the operator order,
-    # a line every aug_params.cfg of those versions holds
+    # with its momentum, TPE's own search settings, the operator order (a
+    # line every aug_params.cfg of those versions holds) and the search mode
     @pytest.mark.parametrize("line", ["aug.enable.rotation = true",
                                       "train.optimizer = sgd-momentum",
                                       "train.momentum = 0.9",
                                       "tpe.gamma = 0.25",
                                       "tpe.n_startup = 2",
                                       "tpe.n_candidates = 24",
-                                      "aug.order = rotation,masking,mixing"],
+                                      "aug.order = rotation,masking,mixing",
+                                      "tpe.mode = sequential"],
                              ids=lambda line: line.split()[0])
     def test_enable_key_is_unknown(self, workdir, capsys, line):
         synth_here()
@@ -857,6 +897,43 @@ class TestDeterminism:
                             for name in ("model.ckpt", "history.csv")})
         assert written[0] == written[1]
 
+    @pytest.mark.parametrize("variable", list(DISPATCH_OFF))
+    def test_synth_train_eval_same_bytes_under_other_dispatch(
+            self, tmp_path, variable):
+        # numpy's SIMD dispatch and glibc's libm variant must not move the
+        # data, the weights or the scores; history.csv's losses may move, as
+        # they do at this seed when numpy leaves its AVX-512 loops
+        if platform.machine() != "x86_64":
+            pytest.skip("both variables switch x86-64 code paths")
+        umath = pytest.importorskip("numpy._core._multiarray_umath")
+        if not (set(DISPATCH_OFF["NPY_DISABLE_CPU_FEATURES"].split())
+                <= set(umath.__cpu_dispatch__)):
+            pytest.skip("this numpy names other SIMD targets")
+        manifest = {**BASE, "data.classes": "5", "data.per_class": "18",
+                    "data.trace_len": "200", "split.test_per_class": "10",
+                    "train.epochs": "4", "aug.r_max": "20", "aug.m_len": "30",
+                    "aug.alpha": "0.4", "run.seed": "2"}
+        env = {key: value for key, value in os.environ.items()
+               if key not in DISPATCH_OFF}
+        env["PYTHONPATH"] = str(Path(wfaug.__file__).parents[1])
+        off = {**env, variable: DISPATCH_OFF[variable]}
+        written = []
+        for run_dir, child_env in ((tmp_path / "default", env),
+                                   (tmp_path / "off", off)):
+            run_dir.mkdir()
+            (run_dir / "exp.cfg").write_text(format_manifest(manifest),
+                                             encoding="utf-8")
+            features = subprocess.run(
+                [sys.executable, "-c", CLI_SYNTH_TRAIN_EVAL], cwd=run_dir,
+                env=child_env, check=True, capture_output=True,
+                text=True).stdout.split()
+            written.append({name: (run_dir / name).read_bytes() for name in
+                            ("data.txt", "run/model.ckpt", "run/eval.json")})
+        if variable == "NPY_DISABLE_CPU_FEATURES":
+            # the second child ran without those loops
+            assert not set(features) & set(DISPATCH_OFF[variable].split())
+        assert written[0] == written[1]
+
 
 class TestOneExperiment:
     """The CLI's per-seed steps and ``run_experiment`` are one experiment."""
@@ -924,7 +1001,7 @@ class TestOneExperiment:
 # an out-of-range value for every field that a config class checks
 CHECKED = {"split.shots": "0", "split.val_per_class": "-1",
            "split.test_per_class": "-1", "aug.r_max": "0", "aug.m_len": "-1",
-           "aug.alpha": "0", "tpe.mode": "grid", "tpe.budget_per_param": "0",
+           "aug.alpha": "0", "tpe.budget_per_param": "0",
            "tpe.proxy_epochs": "0", "train.epochs": "0",
            "train.batch_size": "0", "train.lr": "0"}
 
@@ -954,7 +1031,7 @@ class TestRefusalsNameTheirKey:
                                          encoding="utf-8")
         self.refused(workdir, capsys, key, "--manifest", "bad.cfg")
 
-    @pytest.mark.parametrize("flag", ["--mode", "--budget"])
+    @pytest.mark.parametrize("flag", ["--budget"])
     def test_flag_value(self, workdir, capsys, flag):
         key = cli.COMMANDS["tune"][2][flag]
         self.refused(workdir, capsys, key, flag, CHECKED[key])
@@ -972,19 +1049,18 @@ class TestManifestPrecedence:
             "open_world", "runs"}
         assert dests & set(KNOWN_KEYS) == {
             "run.seed", "out.dir", "data.classes", "data.per_class",
-            "data.trace_len", "data.noise", "tpe.mode",
-            "tpe.budget_per_param"}
+            "data.trace_len", "data.noise", "tpe.budget_per_param"}
 
     @pytest.mark.parametrize("argv, err", [
         (("synth", "--classes", "x", "--out", "x.txt"),
          "error: manifest key 'data.classes': 'x' is not an int\n"),
         (("synth", "--manifest", "exp.cfg", "--len", "1_00", "--out", "x.txt"),
          "error: manifest key 'data.trace_len': '1_00' is not an int\n"),
-        (("tune", "--manifest", "exp.cfg", "--mode", "grid", "--out", "t"),
-         "error: tpe.mode must be 'sequential' or 'independent'\n"),
+        (("tune", "--manifest", "exp.cfg", "--budget", "0", "--out", "t"),
+         "error: tpe.budget_per_param must be >= 1\n"),
         (("report", "r", "--seed", "+1", "--out", "s"),
          "error: manifest key 'run.seed': '+1' is not an int\n")],
-        ids=["classes", "len", "mode", "seed"])
+        ids=["classes", "len", "budget", "seed"])
     def test_bad_flag_value_is_one_error_line(self, workdir, capsys, argv,
                                               err):
         assert run(*argv) == 1

@@ -340,12 +340,10 @@ class TestOnePassSweep:
 class TestTuneSpec:
     def test_defaults_valid(self):
         spec = TuneSpec()
-        assert spec.mode == "sequential"
+        assert spec.budget_per_param is None
         assert spec.proxy_epochs == 30
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="mode"):
-            TuneSpec(mode="grid")
         with pytest.raises(ValueError, match="proxy_epochs"):
             TuneSpec(proxy_epochs=0)
 
@@ -410,14 +408,6 @@ class TestTuneAugmentation:
         a, _ = tune_augmentation(tr, va, TINY, replace(FAST, seed=5), spec)
         b, _ = tune_augmentation(tr, va, TINY, replace(FAST, seed=5), spec)
         assert a == b
-
-    def test_independent_mode_runs(self, task):
-        tr, va, _ = task
-        spec = TuneSpec(mode="independent", budget_per_param=2, proxy_epochs=2)
-        params, log = tune_augmentation(tr, va, TINY, replace(FAST, seed=0),
-                                        spec)
-        assert set(params) == {"r_max", "m_len", "alpha"}
-        assert len(log) == 6
 
     def test_scores_trials_without_extra_validation_pass(self, task,
                                                          monkeypatch):

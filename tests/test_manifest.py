@@ -65,10 +65,10 @@ class TestTypedAccess:
 
     def test_int_float_str(self):
         m = self.manifest(**{"split.shots": 5, "train.lr": "1e-2",
-                             "tpe.mode": "sequential"})
+                             "model.fc": "64"})
         assert m.get("split.shots") == 5
         assert m.get("train.lr") == 0.01
-        assert m.get("tpe.mode") == "sequential"
+        assert m.get("model.fc") == "64"
 
     def test_bad_value_names_key(self):
         with pytest.raises(ManifestError, match="'split.shots'.*'five'"):
@@ -162,7 +162,7 @@ class TestOperatorOrder:
 
 class TestAugConfig:
     def test_all_disabled_is_none(self):
-        m = Manifest({"tpe.mode": "independent"})
+        m = Manifest({"tpe.proxy_epochs": "2"})
         assert aug_config_from_manifest(m, 100) is None
         assert aug_config_from_manifest(Manifest({}), 100) is None
 
@@ -257,15 +257,12 @@ class TestConfigBuilders:
 
     def test_tune_spec_defaults_and_flag_precedence(self):
         # flag precedence: test_cli.py TestTune::test_flags_beat_tpe_keys
-        m = Manifest({"tpe.mode": "independent", "tpe.budget_per_param": "4",
-                      "tpe.proxy_epochs": "2"})
+        m = Manifest({"tpe.budget_per_param": "4", "tpe.proxy_epochs": "2"})
         spec = tune_spec_from_manifest(m)
-        assert (spec.mode, spec.budget_per_param,
-                spec.proxy_epochs) == ("independent", 4, 2)
+        assert (spec.budget_per_param, spec.proxy_epochs) == (4, 2)
 
     def test_tune_spec_empty_manifest(self):
         spec = tune_spec_from_manifest(Manifest({}))
-        assert spec.mode == "sequential"
         assert spec.budget_per_param is None
         assert spec.proxy_epochs == 30
 
@@ -276,7 +273,7 @@ class TestConfigBuilders:
         ("aug", AugConfig, lambda m: aug_config_from_manifest(m, 1000),
          {"r_max": 7, "m_len": 9, "alpha": 0.7}),
         ("tpe", TuneSpec, lambda m: tune_spec_from_manifest(m),
-         {"mode": "independent", "budget_per_param": 4, "proxy_epochs": 2}),
+         {"budget_per_param": 4, "proxy_epochs": 2}),
         ("train", TrainConfig, lambda m: train_config_from_manifest(m, 0),
          {"epochs": 9, "batch_size": 5, "lr": 0.25}),
     ], ids=["split", "aug", "tpe", "train"])
@@ -345,14 +342,14 @@ class TestModelConfig:
             "split.shots": "int", "split.val_per_class": "int",
             "split.test_per_class": "int", "aug.r_max": "int",
             "aug.m_len": "int", "aug.alpha": "float",
-            "tpe.budget_per_param": "int", "tpe.mode": "str",
-            "tpe.proxy_epochs": "int", "model.blocks": "str",
-            "model.kernel": "int", "model.fc": "str", "train.epochs": "int",
-            "train.batch_size": "int", "train.lr": "float"}
+            "tpe.budget_per_param": "int", "tpe.proxy_epochs": "int",
+            "model.blocks": "str", "model.kernel": "int", "model.fc": "str",
+            "train.epochs": "int", "train.batch_size": "int",
+            "train.lr": "float"}
 
     def test_registry_covers_spec_pinned_keys(self):
         pinned = {"aug.r_max", "aug.m_len", "aug.alpha",
-                  "tpe.budget_per_param", "tpe.mode", "tpe.proxy_epochs"}
+                  "tpe.budget_per_param", "tpe.proxy_epochs"}
         assert pinned <= set(KNOWN_KEYS)
 
 

@@ -854,18 +854,22 @@ class TestPredict:
         assert labels.shape == confs.shape == (0,)
         assert labels.dtype == np.int64 and confs.dtype == np.float64
 
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_batch_size_below_one_is_refused(self, batch_size):
-        x = np.ones((5, 64), np.int8)
-        with pytest.raises(ValueError, match="batch_size must be >= 1"):
-            predict(Model(TINY, seed=4), x, batch_size=batch_size)
-
     def test_accuracy_of_no_traces_is_refused(self):
         empty = Dataset(np.zeros((0, 64), np.int8), np.zeros(0), 3)
         with pytest.raises(ValueError, match="empty dataset"):
             dataset_accuracy(Model(TINY, seed=4), empty)
 
-    def test_batch_partition_invariance(self):
+    def test_predicts_in_batches_of_256_rows(self, monkeypatch):
+        model = Model(TINY, seed=4)
+        rows = []
+        forward = model.forward
+        monkeypatch.setattr(model, "forward",
+                            lambda x: rows.append(len(x)) or forward(x))
+        labels, _ = predict(model, np.ones((513, 64), np.int8))
+        assert model_mod.PREDICT_BATCH == 256
+        assert rows == [256, 256, 1] and len(labels) == 513
+
+    def test_batch_partition_invariance(self, monkeypatch):
         """What ``Model.forward`` promises across partitions, bitwise: the
         conv-stack features do not depend on them, and ``predict`` gives
         each batch what ``forward`` gives that batch alone. The FC head's
@@ -874,7 +878,8 @@ class TestPredict:
         model = Model(TINY, seed=4)
         x = np.random.default_rng(6).choice([-1, 1], size=(10, 64)).astype(np.int8)
         full_lab, _ = predict(model, x)
-        lab3, conf3 = predict(model, x, batch_size=3)
+        monkeypatch.setattr(model_mod, "PREDICT_BATCH", 3)
+        lab3, conf3 = predict(model, x)
         _, feats = model.forward(x)
         pieces = [model.forward(x[lo:lo + 3]) for lo in range(0, len(x), 3)]
         joined = np.concatenate([f for _, f in pieces])

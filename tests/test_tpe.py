@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import optimize_independent
 from wfaug.augment import OPERATOR_PARAMS
 from wfaug.seeding import derive_rng
 from wfaug.tpe import (
@@ -14,7 +15,6 @@ from wfaug.tpe import (
     TpeTrial,
     default_budget,
     default_spaces,
-    optimize_independent,
     optimize_one,
     optimize_sequential,
     tpe_suggest,
@@ -151,6 +151,24 @@ class TestSequential:
         assert [(t.value, t.objective) for t in log] == \
                [(t.value, t.objective) for t in single]
 
+    def test_objective_error_holds_the_failing_stage_only(self):
+        # stage 0 runs its 3 trials; stage 1 fails at its second
+        seen = []
+
+        def fn(params):
+            seen.append(params)
+            if len(seen) == 5:
+                raise RuntimeError("boom")
+            return 0.0
+
+        with pytest.raises(ObjectiveError, match="tuning 'b'") as err:
+            optimize_sequential(["a", "b"], {name: SearchSpace(name, TEN.grid)
+                                             for name in "ab"}, fn, 3,
+                                derive_rng(3))
+        assert [t.value for t in err.value.trials] == [seen[3]["b"]]
+
+    # the independent pass is the reference in tests/oracles.py; it keeps
+    # the budget contract of the search it is compared with
     @pytest.mark.parametrize("optimize", [optimize_sequential,
                                           optimize_independent])
     def test_zero_budget_is_not_the_default_budget(self, optimize):
