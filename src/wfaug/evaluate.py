@@ -234,8 +234,7 @@ def tune_augmentation(train_set: Dataset, val_set: Dataset,
         key = tuple(sorted(params.items()))
         if key not in cache:
             aug = AugConfig.from_params(params)
-            _, history = train(model_cfg, proxy_cfg, train_set, val_set, aug,
-                               stop_early=True)
+            _, history = train(model_cfg, proxy_cfg, train_set, val_set, aug)
             cache[key] = max(h.val_acc for h in history)
         return cache[key]
 
@@ -323,7 +322,7 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
     background traces), after a ``tuned_<param>`` value per tuned parameter.
     A training stops at its first perfect validation epoch, which keeps the
     model it returns, or ``PATIENCE`` epochs after its kept epoch without a
-    better one (``train``'s ``stop_early``). Fully deterministic in
+    better one, as every ``train`` does. Fully deterministic in
     (dataset, cfg, seeds).
     """
     seeds = tuple(int(s) for s in seeds)
@@ -343,8 +342,7 @@ def run_experiment(dataset: Dataset, cfg: ExperimentConfig,
                                           train_cfg, cfg.tune)
             aug = AugConfig.from_params(params)
             metrics.update({f"tuned_{k}": float(v) for k, v in params.items()})
-        model, _ = train(cfg.model, train_cfg, train_set, val_set, aug,
-                         stop_early=True)
+        model, _ = train(cfg.model, train_cfg, train_set, val_set, aug)
         metrics.update(seed_metrics(model, val_set, test_set, open_world))
         per_seed.append(metrics)
     mean, std = aggregate_metrics(per_seed)

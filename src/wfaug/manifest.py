@@ -46,8 +46,6 @@ KNOWN_KEYS = {
     **_field_keys("aug", AugConfig),
     **_field_keys("tpe", TuneSpec),
     "model.blocks": "str",
-    "model.kernel": "int",
-    "model.fc": "str",
     **_field_keys("train", TrainConfig),
 }
 
@@ -199,7 +197,7 @@ def tune_spec_from_manifest(m: Manifest) -> TuneSpec:
     return _config(m, "tpe", TuneSpec)
 
 
-def _parse_block(item: str, kernel: int) -> ConvBlock:
+def _parse_block(item: str) -> ConvBlock:
     what, parts = f"model.blocks item {_echo(item)}", item.split(":")
     if len(parts) not in (2, 3):
         raise ManifestError(f"{what} must be 'channels:dilation' or "
@@ -208,31 +206,21 @@ def _parse_block(item: str, kernel: int) -> ConvBlock:
                               for part in parts[:2])
     pool = parts[2] if len(parts) == 3 else "none"
     try:
-        return ConvBlock(out_channels, kernel=kernel, dilation=dilation,
-                         pool=pool)
+        return ConvBlock(out_channels, dilation=dilation, pool=pool)
     except ValueError as exc:
         raise ManifestError(f"{what}: {exc}") from None
 
 
 def model_config_from_manifest(m: Manifest, input_len: int,
                                num_classes: int) -> ModelConfig:
-    """model.blocks as 'ch:dil[:pool],...'; model.fc lists hidden widths.
-
-    Without model.blocks the stock architecture is used, and the other
-    model.* keys must be absent (they would be silently ignored otherwise).
-    """
+    """model.blocks as 'ch:dil[:pool],...', kernel-3 conv blocks followed by
+    one FC layer; without it, the stock architecture."""
     if not m.has("model.blocks"):
-        for key in ("model.kernel", "model.fc"):
-            if m.has(key):
-                raise ManifestError(f"{key} requires model.blocks")
         return default_model_config(input_len, num_classes)
-    kernel = m.get("model.kernel", 3)
-    blocks = tuple(_parse_block(item.strip(), kernel)
+    blocks = tuple(_parse_block(item.strip())
                    for item in m.get("model.blocks").split(","))
-    hidden = tuple(read_value(w.strip(), "int", "model.fc")
-                   for w in m.get("model.fc", "").split(",") if w.strip())
     try:
         return ModelConfig(input_len=input_len, num_classes=num_classes,
-                           blocks=blocks, fc=hidden + (num_classes,))
+                           blocks=blocks, fc=(num_classes,))
     except ValueError as exc:
         raise ManifestError(f"model configuration invalid: {exc}") from None

@@ -20,9 +20,9 @@ from ..traces import Dataset, class_indices, one_hot_labels
 from .model import Model, ModelConfig, cross_entropy, predict
 from .optim import Adam
 
-# With ``stop_early``, a training also stops once this many epochs have
-# passed since its kept one without a better validation accuracy (the
-# patience rule of Prechelt 1998, "Early Stopping -- But When?")
+# A training stops at its first perfect validation epoch, or once this many
+# epochs have passed since its kept one without a better validation accuracy
+# (the patience rule of Prechelt 1998, "Early Stopping -- But When?")
 PATIENCE = 100
 
 
@@ -70,8 +70,7 @@ def dataset_accuracy(model: Model, ds: Dataset) -> float:
 
 
 def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: Dataset,
-          val_set: Dataset, aug_cfg: AugConfig | None = None,
-          stop_early: bool = False):
+          val_set: Dataset, aug_cfg: AugConfig | None = None):
     """Train a fresh model; returns (best-validation model, epoch history).
 
     Labels are one-hot in the wider split's output width, so background in
@@ -79,13 +78,13 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: Dataset,
     ``Model.forward`` as stored (int8); ``forward`` casts them.
 
     An epoch is kept only when its validation accuracy beats every earlier
-    one, so after an epoch at 1.0 no later epoch can be kept. With
-    ``stop_early`` training returns there: the same model, with the history
-    ending at that epoch, and a run whose loss would overflow in a later
-    epoch returns instead of raising ``TrainingDiverged``. It also returns
-    after ``PATIENCE`` epochs past the kept one without a better one, with
-    the kept model; that model differs from a full run's only where a
-    better epoch would come later still."""
+    one, so after an epoch at 1.0 no later epoch can be kept, and training
+    returns there: the model of a run through every epoch, with the history
+    ending at that epoch, and no ``TrainingDiverged`` for a later epoch's
+    overflow. It also returns after ``PATIENCE`` epochs past the kept one
+    without a better one, with the kept model; that model differs from a
+    run through every epoch only where a better epoch would come later
+    still."""
     if len(train_set) == 0 or len(val_set) == 0:
         raise ValueError("train and validation sets must be non-empty")
     if train_set.num_classes != val_set.num_classes:
@@ -131,7 +130,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, train_set: Dataset,
         if val_acc > best_acc:
             best_acc, best_state = val_acc, model.state_copy()
             best_epoch = epoch
-        if stop_early and (best_acc == 1.0 or epoch - best_epoch >= PATIENCE):
+        if best_acc == 1.0 or epoch - best_epoch >= PATIENCE:
             break
     model.load_state(best_state)
     return model, history

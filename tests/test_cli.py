@@ -95,6 +95,12 @@ def synth_here():
                "--out", "data.txt") == 0
 
 
+def val_accs(run_dir):
+    """The val_acc column of a run's history.csv."""
+    rows = (run_dir / "history.csv").read_text().splitlines()[1:]
+    return [float(row.split(",")[2]) for row in rows]
+
+
 def open_world_here(workdir):
     """Three monitored classes plus one relabelled as background."""
     base = synth_dataset(4, 10, 48, 0.05, seed=7)
@@ -382,6 +388,43 @@ class TestTrainEvalReport:
         assert 0.0 <= payload["metrics"]["test_accuracy"] <= 1.0
         assert payload["seed"] == 0
 
+    def test_train_stops_at_its_first_perfect_epoch(self, workdir):
+        # on noiseless traces a validation epoch reaches 1.0 well before the
+        # last; the history ends there, with the model of a run that long
+        assert run("synth", "--manifest", "exp.cfg", "--seed", "7",
+                   "--noise", "0", "--out", "data.txt") == 0
+        (workdir / "long.cfg").write_text("train.epochs = 40\n",
+                                          encoding="utf-8")
+        assert run("train", "--manifest", "exp.cfg", "--manifest",
+                   "long.cfg", "--out", "long") == 0
+        accs = val_accs(workdir / "long")
+        assert accs.index(1.0) == len(accs) - 1 < 40 - 1
+        (workdir / "short.cfg").write_text(f"train.epochs = {len(accs)}\n",
+                                           encoding="utf-8")
+        assert run("train", "--manifest", "exp.cfg", "--manifest",
+                   "short.cfg", "--out", "short") == 0
+        for name in ("model.ckpt", "history.csv"):
+            assert (workdir / "long" / name).read_bytes() == \
+                (workdir / "short" / name).read_bytes()
+
+    def test_train_stops_patience_epochs_past_its_kept_one(self, workdir,
+                                                            monkeypatch):
+        synth_here()
+        monkeypatch.setattr(training, "PATIENCE", 3)
+        (workdir / "long.cfg").write_text("train.epochs = 40\n",
+                                          encoding="utf-8")
+        assert run("train", "--manifest", "exp.cfg", "--manifest",
+                   "long.cfg", "--out", "long") == 0
+        accs = val_accs(workdir / "long")
+        kept = accs.index(max(accs))
+        assert max(accs) < 1.0 and len(accs) == kept + 3 + 1
+        (workdir / "kept.cfg").write_text(f"train.epochs = {kept + 1}\n",
+                                          encoding="utf-8")
+        assert run("train", "--manifest", "exp.cfg", "--manifest",
+                   "kept.cfg", "--out", "kept") == 0
+        assert (workdir / "long" / "model.ckpt").read_bytes() == \
+            (workdir / "kept" / "model.ckpt").read_bytes()
+
     def test_m_len_alone_trains_with_masking(self, workdir, monkeypatch):
         synth_here()
         (workdir / "mask.cfg").write_text("aug.m_len = 10\n",
@@ -404,7 +447,8 @@ class TestTrainEvalReport:
 
     # keys of earlier versions: the operator switches, the optimizer choice
     # with its momentum, TPE's own search settings, the operator order (a
-    # line every aug_params.cfg of those versions holds) and the search mode
+    # line every aug_params.cfg of those versions holds), the search mode,
+    # and the conv kernel and hidden FC widths
     @pytest.mark.parametrize("line", ["aug.enable.rotation = true",
                                       "train.optimizer = sgd-momentum",
                                       "train.momentum = 0.9",
@@ -412,7 +456,9 @@ class TestTrainEvalReport:
                                       "tpe.n_startup = 2",
                                       "tpe.n_candidates = 24",
                                       "aug.order = rotation,masking,mixing",
-                                      "tpe.mode = sequential"],
+                                      "tpe.mode = sequential",
+                                      "model.kernel = 5",
+                                      "model.fc = 64"],
                              ids=lambda line: line.split()[0])
     def test_enable_key_is_unknown(self, workdir, capsys, line):
         synth_here()

@@ -17,7 +17,8 @@ from wfaug.manifest import (KNOWN_KEYS, Manifest, ManifestError,
                             parse_manifest_text, split_spec_from_manifest,
                             train_config_from_manifest,
                             tune_spec_from_manifest)
-from wfaug.nn import TrainConfig, default_model_config
+from wfaug.nn import (ConvBlock, ModelConfig, TrainConfig,
+                      default_model_config)
 from wfaug.tpe import SearchSpace
 from wfaug.traces import SplitSpec
 
@@ -65,10 +66,10 @@ class TestTypedAccess:
 
     def test_int_float_str(self):
         m = self.manifest(**{"split.shots": 5, "train.lr": "1e-2",
-                             "model.fc": "64"})
+                             "model.blocks": "8:1"})
         assert m.get("split.shots") == 5
         assert m.get("train.lr") == 0.01
-        assert m.get("model.fc") == "64"
+        assert m.get("model.blocks") == "8:1"
 
     def test_bad_value_names_key(self):
         with pytest.raises(ManifestError, match="'split.shots'.*'five'"):
@@ -294,23 +295,31 @@ class TestModelConfig:
         cfg = model_config_from_manifest(Manifest({}), 128, 5)
         assert cfg == default_model_config(128, 5)
 
-    def test_blocks_and_fc_parsed(self):
-        m = Manifest({"model.blocks": "8:1:max2, 16:2", "model.kernel": "5",
-                      "model.fc": "32"})
+    def test_blocks_parsed(self):
+        m = Manifest({"model.blocks": "8:1:max2, 16:2"})
         cfg = model_config_from_manifest(m, 64, 4)
         assert [b.out_channels for b in cfg.blocks] == [8, 16]
         assert [b.dilation for b in cfg.blocks] == [1, 2]
         assert [b.pool for b in cfg.blocks] == ["max2", "none"]
-        assert all(b.kernel == 5 for b in cfg.blocks)
-        assert cfg.fc == (32, 4)
+        assert all(b.kernel == 3 for b in cfg.blocks)
 
     def test_fc_defaults_to_head_only(self):
         m = Manifest({"model.blocks": "8:1"})
         assert model_config_from_manifest(m, 64, 3).fc == (3,)
 
-    def test_stray_model_keys_without_blocks_rejected(self):
-        with pytest.raises(ManifestError, match="model.kernel"):
-            model_config_from_manifest(Manifest({"model.kernel": "5"}), 64, 3)
+    def test_readme_example_is_the_network_it_describes(self):
+        # a 4-channel block with a pool, then an 8-channel block at dilation
+        # 2, each a kernel-3, stride-1 causal conv, then one FC layer
+        readme = (Path(__file__).resolve().parents[1] / "README.md"
+                  ).read_text(encoding="utf-8")
+        assert "`model.blocks = 4:1:max2,8:2`" in readme
+        m = Manifest({"model.blocks": "4:1:max2,8:2"})
+        assert model_config_from_manifest(m, 48, 3) == ModelConfig(
+            input_len=48, num_classes=3, fc=(3,), blocks=(
+                ConvBlock(4, kernel=3, dilation=1, stride=1, pool="max2",
+                          causal=True),
+                ConvBlock(8, kernel=3, dilation=2, stride=1, pool="none",
+                          causal=True)))
 
     @pytest.mark.parametrize("blocks", ["8", "8:1:max2:zzz", "a:1", "8:1:avg",
                                         "3_2:1", "8:+1"])
@@ -318,21 +327,6 @@ class TestModelConfig:
         with pytest.raises(ManifestError, match="model.blocks"):
             model_config_from_manifest(Manifest({"model.blocks": blocks}),
                                        64, 3)
-
-    def test_bad_fc_rejected(self):
-        m = Manifest({"model.blocks": "8:1", "model.fc": "32,ten"})
-        with pytest.raises(ManifestError, match="model.fc"):
-            model_config_from_manifest(m, 64, 3)
-
-    @pytest.mark.parametrize("fc", ["\uff13\uff12", "32, +16"])
-    def test_fc_widths_read_as_str_writes_them(self, fc):
-        m = Manifest({"model.blocks": "8:1", "model.fc": fc})
-        with pytest.raises(ManifestError, match="model.fc"):
-            model_config_from_manifest(m, 64, 3)
-
-    def test_fc_widths_may_have_spaces_around_commas(self):
-        m = Manifest({"model.blocks": "8:1", "model.fc": "32, 16"})
-        assert model_config_from_manifest(m, 64, 3).fc == (32, 16, 3)
 
     def test_registry_keys_and_kinds(self):
         assert KNOWN_KEYS == {
@@ -343,7 +337,7 @@ class TestModelConfig:
             "split.test_per_class": "int", "aug.r_max": "int",
             "aug.m_len": "int", "aug.alpha": "float",
             "tpe.budget_per_param": "int", "tpe.proxy_epochs": "int",
-            "model.blocks": "str", "model.kernel": "int", "model.fc": "str",
+            "model.blocks": "str",
             "train.epochs": "int", "train.batch_size": "int",
             "train.lr": "float"}
 

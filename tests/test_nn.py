@@ -940,26 +940,29 @@ class TestTraining:
                                                  lr=1e-2, seed=0),
                                train_set, train_set)
         assert dataset_accuracy(model, train_set) >= 0.99
-        assert len(history) == 40
+        accs = [row.val_acc for row in history]
+        assert accs.index(1.0) == len(history) - 1 < 40 - 1
 
     def test_stop_when_perfect_keeps_the_model(self):
         train_set, _, _ = tiny_task()
         cfg = TrainConfig(epochs=40, batch_size=64, lr=1e-2, seed=0)
-        model, history = train(TINY, cfg, train_set, train_set)
-        stopped, head = train(TINY, cfg, train_set, train_set,
-                              stop_early=True)
-        first = [row.val_acc for row in history].index(1.0)
-        assert first < len(history) - 1
-        assert head == history[:first + 1]
+        stopped, head = train(TINY, cfg, train_set, train_set)
+        first = [row.val_acc for row in head].index(1.0)
+        assert first == len(head) - 1 < cfg.epochs - 1
+        # a run whose epochs end at the stop never reaches it
+        model, history = train(TINY, replace(cfg, epochs=first + 1),
+                               train_set, train_set)
+        assert head == history
         assert stopped.params.tobytes() == model.params.tobytes()
 
     def test_plateau_stops_after_patience_with_the_kept_model(self,
                                                              monkeypatch):
-        monkeypatch.setattr(training, "PATIENCE", 5)
         train_set, val_set, _ = tiny_task()
         cfg = TrainConfig(epochs=30, batch_size=16, lr=1e-2, seed=1)
+        monkeypatch.setattr(training, "PATIENCE", 10**9)
         _, history = train(TINY, cfg, train_set, val_set)
-        stopped, head = train(TINY, cfg, train_set, val_set, stop_early=True)
+        monkeypatch.setattr(training, "PATIENCE", 5)
+        stopped, head = train(TINY, cfg, train_set, val_set)
         accs = [row.val_acc for row in head]
         kept = accs.index(max(accs))
         assert max(accs) < 1.0
