@@ -291,17 +291,22 @@ class TestConfigBuilders:
 
 
 class TestModelConfig:
+    """model.blocks alone sets the network: its blocks are kernel 3 and its
+    FC stack is the head alone. model.kernel and model.fc, which set those,
+    are unknown keys whatever their value."""
+
     def test_default_architecture_without_blocks(self):
         cfg = model_config_from_manifest(Manifest({}), 128, 5)
         assert cfg == default_model_config(128, 5)
 
-    def test_blocks_parsed(self):
+    def test_blocks_and_fc_parsed(self):
         m = Manifest({"model.blocks": "8:1:max2, 16:2"})
         cfg = model_config_from_manifest(m, 64, 4)
         assert [b.out_channels for b in cfg.blocks] == [8, 16]
         assert [b.dilation for b in cfg.blocks] == [1, 2]
         assert [b.pool for b in cfg.blocks] == ["max2", "none"]
         assert all(b.kernel == 3 for b in cfg.blocks)
+        assert cfg.fc == (4,)
 
     def test_fc_defaults_to_head_only(self):
         m = Manifest({"model.blocks": "8:1"})
@@ -327,6 +332,27 @@ class TestModelConfig:
         with pytest.raises(ManifestError, match="model.blocks"):
             model_config_from_manifest(Manifest({"model.blocks": blocks}),
                                        64, 3)
+
+    def test_stray_model_keys_without_blocks_rejected(self):
+        with pytest.raises(ManifestError) as err:
+            parse_manifest_text("model.kernel = 5\n", "old.cfg")
+        assert str(err.value) == "old.cfg:1: unknown key 'model.kernel'"
+
+    def test_bad_fc_rejected(self):
+        with pytest.raises(ManifestError, match="unknown key 'model.fc'"):
+            parse_manifest_text("model.blocks = 8:1\nmodel.fc = 32,ten\n")
+
+    @pytest.mark.parametrize("fc", ["\uff13\uff12", "32, +16"])
+    def test_fc_widths_read_as_str_writes_them(self, fc):
+        with pytest.raises(ManifestError, match="unknown key 'model.fc'"):
+            parse_manifest_text(f"model.blocks = 8:1\nmodel.fc = {fc}\n")
+
+    def test_fc_widths_may_have_spaces_around_commas(self):
+        # widths the old key read are refused like any other value
+        with pytest.raises(ManifestError) as err:
+            parse_manifest_text("model.blocks = 8:1\nmodel.fc = 32, 16\n",
+                                "old.cfg")
+        assert str(err.value) == "old.cfg:2: unknown key 'model.fc'"
 
     def test_registry_keys_and_kinds(self):
         assert KNOWN_KEYS == {
